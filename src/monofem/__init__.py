@@ -1,7 +1,7 @@
 """monofem: P1 finite elements for the monodomain reaction-diffusion system
 with residual-based a posteriori error indicators.
 
-Subpackages: `mesh` (structured nested triangulations), `assembly` (P1
+Modules: `mesh` (structured nested triangulations), `assembly` (P1
 matrices and quadrature), `ionic` (Aliev-Panfilov kinetics), `solver`
 (implicit Euler + Newton-Galerkin), `estimators` (space/time/linearization
 indicators and the cumulative bound), `verify` (reference solutions, X/Y
@@ -15,8 +15,8 @@ from .assembly import (QuadratureRule, ConductivityTensor, quadrature_rule,
                        l2_project, evaluate_p1, DiscreteOperators)
 from .ionic import AlievPanfilovParams, ReactionEval, react, initial_data
 from .solver import (StateField, NewtonConfig, TrajectorySolution,
-                     sparse_solve, newton_step, newton_solve, time_march,
-                     SolverError, NewtonError)
+                     newton_step, newton_solve, time_march, SolverError,
+                     NewtonError)
 from .estimators import (space_indicator, time_indicator,
                          linearization_indicator, simplified_indicators,
                          cumulative_bound, estimate_trajectory,

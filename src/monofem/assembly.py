@@ -276,6 +276,12 @@ class DiscreteOperators:
     scatter patterns are assembled once per mesh.
     """
 
+    @classmethod
+    def for_params(cls, mesh, p):
+        """Operators of the model with parameters `p`: the conductivity is
+        the scalar p.M_scalar."""
+        return cls(mesh, ConductivityTensor.scalar(p.M_scalar))
+
     def __init__(self, mesh, conductivity=None):
         if conductivity is None:
             conductivity = ConductivityTensor.scalar(1.0)
@@ -307,10 +313,3 @@ class DiscreteOperators:
 
     def h1_norm(self, vec):
         return float(np.sqrt(vec @ (self.h1_gram @ vec)))
-
-    def l2_norm_quad(self, values_at_quad, rule=None):
-        """L2(Omega) norm of a function given by values at quadrature
-        points."""
-        rule = rule or self.rule6
-        sq = np.einsum("eq,q->e", values_at_quad ** 2, rule.weights)
-        return float(np.sqrt(np.dot(sq, self.mesh.areas)))

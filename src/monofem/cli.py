@@ -208,6 +208,11 @@ def _validate(cfg):
             raise ConfigError("ladder mesh sizes must double at each rung")
     if not cfg.instants:
         raise ConfigError("instants must not be empty")
+    for t in cfg.instants:
+        steps = round(t / cfg.newton_tau)
+        if not t > 0 or abs(steps * cfg.newton_tau - t) > 1e-9:
+            raise ConfigError(f"instants: {t} is not a positive multiple of "
+                              f"newton_tau={cfg.newton_tau}")
     return cfg
 
 
@@ -350,19 +355,20 @@ def _cmd_solve(cfg):
     return EXIT_OK
 
 
-def _reference_levels(cfg):
-    ratio = cfg.reference_n / cfg.mesh_n
+def _reference_levels(cfg, n):
+    """Refinements from the coarse mesh size `n` up to reference_n."""
+    ratio = cfg.reference_n / n
     levels = int(round(math.log2(ratio))) if ratio > 0 else -1
-    if levels < 1 or cfg.mesh_n * 2 ** levels != cfg.reference_n:
+    if levels < 1 or n * 2 ** levels != cfg.reference_n:
         raise ConfigError(
-            f"reference_n={cfg.reference_n} must be mesh_n={cfg.mesh_n} "
-            "times a power of two")
+            f"reference_n={cfg.reference_n} must be n={n} times a power "
+            "of two")
     return levels
 
 
 def _cmd_upperbound(cfg):
     out = _ensure_out_dir(cfg)
-    levels = _reference_levels(cfg)
+    levels = _reference_levels(cfg, cfg.mesh_n)
     p = cfg.params()
     mesh = unit_square_mesh(cfg.mesh_n)
     traj = time_march(mesh, p, cfg.tau, cfg.t_end, cfg=cfg.newton_config())
@@ -383,13 +389,7 @@ def _cmd_upperbound(cfg):
 def _cmd_convergence(cfg):
     out = _ensure_out_dir(cfg)
     p = cfg.params()
-    finest_n = cfg.ladder[-1][0]
-    ratio = cfg.reference_n / finest_n
-    levels = int(round(math.log2(ratio))) if ratio > 0 else -1
-    if levels < 1 or finest_n * 2 ** levels != cfg.reference_n:
-        raise ConfigError(
-            f"reference_n={cfg.reference_n} must be the finest ladder n="
-            f"{finest_n} times a power of two")
+    levels = _reference_levels(cfg, cfg.ladder[-1][0])
     base_n = cfg.ladder[0][0]
     chain = mesh_chain(base_n, len(cfg.ladder) - 1 + levels)
     ref = build_reference(chain[-1], cfg.reference_tau, cfg.t_end, p,

@@ -19,7 +19,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import ionic
-from .assembly import ConductivityTensor, DiscreteOperators, quadrature_rule
+from .assembly import DiscreteOperators, l2_project, quadrature_coords
 
 __all__ = [
     "EstimatorReport",
@@ -79,11 +79,8 @@ class TrajectoryEstimate:
     cumulative: np.ndarray
 
 
-def _ops_for(mesh, p, conductivity, ops):
-    if ops is not None:
-        return ops
-    conductivity = conductivity or ConductivityTensor.scalar(p.M_scalar)
-    return DiscreteOperators(mesh, conductivity)
+def _ops_for(mesh, p, ops):
+    return ops if ops is not None else DiscreteOperators.for_params(mesh, p)
 
 
 def _edge_jump_terms(ops, u):
@@ -117,25 +114,10 @@ def _elementwise_l2sq(ops, values_sq, rule):
     return np.einsum("eq,q->e", values_sq, rule.weights) * ops.mesh.areas
 
 
-def space_indicator(prev, last_two_iterates, tau, p, conductivity=None,
-                    ops=None):
-    """Space indicator of one step from the last two Newton iterates.
-
-    Returns (eta, element_terms, edge_terms, ode_term); the squared terms
-    satisfy eta**2 = sum(element) + sum(edge) + ode exactly.  The interior
-    divergence term of the element residual is identically zero for P1
-    with element-constant conductivity and is kept as an explicit slot so
-    variable coefficients change one line.
-    """
+def _linearized_reaction(ops, last_two_iterates, p, rule):
+    """The last iterate at the rule's points and the reaction linearized
+    at the one before it: (u2_q, w2_q, lin_f, lin_g)."""
     it_prev, it_cur = last_two_iterates
-    mesh = it_cur.mesh
-    if prev.mesh is not mesh or it_prev.mesh is not mesh:
-        raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, conductivity, ops)
-    rule = ops.rule6
-
-    up_q = ops.field_at(prev.u, rule)
-    wp_q = ops.field_at(prev.w, rule)
     u1_q = ops.field_at(it_prev.u, rule)
     w1_q = ops.field_at(it_prev.w, rule)
     u2_q = ops.field_at(it_cur.u, rule)
@@ -143,6 +125,30 @@ def space_indicator(prev, last_two_iterates, tau, p, conductivity=None,
     r = ionic.react(u1_q, w1_q, p)
     lin_f = r.f + r.f_u * (u2_q - u1_q) + r.f_w * (w2_q - w1_q)
     lin_g = r.g + r.g_u * (u2_q - u1_q) + r.g_w * (w2_q - w1_q)
+    return u2_q, w2_q, lin_f, lin_g
+
+
+def space_indicator(prev, last_two_iterates, tau, p, ops=None):
+    """Space indicator of one step from the last two Newton iterates.
+
+    Returns (eta, element_terms, edge_terms, ode_term); the squared terms
+    satisfy eta**2 = sum(element) + sum(edge) + ode exactly.  The interior
+    divergence term of the element residual is identically zero for P1
+    with element-constant conductivity and is kept as an explicit slot so
+    variable coefficients change one line.  `ops` defaults to the
+    operators of `p` on the states' mesh.
+    """
+    it_prev, it_cur = last_two_iterates
+    mesh = it_cur.mesh
+    if prev.mesh is not mesh or it_prev.mesh is not mesh:
+        raise ValueError("states live on different meshes")
+    ops = _ops_for(mesh, p, ops)
+    rule = ops.rule6
+
+    up_q = ops.field_at(prev.u, rule)
+    wp_q = ops.field_at(prev.w, rule)
+    u2_q, w2_q, lin_f, lin_g = _linearized_reaction(ops, last_two_iterates,
+                                                    p, rule)
     div_flux = 0.0   # div(M grad u_h) vanishes elementwise for P1
 
     res_pde = -(u2_q - up_q) / tau + div_flux - lin_f
@@ -156,17 +162,18 @@ def space_indicator(prev, last_two_iterates, tau, p, conductivity=None,
     return eta, element_terms, edge_terms, ode_term
 
 
-def time_indicator(prev, accepted, tau, p, conductivity=None, ops=None):
+def time_indicator(prev, accepted, tau, p, ops=None):
     """Time indicator of one step.
 
     theta**2 = (1/3) |M^(1/2) grad(u^n - u^(n-1))|^2 plus the mean squared
     L2 mismatch of f and g along the linear-in-time interpolant; returns
-    (theta, (gradient_part, p1_part, p2_part)) with squared parts.
+    (theta, (gradient_part, p1_part, p2_part)) with squared parts.  `ops`
+    defaults to the operators of `p` on the states' mesh.
     """
     mesh = accepted.mesh
     if prev.mesh is not mesh:
         raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, conductivity, ops)
+    ops = _ops_for(mesh, p, ops)
     rule = ops.rule6
 
     du = accepted.u - prev.u
@@ -199,7 +206,7 @@ def linearization_indicator(last_two_iterates, p, ops=None):
     mesh = it_cur.mesh
     if it_prev.mesh is not mesh:
         raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, None, ops)
+    ops = _ops_for(mesh, p, ops)
     rule = ops.rule6
 
     u1_q = ops.field_at(it_prev.u, rule)
@@ -215,57 +222,34 @@ def linearization_indicator(last_two_iterates, p, ops=None):
     return float(np.sqrt(q1_sq + q2_sq))
 
 
-def simplified_indicators(prev, accepted, tau, p, conductivity=None,
-                          ops=None):
+def simplified_indicators(prev, accepted, tau, p, ops=None):
     """Space and time indicators with the linearization disregarded.
 
     The reaction terms are evaluated at the accepted state itself, which is
-    the appropriate form once Newton has converged to rounding level.
-    Returns ((eta, element_terms, edge_terms, ode_term), (theta, parts)).
+    the appropriate form once Newton has converged to rounding level: the
+    space indicator with the accepted state as both of the last two
+    iterates.  Returns ((eta, element_terms, edge_terms, ode_term),
+    (theta, parts)).  `ops` defaults to the operators of `p` on the
+    states' mesh.
     """
-    mesh = accepted.mesh
-    if prev.mesh is not mesh:
-        raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, conductivity, ops)
-    rule = ops.rule6
-
-    up_q = ops.field_at(prev.u, rule)
-    wp_q = ops.field_at(prev.w, rule)
-    ua_q = ops.field_at(accepted.u, rule)
-    wa_q = ops.field_at(accepted.w, rule)
-    res_pde = ((ua_q - up_q) / tau
-               + ionic.f_value(ua_q, wa_q, p))   # + div(M grad u_h) = 0
-    res_ode = (wa_q - wp_q) / tau + ionic.g_value(ua_q, wa_q, p)
-
-    element_terms = (mesh.diameters ** 2
-                     * _elementwise_l2sq(ops, res_pde ** 2, rule))
-    edge_terms = _edge_jump_terms(ops, accepted.u)
-    ode_term = float(_elementwise_l2sq(ops, res_ode ** 2, rule).sum())
-    eta = float(np.sqrt(element_terms.sum() + edge_terms.sum() + ode_term))
-    theta, parts = time_indicator(prev, accepted, tau, p, ops=ops)
-    return (eta, element_terms, edge_terms, ode_term), (theta, parts)
+    ops = _ops_for(accepted.mesh, p, ops)
+    space = space_indicator(prev, (accepted, accepted), tau, p, ops=ops)
+    return space, time_indicator(prev, accepted, tau, p, ops=ops)
 
 
-def space_residual_functional(prev, last_two_iterates, tau, p,
-                              conductivity=None, ops=None):
+def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
     """Nodal vectors (r1, r2) representing the space residual pair on V_h.
 
     `r1 . phi` equals the space residual applied to the P1 function with
     nodal values phi (same for r2/psi); both vanish up to the linear-solver
     residual because the Newton system enforces exactly this orthogonality.
+    `ops` defaults to the operators of `p` on the states' mesh.
     """
-    it_prev, it_cur = last_two_iterates
-    mesh = it_cur.mesh
-    ops = _ops_for(mesh, p, conductivity, ops)
+    it_cur = last_two_iterates[1]
+    ops = _ops_for(it_cur.mesh, p, ops)
     rule = ops.rule6
-
-    u1_q = ops.field_at(it_prev.u, rule)
-    w1_q = ops.field_at(it_prev.w, rule)
-    u2_q = ops.field_at(it_cur.u, rule)
-    w2_q = ops.field_at(it_cur.w, rule)
-    r = ionic.react(u1_q, w1_q, p)
-    lin_f = r.f + r.f_u * (u2_q - u1_q) + r.f_w * (w2_q - w1_q)
-    lin_g = r.g + r.g_u * (u2_q - u1_q) + r.g_w * (w2_q - w1_q)
+    _, _, lin_f, lin_g = _linearized_reaction(ops, last_two_iterates, p,
+                                              rule)
 
     r1 = -(ops.mass @ ((it_cur.u - prev.u) / tau)
            + ops.stiffness @ it_cur.u
@@ -275,29 +259,23 @@ def space_residual_functional(prev, last_two_iterates, tau, p,
     return r1, r2
 
 
-def initial_projection_terms(mesh, p=None, initial=None, ops=None,
-                             degree=6):
+def initial_projection_terms(mesh, initial=None, ops=None):
     """Squared L2 defects of the initial data against their projections.
 
     Returns (|u0 - P u0|^2, |w0 - P w0|^2) where P is the L2-orthogonal
-    projection onto V_h, with the integrals approximated at the given
-    quadrature degree.
+    projection onto V_h and (u0, w0) is :func:`ionic.initial_pair` of
+    `initial`; the integrals use the degree-6 rule.  Only the mass matrix
+    of `ops` is used, so any operators on `mesh` give the same result.
     """
-    from .assembly import l2_project, quadrature_coords
-
-    if initial is None:
-        fu0 = lambda x, y: ionic.initial_data(x, y)[0]
-        fw0 = lambda x, y: ionic.initial_data(x, y)[1]
-    else:
-        fu0, fw0 = initial
-    ops = _ops_for(mesh, p, None, ops)
-    rule = quadrature_rule(degree)
+    fu0, fw0 = ionic.initial_pair(initial)
+    ops = ops if ops is not None else DiscreteOperators(mesh)
+    rule = ops.rule6
     xy = quadrature_coords(mesh, rule)
     out = []
     for f in (fu0, fw0):
         exact = np.broadcast_to(np.asarray(f(xy[:, :, 0], xy[:, :, 1]),
                                            dtype=float), xy.shape[:2])
-        proj = l2_project(mesh, f, degree=degree, mass=ops.mass)
+        proj = l2_project(mesh, f, mass=ops.mass)
         proj_q = ops.field_at(proj, rule)
         out.append(float(_elementwise_l2sq(ops, (exact - proj_q) ** 2,
                                            rule).sum()))
@@ -316,16 +294,17 @@ def cumulative_bound(taus, etas, thetas, gammas, initial_terms=(0.0, 0.0)):
     return np.sqrt(sum(initial_terms) + np.cumsum(body))
 
 
-def estimate_trajectory(traj, p=None, conductivity=None, simplified=None,
-                        initial=None):
+def estimate_trajectory(traj, p=None, simplified=None, initial=None):
     """Indicator reports and cumulative bound for a marched trajectory.
 
-    With simplified=None the linearization-aware indicators are used when
-    the trajectory stored its penultimate Newton iterates, otherwise the
-    simplified ones (gamma = 0) of the converged-Newton regime.
+    `p` defaults to the trajectory's parameters and `initial` to the
+    initial data it was marched from.  With simplified=None the
+    linearization-aware indicators are used when the trajectory stored its
+    penultimate Newton iterates, otherwise the simplified ones (gamma = 0)
+    of the converged-Newton regime.
     """
     p = p or traj.params
-    ops = _ops_for(traj.mesh, p, conductivity, None)
+    ops = DiscreteOperators.for_params(traj.mesh, p)
     if simplified is None:
         simplified = traj.penultimate is None
     if not simplified and traj.penultimate is None:
@@ -355,8 +334,8 @@ def estimate_trajectory(traj, p=None, conductivity=None, simplified=None,
 
     if initial is None:
         initial = getattr(traj, "initial", None)
-    init_u2, init_w2 = initial_projection_terms(traj.mesh, p,
-                                                initial=initial, ops=ops)
+    init_u2, init_w2 = initial_projection_terms(traj.mesh, initial=initial,
+                                                ops=ops)
     cum = cumulative_bound(
         np.diff(traj.times),
         [r.eta for r in reports],
@@ -366,19 +345,19 @@ def estimate_trajectory(traj, p=None, conductivity=None, simplified=None,
     return TrajectoryEstimate(reports, init_u2, init_w2, cum)
 
 
-def make_balance_hook(p, conductivity=None, ops=None):
+def make_balance_hook(p, ops=None):
     """Stopping hook for estimator-balanced Newton.
 
     Returns a callable mapping (prev, (iterate_{k-1}, iterate_k), tau) to
     the pair (linearization indicator, space indicator) evaluated with the
-    current iterate in the role of the accepted state.
+    current iterate in the role of the accepted state.  Without `ops`, or
+    on another mesh, the operators of `p` on the state's mesh are used.
     """
 
     def hook(prev, pair, tau):
         nonlocal ops
         if ops is None or ops.mesh is not prev.mesh:
-            cond = conductivity or ConductivityTensor.scalar(p.M_scalar)
-            ops = DiscreteOperators(prev.mesh, cond)
+            ops = DiscreteOperators.for_params(prev.mesh, p)
         gamma = linearization_indicator(pair, p, ops=ops)
         eta, _, _, _ = space_indicator(prev, pair, tau, p, ops=ops)
         return gamma, eta

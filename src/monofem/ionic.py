@@ -18,6 +18,7 @@ __all__ = [
     "ReactionEval",
     "react",
     "initial_data",
+    "initial_pair",
     "lipschitz_constants",
 ]
 
@@ -72,10 +73,6 @@ def f_du(u, w, p):
     return p.A * (3.0 * u * u - 2.0 * (1.0 + p.a) * u + p.a) + w
 
 
-def f_dw(u, w, p):
-    return u
-
-
 def g_du(u, w, p):
     return p.eps * p.A * (2.0 * u - 1.0 - p.a)
 
@@ -108,6 +105,15 @@ def initial_data(x, y):
     y = np.asarray(y, dtype=float)
     u0 = np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25)
     return u0, np.zeros_like(u0)
+
+
+def initial_pair(initial=None):
+    """The (u0, w0) callables of a run: `initial` when given, otherwise
+    the two components of :func:`initial_data`."""
+    if initial is not None:
+        return initial
+    return (lambda x, y: initial_data(x, y)[0],
+            lambda x, y: initial_data(x, y)[1])
 
 
 def lipschitz_constants(p, delta=0.1, resolution=400):

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
 from . import ionic
-from .assembly import ConductivityTensor, DiscreteOperators, l2_project
+from .assembly import DiscreteOperators, l2_project
 from .mesh import mesh_chain
 
 __all__ = [
@@ -23,10 +23,11 @@ __all__ = [
     "NewtonConfig",
     "NewtonRecord",
     "TrajectorySolution",
-    "sparse_solve",
     "newton_step",
     "newton_solve",
     "time_march",
+    "initial_state",
+    "linear_solver_for",
     "DirectSolver",
     "FrozenLUSolver",
 ]
@@ -37,6 +38,15 @@ LINEAR_RESIDUAL_RTOL = 1e-10
 #: increments below ~100 eps * solution scale carry no information; the
 #: Newton loop accepts there even if the configured tolerance is smaller
 _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
+
+#: column ordering of every sparse LU factorization
+_PERMC_SPEC = "MMD_AT_PLUS_A"
+
+#: GMRES restart length of the frozen-LU backend
+_MAX_KRYLOV = 40
+
+#: key layout of TrajectorySolution.save
+_CHECKPOINT_VERSION = 1
 
 
 class SolverError(RuntimeError):
@@ -104,14 +114,11 @@ class NewtonRecord:
 
 
 class DirectSolver:
-    """Sparse LU factorization per solve."""
-
-    def __init__(self, permc_spec="MMD_AT_PLUS_A"):
-        self.permc_spec = permc_spec
+    """Sparse LU factorization per solve; guarantees |Ax-b| <= 1e-10 |b|."""
 
     def solve(self, A, b):
         try:
-            lu = spla.splu(A.tocsc(), permc_spec=self.permc_spec)
+            lu = spla.splu(A.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         x = lu.solve(b)
@@ -127,15 +134,13 @@ class FrozenLUSolver:
     refreshed whenever GMRES stalls or the residual contract is violated.
     """
 
-    def __init__(self, permc_spec="MMD_AT_PLUS_A", max_krylov=40):
-        self.permc_spec = permc_spec
-        self.max_krylov = max_krylov
+    def __init__(self):
         self._lu = None
         self.factorizations = 0
 
     def _refactor(self, A):
         try:
-            self._lu = spla.splu(A.tocsc(), permc_spec=self.permc_spec)
+            self._lu = spla.splu(A.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
@@ -148,7 +153,7 @@ class FrozenLUSolver:
             self._refactor(A)
         M = spla.LinearOperator(A.shape, self._lu.solve)
         x, info = spla.gmres(A, b, M=M, rtol=1e-12, atol=0.0,
-                             restart=self.max_krylov, maxiter=2)
+                             restart=_MAX_KRYLOV, maxiter=2)
         if info != 0 or not _residual_ok(A, x, b, bnorm):
             self._refactor(A)
             x = self._lu.solve(b)
@@ -172,15 +177,15 @@ def _check_residual(A, x, b):
         raise SolverError("linear solve missed the residual contract")
 
 
-def sparse_solve(A, b):
-    """Solve A x = b by sparse LU; guarantees |Ax-b| <= 1e-10 |b|."""
-    A = sp.csc_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1]:
-        raise SolverError("matrix must be square")
-    if b.shape != (A.shape[0],):
-        raise SolverError("right-hand side length does not match the matrix")
-    return DirectSolver().solve(A, b)
+_LINEAR_SOLVERS = {"direct": DirectSolver, "frozen-lu": FrozenLUSolver}
+
+
+def linear_solver_for(linear_solver):
+    """A fresh backend for the name "direct" or "frozen-lu"; a solver
+    instance is returned as is."""
+    if isinstance(linear_solver, str):
+        return _LINEAR_SOLVERS[linear_solver]()
+    return linear_solver
 
 
 def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau,
@@ -214,12 +219,12 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau,
     return A, np.concatenate([rhs1, rhs2])
 
 
-def newton_step(prev, iterate, tau, p, conductivity=None, ops=None,
-                linear=None):
+def newton_step(prev, iterate, tau, p, ops=None, linear=None):
     """One Newton update for the implicit Euler step from `prev`.
 
     `iterate` is the current linearization point; returns the next iterate
-    at time prev.time + tau.
+    at time prev.time + tau.  `ops` defaults to the operators of `p` on
+    the state's mesh, `linear` to a DirectSolver.
     """
     if iterate.mesh is not prev.mesh:
         raise SolverError("previous state and iterate live on different "
@@ -227,8 +232,7 @@ def newton_step(prev, iterate, tau, p, conductivity=None, ops=None,
     if not tau > 0:
         raise SolverError("tau must be positive")
     if ops is None:
-        conductivity = conductivity or ConductivityTensor.scalar(p.M_scalar)
-        ops = DiscreteOperators(prev.mesh, conductivity)
+        ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
         linear = DirectSolver()
     A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
@@ -242,20 +246,21 @@ def _roundoff_floor(ops, u, w):
     return _ROUNDOFF_FACTOR * (1.0 + ops.h1_norm(u) + ops.l2_norm(w))
 
 
-def newton_solve(prev, tau, p, cfg, conductivity=None, ops=None, linear=None,
-                 hook=None, record_states=False, reactions=True):
+def newton_solve(prev, tau, p, cfg, ops=None, linear=None, hook=None,
+                 record_states=False, reactions=True):
     """Newton iteration for one implicit Euler step.
 
-    Starts from the previous accepted state.  In balance mode, `hook` must
-    map (prev, (iterate_{k-1}, iterate_k), tau) to the pair (linearization
-    indicator, space indicator) for the stopping test.
+    Starts from the previous accepted state.  `ops` defaults to the
+    operators of `p` on the state's mesh, `linear` to a DirectSolver.  In
+    balance mode, `hook` maps (prev, (iterate_{k-1}, iterate_k), tau) to
+    the pair (linearization indicator, space indicator) for the stopping
+    test; it defaults to :func:`estimators.make_balance_hook` on `ops`.
 
     Returns (accepted state, NewtonRecord) or, with record_states=True,
     (state, record, [iterate_0, ..., iterate_K]).
     """
     if ops is None:
-        conductivity = conductivity or ConductivityTensor.scalar(p.M_scalar)
-        ops = DiscreteOperators(prev.mesh, conductivity)
+        ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
         linear = DirectSolver()
     if cfg.mode == "estimator_balance" and hook is None:
@@ -341,14 +346,21 @@ class TrajectorySolution:
         return np.array([r.iterations for r in self.newton], dtype=int)
 
     def save(self, path):
-        """Checkpoint to a .npz archive; see README for the key layout."""
+        """Checkpoint to a .npz archive with the keys
+
+        format_version (1), base_n and levels (the mesh is
+        mesh_chain(base_n, levels)[-1]), times, U, W, tau (NaN when
+        unknown), params ([A, a, eps, M_scalar]) and newton_iterations
+        (one count per step).  The initial data and the penultimate
+        iterates are not saved.
+        """
         if self.mesh.base_n is None:
             raise SolverError("only structured meshes (unit_square_mesh + "
                               "refinements) can be checkpointed")
         p = self.params
         np.savez_compressed(
             path,
-            format_version=1,
+            format_version=_CHECKPOINT_VERSION,
             base_n=self.mesh.base_n,
             levels=self.mesh.levels,
             times=self.times,
@@ -361,7 +373,14 @@ class TrajectorySolution:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint written by :meth:`save`; a checkpoint of any
+        other format version is refused with SolverError."""
         with np.load(path) as data:
+            version = int(data["format_version"])
+            if version != _CHECKPOINT_VERSION:
+                raise SolverError(f"checkpoint format version {version} is "
+                                  f"not supported (expected "
+                                  f"{_CHECKPOINT_VERSION})")
             base_n = int(data["base_n"])
             levels = int(data["levels"])
             mesh = mesh_chain(base_n, levels)[-1]
@@ -376,8 +395,16 @@ class TrajectorySolution:
                        newton=newton, tau=None if np.isnan(tau) else tau)
 
 
-def time_march(mesh, p, tau, t_end, cfg=None, conductivity=None,
-               initial=None, transfer=None, reactions=True,
+def initial_state(ops, initial=None):
+    """State at t=0 on ops.mesh: the L2 projections onto V_h of the pair
+    of callables :func:`ionic.initial_pair` makes of `initial`."""
+    fu0, fw0 = ionic.initial_pair(initial)
+    mesh = ops.mesh
+    return StateField(mesh, l2_project(mesh, fu0, mass=ops.mass),
+                      l2_project(mesh, fw0, mass=ops.mass), 0.0)
+
+
+def time_march(mesh, p, tau, t_end, cfg=None, initial=None, reactions=True,
                store_penultimate=True, linear_solver="direct"):
     """March the monodomain system from its projected initial data to t_end.
 
@@ -385,18 +412,14 @@ def time_march(mesh, p, tau, t_end, cfg=None, conductivity=None,
     ----------
     mesh : TriMesh
     p : AlievPanfilovParams
+        Model constants; the conductivity is the scalar p.M_scalar.
     tau : float
         Uniform timestep; must divide t_end.
     t_end : float
     cfg : NewtonConfig, optional
-    conductivity : ConductivityTensor, optional
-        Defaults to the scalar p.M_scalar.
     initial : pair of callables (x, y) -> values, optional
         Defaults to the Gaussian excitation of :func:`ionic.initial_data`;
         both components are taken into V_h by L2 projection.
-    transfer : callable, optional
-        Hook mapping the accepted state of step n-1 to the space of step n.
-        With a single fixed mesh this is the identity (the default).
     reactions : bool
         Diagnostic switch; False marches the pure Neumann heat equation.
     store_penultimate : bool
@@ -412,40 +435,24 @@ def time_march(mesh, p, tau, t_end, cfg=None, conductivity=None,
     if N < 1 or abs(N * tau - t_end) > 1e-9 * max(1.0, t_end):
         raise SolverError(f"tau={tau} does not divide t_end={t_end}")
 
-    conductivity = conductivity or ConductivityTensor.scalar(p.M_scalar)
-    ops = DiscreteOperators(mesh, conductivity)
-    if isinstance(linear_solver, str):
-        linear = {"direct": DirectSolver,
-                  "frozen-lu": FrozenLUSolver}[linear_solver]()
-    else:
-        linear = linear_solver
-    hook = None
-    if cfg.mode == "estimator_balance":
-        from .estimators import make_balance_hook
-        hook = make_balance_hook(p, ops=ops)
-
-    if initial is None:
-        fu0 = lambda x, y: ionic.initial_data(x, y)[0]
-        fw0 = lambda x, y: ionic.initial_data(x, y)[1]
-    else:
-        fu0, fw0 = initial
+    ops = DiscreteOperators.for_params(mesh, p)
+    linear = linear_solver_for(linear_solver)
+    initial = ionic.initial_pair(initial)
+    state = initial_state(ops, initial)
 
     nv = mesh.num_vertices
     times = np.linspace(0.0, t_end, N + 1)
     U = np.empty((N + 1, nv))
     W = np.empty((N + 1, nv))
-    U[0] = l2_project(mesh, fu0, mass=ops.mass)
-    W[0] = l2_project(mesh, fw0, mass=ops.mass)
+    U[0] = state.u
+    W[0] = state.w
 
     newton = []
     penultimate = [None] * (N + 1) if store_penultimate else None
-    state = StateField(mesh, U[0], W[0], 0.0)
     for n in range(1, N + 1):
-        if transfer is not None:
-            state = transfer(state)
         try:
             state, rec, states = newton_solve(
-                state, tau, p, cfg, ops=ops, linear=linear, hook=hook,
+                state, tau, p, cfg, ops=ops, linear=linear,
                 record_states=True, reactions=reactions)
         except NewtonError as exc:
             raise NewtonError(f"step {n} (t={times[n]:.6g}): {exc}",
@@ -458,4 +465,4 @@ def time_march(mesh, p, tau, t_end, cfg=None, conductivity=None,
 
     return TrajectorySolution(mesh, times, U, W, p, newton=newton,
                               penultimate=penultimate, tau=tau,
-                              initial=(fu0, fw0))
+                              initial=initial)

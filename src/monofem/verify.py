@@ -18,10 +18,11 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 
-from .assembly import ConductivityTensor, DiscreteOperators
+from .assembly import DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
 from .mesh import prolongation, refine_uniform
-from .solver import NewtonConfig, StateField, newton_solve, time_march
+from .solver import (NewtonConfig, initial_state, linear_solver_for,
+                     newton_solve, time_march)
 
 __all__ = [
     "ErrorNorms",
@@ -97,8 +98,8 @@ class NewtonStudyRow:
     error_combined: float
 
 
-def build_reference(mesh, tau, t_end, p, levels=0, conductivity=None,
-                    tol=1e-15, linear_solver="frozen-lu", initial=None):
+def build_reference(mesh, tau, t_end, p, levels=0, tol=1e-15,
+                    linear_solver="frozen-lu", initial=None):
     """High-fidelity trajectory on `mesh` refined `levels` more times.
 
     Newton is driven to `tol` (rounding level) so the linearization error
@@ -108,8 +109,7 @@ def build_reference(mesh, tau, t_end, p, levels=0, conductivity=None,
         mesh = refine_uniform(mesh)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=40)
-    return time_march(mesh, p, tau, t_end, cfg=cfg,
-                      conductivity=conductivity, initial=initial,
+    return time_march(mesh, p, tau, t_end, cfg=cfg, initial=initial,
                       store_penultimate=False, linear_solver=linear_solver)
 
 
@@ -233,13 +233,11 @@ def xy_error(coarse, ref, up_to=None):
     return error_curve(coarse, ref, [up_to])[0]
 
 
-def upper_bound_study(coarse, ref, p=None, conductivity=None,
-                      simplified=True):
+def upper_bound_study(coarse, ref, p=None, simplified=True):
     """Per-timestep comparison of the error curve with the cumulative
     indicator bound; returns UpperBoundRow per accepted coarse step."""
     p = p or coarse.params
-    est = estimate_trajectory(coarse, p, conductivity=conductivity,
-                              simplified=simplified)
+    est = estimate_trajectory(coarse, p, simplified=simplified)
     errors = error_curve(coarse, ref, coarse.times[1:])
     rows = []
     for err, bound in zip(errors, est.cumulative):
@@ -258,8 +256,7 @@ def _fit_order(hs, values):
 
 def convergence_study(rungs, t_end, p, reference=None, ref_levels=2,
                       ref_tau=None, ref_tol=1e-15, newton_cfg=None,
-                      conductivity=None, simplified=True,
-                      linear_solver="direct"):
+                      simplified=True, linear_solver="direct"):
     """Halving ladder of (n, tau) runs against one fixed reference.
 
     `rungs` is a list of (n, tau) with each n doubling the previous one.
@@ -294,18 +291,15 @@ def convergence_study(rungs, t_end, p, reference=None, ref_levels=2,
         if ref_tau is None:
             ref_tau = rungs[-1][1] / 4.0
         reference = build_reference(chain[-1], ref_tau, t_end, p, tol=ref_tol,
-                                    conductivity=conductivity,
                                     linear_solver=linear_solver)
 
     newton_cfg = newton_cfg or NewtonConfig()
     rows = []
     for (n, tau), mesh in zip(rungs, meshes):
         traj = time_march(mesh, p, tau, t_end, cfg=newton_cfg,
-                          conductivity=conductivity,
                           linear_solver=linear_solver)
         err = xy_error(traj, reference, up_to=t_end).combined_xy
-        est = estimate_trajectory(traj, p, conductivity=conductivity,
-                                  simplified=simplified)
+        est = estimate_trajectory(traj, p, simplified=simplified)
         bound = float(est.cumulative[-1])
         eff = bound / err if err > 0 else np.inf
         rows.append(ConvergenceRow(n=n, h=1.0 / n,
@@ -320,18 +314,20 @@ def convergence_study(rungs, t_end, p, reference=None, ref_levels=2,
                            hs, [r.estimator for r in rows]))
 
 
-def newton_study(mesh, tau, instants, p, conductivity=None, tol=1e-15,
-                 max_iterations=60, linear_solver="frozen-lu",
-                 initial=None):
+def newton_study(mesh, tau, instants, p, tol=1e-15, max_iterations=60,
+                 linear_solver="frozen-lu", initial=None):
     """Per-iterate linearization indicator against the true linearization
     error at selected instants.
 
     Marches at reference-grade tolerance; at each requested instant the
     Newton iterates are recorded, the converged pair serves as ground
     truth, and each iterate k >= 1 yields a row with its indicator and its
-    (H1 for u, L2 for w) distance from the converged pair.
+    (H1 for u, L2 for w) distance from the converged pair.  Instants must
+    be positive multiples of tau.
     """
     instants = sorted(float(t) for t in instants)
+    if instants[0] <= 0:
+        raise ValueError("instants must be positive")
     t_end = instants[-1]
     N = int(round(t_end / tau))
     if abs(N * tau - t_end) > _TIME_ATOL:
@@ -340,26 +336,11 @@ def newton_study(mesh, tau, instants, p, conductivity=None, tol=1e-15,
         if abs(round(t / tau) * tau - t) > _TIME_ATOL:
             raise ValueError(f"instant {t} is not on the time grid")
 
-    conductivity = conductivity or ConductivityTensor.scalar(p.M_scalar)
-    ops = DiscreteOperators(mesh, conductivity)
+    ops = DiscreteOperators.for_params(mesh, p)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=max_iterations)
-    if isinstance(linear_solver, str):
-        from .solver import DirectSolver, FrozenLUSolver
-        linear = {"direct": DirectSolver,
-                  "frozen-lu": FrozenLUSolver}[linear_solver]()
-    else:
-        linear = linear_solver
-
-    from .assembly import l2_project
-    from . import ionic
-    if initial is None:
-        fu0 = lambda x, y: ionic.initial_data(x, y)[0]
-        fw0 = lambda x, y: ionic.initial_data(x, y)[1]
-    else:
-        fu0, fw0 = initial
-    state = StateField(mesh, l2_project(mesh, fu0, mass=ops.mass),
-                       l2_project(mesh, fw0, mass=ops.mass), 0.0)
+    linear = linear_solver_for(linear_solver)
+    state = initial_state(ops, initial)
 
     tables = {}
     for n in range(1, N + 1):

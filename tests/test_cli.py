@@ -196,6 +196,16 @@ def test_newton_study_command(out_env):
     assert ks == list(range(1, len(ks) + 1))
 
 
+@pytest.mark.parametrize("instants", ["0.3", "0"])
+def test_newton_study_rejects_instants_off_the_grid(out_env, instants):
+    rc = main(["newton-study",
+               "--set", "study.newton_n=4",
+               "--set", "study.newton_tau=0.25",
+               "--set", f"study.instants={instants}"])
+    assert rc == EXIT_CONFIG
+    assert not (out_env / "newton_study.csv").exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     rc = main(["solve", "--config", str(tmp_path / "absent.ini")])
     assert rc == EXIT_IO

@@ -333,12 +333,12 @@ def test_cumulative_bound_nondecreasing(params):
     assert np.all(np.diff(est.cumulative) >= 0.0)
 
 
-def test_initial_projection_terms(params):
+def test_initial_projection_terms():
     mesh = unit_square_mesh(8)
-    u2, w2 = initial_projection_terms(mesh, params)
+    u2, w2 = initial_projection_terms(mesh)
     assert u2 > 0.0
     assert w2 == 0.0
-    fine_u2, _ = initial_projection_terms(refine_uniform(mesh), params)
+    fine_u2, _ = initial_projection_terms(refine_uniform(mesh))
     assert fine_u2 < u2 / 8.0     # O(h^2) defect in L2, squared: factor 16
 
 

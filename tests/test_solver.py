@@ -5,21 +5,21 @@ import scipy.sparse as sp
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import react
 from monofem.mesh import unit_square_mesh
-from monofem.solver import (FrozenLUSolver, NewtonConfig, NewtonError,
-                            SolverError, StateField, TrajectorySolution,
-                            newton_solve, newton_step, sparse_solve,
+from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
+                            NewtonError, SolverError, StateField,
+                            TrajectorySolution, newton_solve, newton_step,
                             time_march)
 
 
 def test_sparse_solve_identity():
     A = sp.identity(5, format="csr")
     b = np.arange(5.0)
-    assert np.allclose(sparse_solve(A, b), b)
+    assert np.allclose(DirectSolver().solve(A, b), b)
 
 
 def test_sparse_solve_hand_checked():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = sparse_solve(A, np.array([3.0, 3.0]))
+    x = DirectSolver().solve(A, np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
 
@@ -28,18 +28,14 @@ def test_sparse_solve_random_spd_residual():
     B = rng.standard_normal((50, 50))
     A = sp.csr_matrix(B @ B.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x = sparse_solve(A, b)
+    x = DirectSolver().solve(A, b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_sparse_solve_errors():
-    with pytest.raises(SolverError):
-        sparse_solve(sp.csr_matrix((2, 3)), np.zeros(2))
-    with pytest.raises(SolverError):
-        sparse_solve(sp.identity(3), np.zeros(4))
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
-        sparse_solve(singular, np.array([1.0, 0.0]))
+        DirectSolver().solve(singular, np.array([1.0, 0.0]))
 
 
 def _projected_initial_state(mesh, params):
@@ -201,18 +197,6 @@ def test_frozen_lu_matches_direct(params):
     assert np.max(np.abs(direct.W - frozen.W)) < 1e-9
 
 
-def test_transfer_hook_is_applied(params):
-    mesh = unit_square_mesh(4)
-    calls = []
-
-    def transfer(state):
-        calls.append(state.time)
-        return state
-
-    time_march(mesh, params, 0.25, 0.5, transfer=transfer)
-    assert len(calls) == 2
-
-
 def test_checkpoint_roundtrip(tmp_path, params):
     mesh = unit_square_mesh(4)
     traj = time_march(mesh, params, 0.25, 0.5)
@@ -226,6 +210,18 @@ def test_checkpoint_roundtrip(tmp_path, params):
     assert np.array_equal(loaded.newton_counts(), traj.newton_counts())
     assert loaded.mesh.num_vertices == mesh.num_vertices
     assert np.allclose(loaded.mesh.vertices, mesh.vertices)
+
+
+def test_checkpoint_other_version_is_refused(tmp_path, params):
+    traj = time_march(unit_square_mesh(4), params, 0.25, 0.5)
+    path = tmp_path / "traj.npz"
+    traj.save(path)
+    with np.load(path) as data:
+        keys = dict(data)
+    keys["format_version"] = np.array(2)
+    np.savez_compressed(path, **keys)
+    with pytest.raises(SolverError, match="format version 2"):
+        TrajectorySolution.load(path)
 
 
 def test_newton_config_validation():

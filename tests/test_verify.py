@@ -198,5 +198,6 @@ def test_newton_study_tracks_linearization_error(params):
 
 def test_newton_study_validates_instants(params):
     mesh = unit_square_mesh(4)
-    with pytest.raises(ValueError):
-        newton_study(mesh, 0.125, [0.3], params)
+    for instants in ([0.3], [0.0], [-0.125, 0.25]):
+        with pytest.raises(ValueError):
+            newton_study(mesh, 0.125, instants, params)
