@@ -15,8 +15,7 @@ from .assembly import (QuadratureRule, ConductivityTensor, quadrature_rule,
                        l2_project, evaluate_p1, DiscreteOperators)
 from .ionic import AlievPanfilovParams, ReactionEval, react, initial_data
 from .solver import (StateField, NewtonConfig, TrajectorySolution,
-                     newton_step, newton_solve, time_march, SolverError,
-                     NewtonError)
+                     newton_solve, time_march, SolverError, NewtonError)
 from .estimators import (space_indicator, time_indicator,
                          linearization_indicator, simplified_indicators,
                          cumulative_bound, estimate_trajectory,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ionic
 from .assembly import evaluate_p1
-from .mesh import mesh_chain, unit_square_mesh, write_vtk
+from .mesh import unit_square_mesh, write_vtk
 from .solver import NewtonConfig, SolverError, time_march
 from .verify import (build_reference, convergence_study, newton_study,
                      upper_bound_study)
@@ -200,6 +200,8 @@ def _validate(cfg):
                           "increment_tolerance, estimator_balance")
     if cfg.vtk_every < 0:
         raise ConfigError("vtk_every must be >= 0")
+    if not all(0.0 <= c <= 1.0 for c in cfg.probe):
+        raise ConfigError(f"probe {cfg.probe} lies outside the unit square")
     ns = [n for n, _ in cfg.ladder]
     for i, (n, tau) in enumerate(cfg.ladder):
         if n < 1 or tau <= 0:
@@ -388,14 +390,10 @@ def _cmd_upperbound(cfg):
 
 def _cmd_convergence(cfg):
     out = _ensure_out_dir(cfg)
-    p = cfg.params()
     levels = _reference_levels(cfg, cfg.ladder[-1][0])
-    base_n = cfg.ladder[0][0]
-    chain = mesh_chain(base_n, len(cfg.ladder) - 1 + levels)
-    ref = build_reference(chain[-1], cfg.reference_tau, cfg.t_end, p,
-                          tol=cfg.reference_tol)
-    result = convergence_study(list(cfg.ladder), cfg.t_end, p,
-                               reference=ref,
+    result = convergence_study(list(cfg.ladder), cfg.t_end, cfg.params(),
+                               ref_levels=levels, ref_tau=cfg.reference_tau,
+                               ref_tol=cfg.reference_tol,
                                newton_cfg=cfg.newton_config())
     write_csv(["n", "h", "h_max", "tau", "error", "estimator",
                "effectivity"],

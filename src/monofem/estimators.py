@@ -32,7 +32,6 @@ __all__ = [
     "initial_projection_terms",
     "cumulative_bound",
     "estimate_trajectory",
-    "make_balance_hook",
 ]
 
 # 4-point Gauss-Legendre on [0, 1], exact through degree 7
@@ -298,12 +297,18 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
     """Indicator reports and cumulative bound for a marched trajectory.
 
     `p` defaults to the trajectory's parameters and `initial` to the
-    initial data it was marched from.  With simplified=None the
-    linearization-aware indicators are used when the trajectory stored its
-    penultimate Newton iterates, otherwise the simplified ones (gamma = 0)
-    of the converged-Newton regime.
+    initial data it was marched from; a ValueError is raised when neither
+    is known, as for a trajectory read back from a checkpoint.  With
+    simplified=None the linearization-aware indicators are used when the
+    trajectory stored its penultimate Newton iterates, otherwise the
+    simplified ones (gamma = 0) of the converged-Newton regime.
     """
     p = p or traj.params
+    if initial is None:
+        initial = traj.initial
+    if initial is None:
+        raise ValueError("the initial data of the trajectory is unknown; "
+                         "pass initial=")
     ops = DiscreteOperators.for_params(traj.mesh, p)
     if simplified is None:
         simplified = traj.penultimate is None
@@ -332,8 +337,6 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
                                        element_terms=el, edge_terms=ed,
                                        ode_term=ode, time_parts=parts))
 
-    if initial is None:
-        initial = getattr(traj, "initial", None)
     init_u2, init_w2 = initial_projection_terms(traj.mesh, initial=initial,
                                                 ops=ops)
     cum = cumulative_bound(
@@ -344,22 +347,3 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
         (init_u2, init_w2))
     return TrajectoryEstimate(reports, init_u2, init_w2, cum)
 
-
-def make_balance_hook(p, ops=None):
-    """Stopping hook for estimator-balanced Newton.
-
-    Returns a callable mapping (prev, (iterate_{k-1}, iterate_k), tau) to
-    the pair (linearization indicator, space indicator) evaluated with the
-    current iterate in the role of the accepted state.  Without `ops`, or
-    on another mesh, the operators of `p` on the state's mesh are used.
-    """
-
-    def hook(prev, pair, tau):
-        nonlocal ops
-        if ops is None or ops.mesh is not prev.mesh:
-            ops = DiscreteOperators.for_params(prev.mesh, p)
-        gamma = linearization_indicator(pair, p, ops=ops)
-        eta, _, _, _ = space_indicator(prev, pair, tau, p, ops=ops)
-        return gamma, eta
-
-    return hook

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
-from . import ionic
+from . import estimators, ionic
 from .assembly import DiscreteOperators, l2_project
 from .mesh import mesh_chain
 
@@ -23,11 +23,9 @@ __all__ = [
     "NewtonConfig",
     "NewtonRecord",
     "TrajectorySolution",
-    "newton_step",
     "newton_solve",
     "time_march",
     "initial_state",
-    "linear_solver_for",
     "DirectSolver",
     "FrozenLUSolver",
 ]
@@ -177,19 +175,7 @@ def _check_residual(A, x, b):
         raise SolverError("linear solve missed the residual contract")
 
 
-_LINEAR_SOLVERS = {"direct": DirectSolver, "frozen-lu": FrozenLUSolver}
-
-
-def linear_solver_for(linear_solver):
-    """A fresh backend for the name "direct" or "frozen-lu"; a solver
-    instance is returned as is."""
-    if isinstance(linear_solver, str):
-        return _LINEAR_SOLVERS[linear_solver]()
-    return linear_solver
-
-
-def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau,
-                            reactions=True):
+def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
     """Coupled linear system of one Newton step, linearized at (u_it, w_it).
 
     All reaction integrals are evaluated pointwise at degree-4 quadrature,
@@ -200,11 +186,6 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau,
     mass_dt = ops.mass * (1.0 / tau)
     rhs1 = ops.mass @ (u_prev / tau)
     rhs2 = ops.mass @ (w_prev / tau)
-    if not reactions:
-        A = sp.bmat([[mass_dt + ops.stiffness, None], [None, mass_dt]],
-                    format="csc")
-        return A, np.concatenate([rhs1, rhs2])
-
     rule = ops.rule4
     u_q = ops.field_at(u_it, rule)
     w_q = ops.field_at(w_it, rule)
@@ -219,53 +200,28 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau,
     return A, np.concatenate([rhs1, rhs2])
 
 
-def newton_step(prev, iterate, tau, p, ops=None, linear=None):
-    """One Newton update for the implicit Euler step from `prev`.
+def _roundoff_floor(ops, u, w):
+    return _ROUNDOFF_FACTOR * (1.0 + ops.h1_norm(u) + ops.l2_norm(w))
 
-    `iterate` is the current linearization point; returns the next iterate
-    at time prev.time + tau.  `ops` defaults to the operators of `p` on
-    the state's mesh, `linear` to a DirectSolver.
+
+def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
+    """Newton iteration for one implicit Euler step.
+
+    Starts from the previous accepted state.  `ops` defaults to the
+    operators of `p` on the state's mesh, `linear` to a DirectSolver.  In
+    balance mode the stopping test compares the linearization indicator of
+    the last two iterates with the space indicator, the current iterate
+    standing in for the accepted state.
+
+    Returns (state, record, [iterate_0, ..., iterate_K]): iterate_0 is a
+    copy of `prev` and iterate_K the accepted state.
     """
-    if iterate.mesh is not prev.mesh:
-        raise SolverError("previous state and iterate live on different "
-                          "meshes")
     if not tau > 0:
         raise SolverError("tau must be positive")
     if ops is None:
         ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
         linear = DirectSolver()
-    A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
-                                     iterate.u, iterate.w, tau)
-    x = linear.solve(A, rhs)
-    nv = prev.mesh.num_vertices
-    return StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
-
-
-def _roundoff_floor(ops, u, w):
-    return _ROUNDOFF_FACTOR * (1.0 + ops.h1_norm(u) + ops.l2_norm(w))
-
-
-def newton_solve(prev, tau, p, cfg, ops=None, linear=None, hook=None,
-                 record_states=False, reactions=True):
-    """Newton iteration for one implicit Euler step.
-
-    Starts from the previous accepted state.  `ops` defaults to the
-    operators of `p` on the state's mesh, `linear` to a DirectSolver.  In
-    balance mode, `hook` maps (prev, (iterate_{k-1}, iterate_k), tau) to
-    the pair (linearization indicator, space indicator) for the stopping
-    test; it defaults to :func:`estimators.make_balance_hook` on `ops`.
-
-    Returns (accepted state, NewtonRecord) or, with record_states=True,
-    (state, record, [iterate_0, ..., iterate_K]).
-    """
-    if ops is None:
-        ops = DiscreteOperators.for_params(prev.mesh, p)
-    if linear is None:
-        linear = DirectSolver()
-    if cfg.mode == "estimator_balance" and hook is None:
-        from .estimators import make_balance_hook
-        hook = make_balance_hook(p, ops=ops)
 
     nv = prev.mesh.num_vertices
     cur = StateField(prev.mesh, prev.u.copy(), prev.w.copy(),
@@ -275,16 +231,14 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, hook=None,
     inc_prev = np.inf
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
-                                         cur.u, cur.w, tau,
-                                         reactions=reactions)
+                                         cur.u, cur.w, tau)
         x = linear.solve(A, rhs)
         last = cur
         cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
         inc = ops.h1_norm(cur.u - last.u) + ops.l2_norm(cur.w - last.w)
         rec.increments.append(inc)
         rec.iterations = k
-        if record_states:
-            states.append(cur)
+        states.append(cur)
 
         floor = _roundoff_floor(ops, cur.u, cur.w)
         stagnated = inc < 1e-8 and inc >= inc_prev
@@ -292,7 +246,10 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, hook=None,
             if inc < cfg.tol or inc < floor or stagnated:
                 break
         else:
-            gamma, eta = hook(prev, (last, cur), tau)
+            gamma = estimators.linearization_indicator((last, cur), p,
+                                                       ops=ops)
+            eta = estimators.space_indicator(prev, (last, cur), tau, p,
+                                             ops=ops)[0]
             rec.gammas.append(gamma)
             rec.etas.append(eta)
             if gamma <= cfg.sigma * eta or inc < floor or stagnated:
@@ -303,10 +260,22 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, hook=None,
             f"Newton did not converge in {cfg.max_iterations} iterations "
             f"(last increment {rec.increments[-1]:.3e})",
             time=prev.time + tau)
+    return cur, rec, states
 
-    if record_states:
-        return cur, rec, states
-    return cur, rec
+
+def _march_steps(state, tau, num_steps, p, cfg, ops, linear):
+    """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
+    the one backend `linear`; yields (record, iterates) of each step, the
+    last iterate being the accepted state.  A NewtonError is re-raised
+    with its step number."""
+    for n in range(1, num_steps + 1):
+        try:
+            state, rec, iterates = newton_solve(state, tau, p, cfg, ops=ops,
+                                                linear=linear)
+        except NewtonError as exc:
+            raise NewtonError(f"step {n} (t={exc.time:.6g}): {exc}",
+                              step=n, time=exc.time) from exc
+        yield rec, iterates
 
 
 class TrajectorySolution:
@@ -331,7 +300,8 @@ class TrajectorySolution:
         self.initial = initial   # the (u0, w0) callables the march projected
         if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
             raise SolverError("times must start at 0 and increase strictly")
-        if U.shape != (len(self.times), mesh.num_vertices):
+        shape = (len(self.times), mesh.num_vertices)
+        if U.shape != shape or W.shape != shape:
             raise SolverError("state array shape does not match times/mesh")
 
     @property
@@ -374,7 +344,13 @@ class TrajectorySolution:
     @classmethod
     def load(cls, path):
         """Read a checkpoint written by :meth:`save`; a checkpoint of any
-        other format version is refused with SolverError."""
+        other format version is refused with SolverError.
+
+        The initial data is not in the checkpoint, so
+        :func:`estimators.estimate_trajectory` of a loaded trajectory
+        needs the run's `initial=` pair (`ionic.initial_pair()` for the
+        default data) and raises ValueError without it.
+        """
         with np.load(path) as data:
             version = int(data["format_version"])
             if version != _CHECKPOINT_VERSION:
@@ -404,8 +380,8 @@ def initial_state(ops, initial=None):
                       l2_project(mesh, fw0, mass=ops.mass), 0.0)
 
 
-def time_march(mesh, p, tau, t_end, cfg=None, initial=None, reactions=True,
-               store_penultimate=True, linear_solver="direct"):
+def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
+               store_penultimate=True, linear=None):
     """March the monodomain system from its projected initial data to t_end.
 
     Parameters
@@ -420,12 +396,12 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None, reactions=True,
     initial : pair of callables (x, y) -> values, optional
         Defaults to the Gaussian excitation of :func:`ionic.initial_data`;
         both components are taken into V_h by L2 projection.
-    reactions : bool
-        Diagnostic switch; False marches the pure Neumann heat equation.
     store_penultimate : bool
         Keep the next-to-last Newton iterate of every step (needed by the
         linearization-aware indicators; off for large reference runs).
-    linear_solver : "direct", "frozen-lu", or a solver instance
+    linear : DirectSolver or FrozenLUSolver, optional
+        The backend of every linear solve of the march; a fresh
+        DirectSolver by default.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -436,7 +412,8 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None, reactions=True,
         raise SolverError(f"tau={tau} does not divide t_end={t_end}")
 
     ops = DiscreteOperators.for_params(mesh, p)
-    linear = linear_solver_for(linear_solver)
+    if linear is None:
+        linear = DirectSolver()
     initial = ionic.initial_pair(initial)
     state = initial_state(ops, initial)
 
@@ -449,19 +426,13 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None, reactions=True,
 
     newton = []
     penultimate = [None] * (N + 1) if store_penultimate else None
-    for n in range(1, N + 1):
-        try:
-            state, rec, states = newton_solve(
-                state, tau, p, cfg, ops=ops, linear=linear,
-                record_states=True, reactions=reactions)
-        except NewtonError as exc:
-            raise NewtonError(f"step {n} (t={times[n]:.6g}): {exc}",
-                              step=n, time=times[n]) from exc
-        U[n] = state.u
-        W[n] = state.w
+    steps = _march_steps(state, tau, N, p, cfg, ops, linear)
+    for n, (rec, iterates) in enumerate(steps, start=1):
+        U[n] = iterates[-1].u
+        W[n] = iterates[-1].w
         newton.append(rec)
         if store_penultimate:
-            penultimate[n] = (states[-2].u, states[-2].w)
+            penultimate[n] = (iterates[-2].u, iterates[-2].w)
 
     return TrajectorySolution(mesh, times, U, W, p, newton=newton,
                               penultimate=penultimate, tau=tau,

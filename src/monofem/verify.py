@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .assembly import DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
-from .mesh import prolongation, refine_uniform
-from .solver import (NewtonConfig, initial_state, linear_solver_for,
-                     newton_solve, time_march)
+from .mesh import mesh_chain, prolongation, refine_uniform
+from .solver import (FrozenLUSolver, NewtonConfig, _march_steps,
+                     initial_state, time_march)
 
 __all__ = [
     "ErrorNorms",
@@ -99,18 +99,19 @@ class NewtonStudyRow:
 
 
 def build_reference(mesh, tau, t_end, p, levels=0, tol=1e-15,
-                    linear_solver="frozen-lu", initial=None):
+                    initial=None):
     """High-fidelity trajectory on `mesh` refined `levels` more times.
 
     Newton is driven to `tol` (rounding level) so the linearization error
-    is negligible; the penultimate iterates are not stored.
+    is negligible; the linear systems are solved by a FrozenLUSolver and
+    the penultimate iterates are not stored.
     """
     for _ in range(levels):
         mesh = refine_uniform(mesh)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=40)
     return time_march(mesh, p, tau, t_end, cfg=cfg, initial=initial,
-                      store_penultimate=False, linear_solver=linear_solver)
+                      store_penultimate=False, linear=FrozenLUSolver())
 
 
 def _interpolator(traj, P=None):
@@ -233,11 +234,12 @@ def xy_error(coarse, ref, up_to=None):
     return error_curve(coarse, ref, [up_to])[0]
 
 
-def upper_bound_study(coarse, ref, p=None, simplified=True):
+def upper_bound_study(coarse, ref, p=None):
     """Per-timestep comparison of the error curve with the cumulative
-    indicator bound; returns UpperBoundRow per accepted coarse step."""
+    simplified-indicator bound; returns UpperBoundRow per accepted coarse
+    step."""
     p = p or coarse.params
-    est = estimate_trajectory(coarse, p, simplified=simplified)
+    est = estimate_trajectory(coarse, p, simplified=True)
     errors = error_curve(coarse, ref, coarse.times[1:])
     rows = []
     for err, bound in zip(errors, est.cumulative):
@@ -254,52 +256,34 @@ def _fit_order(hs, values):
     return float(np.polyfit(np.log(hs), np.log(values), 1)[0])
 
 
-def convergence_study(rungs, t_end, p, reference=None, ref_levels=2,
-                      ref_tau=None, ref_tol=1e-15, newton_cfg=None,
-                      simplified=True, linear_solver="direct"):
+def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
+                      ref_tol=1e-15, newton_cfg=None):
     """Halving ladder of (n, tau) runs against one fixed reference.
 
     `rungs` is a list of (n, tau) with each n doubling the previous one.
-    When `reference` is given, its mesh ancestry must contain every rung
-    (build it on the refinement chain of the coarsest rung); otherwise a
-    reference is built ref_levels above the finest rung with timestep
-    ref_tau (default: a quarter of the finest rung's tau).
+    The reference is built ref_levels refinements above the finest rung,
+    on the refinement chain of the coarsest one, with timestep ref_tau
+    (default: a quarter of the finest rung's tau).  Each rung is scored
+    with the simplified-indicator bound.
     """
-    from .mesh import mesh_chain
-
     ns = [n for n, _ in rungs]
     base_n = ns[0]
     for i, n in enumerate(ns):
         if n != base_n * 2 ** i:
             raise ValueError("ladder mesh sizes must double at each rung")
 
-    if reference is not None:
-        by_n = {}
-        m = reference.mesh
-        while m is not None:
-            if m.base_n is not None:
-                by_n[m.base_n * 2 ** m.levels] = m
-            m = m.parent
-        try:
-            meshes = [by_n[n] for n in ns]
-        except KeyError as exc:
-            raise ValueError(f"reference chain has no mesh with n={exc}") \
-                from None
-    else:
-        chain = mesh_chain(base_n, len(ns) - 1 + ref_levels)
-        meshes = chain[:len(ns)]
-        if ref_tau is None:
-            ref_tau = rungs[-1][1] / 4.0
-        reference = build_reference(chain[-1], ref_tau, t_end, p, tol=ref_tol,
-                                    linear_solver=linear_solver)
+    chain = mesh_chain(base_n, len(ns) - 1 + ref_levels)
+    meshes = chain[:len(ns)]
+    if ref_tau is None:
+        ref_tau = rungs[-1][1] / 4.0
+    reference = build_reference(chain[-1], ref_tau, t_end, p, tol=ref_tol)
 
     newton_cfg = newton_cfg or NewtonConfig()
     rows = []
     for (n, tau), mesh in zip(rungs, meshes):
-        traj = time_march(mesh, p, tau, t_end, cfg=newton_cfg,
-                          linear_solver=linear_solver)
+        traj = time_march(mesh, p, tau, t_end, cfg=newton_cfg)
         err = xy_error(traj, reference, up_to=t_end).combined_xy
-        est = estimate_trajectory(traj, p, simplified=simplified)
+        est = estimate_trajectory(traj, p, simplified=True)
         bound = float(est.cumulative[-1])
         eff = bound / err if err > 0 else np.inf
         rows.append(ConvergenceRow(n=n, h=1.0 / n,
@@ -314,16 +298,15 @@ def convergence_study(rungs, t_end, p, reference=None, ref_levels=2,
                            hs, [r.estimator for r in rows]))
 
 
-def newton_study(mesh, tau, instants, p, tol=1e-15, max_iterations=60,
-                 linear_solver="frozen-lu", initial=None):
+def newton_study(mesh, tau, instants, p, tol=1e-15):
     """Per-iterate linearization indicator against the true linearization
     error at selected instants.
 
-    Marches at reference-grade tolerance; at each requested instant the
-    Newton iterates are recorded, the converged pair serves as ground
-    truth, and each iterate k >= 1 yields a row with its indicator and its
-    (H1 for u, L2 for w) distance from the converged pair.  Instants must
-    be positive multiples of tau.
+    Marches from the default initial data at reference-grade tolerance,
+    with a FrozenLUSolver; at each requested instant the converged Newton
+    iterate of the step serves as ground truth, and each iterate k >= 1
+    yields a row with its indicator and its (H1 for u, L2 for w) distance
+    from the converged pair.  Instants must be positive multiples of tau.
     """
     instants = sorted(float(t) for t in instants)
     if instants[0] <= 0:
@@ -338,15 +321,13 @@ def newton_study(mesh, tau, instants, p, tol=1e-15, max_iterations=60,
 
     ops = DiscreteOperators.for_params(mesh, p)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
-                       max_iterations=max_iterations)
-    linear = linear_solver_for(linear_solver)
-    state = initial_state(ops, initial)
+                       max_iterations=60)
+    steps = _march_steps(initial_state(ops), tau, N, p, cfg, ops,
+                         FrozenLUSolver())
 
     tables = {}
-    for n in range(1, N + 1):
+    for n, (_, states) in enumerate(steps, start=1):
         t_n = n * tau
-        state, _, states = newton_solve(state, tau, p, cfg, ops=ops,
-                                        linear=linear, record_states=True)
         hit = [t for t in instants if abs(t - t_n) <= _TIME_ATOL]
         if not hit:
             continue

@@ -206,6 +206,19 @@ def test_newton_study_rejects_instants_off_the_grid(out_env, instants):
     assert not (out_env / "newton_study.csv").exists()
 
 
+@pytest.mark.parametrize("probe", ["2,2", "-0.1,0.5", "0.5,1.5"])
+def test_solve_rejects_probe_outside_the_domain(out_env, probe):
+    rc = main(["solve"] + _mini("--set", f"output.probe={probe}"))
+    assert rc == EXIT_CONFIG
+    assert not out_env.exists()
+
+
+def test_probe_on_the_boundary_is_accepted(out_env):
+    assert main(["solve"] + _mini("--set", "output.probe=1,0")) == EXIT_OK
+    _, rows = read_csv(out_env / "probe.csv")
+    assert rows[0][1] > 0.9       # the initial excitation peaks at (1, 0)
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     rc = main(["solve", "--config", str(tmp_path / "absent.ini")])
     assert rc == EXIT_IO

@@ -4,7 +4,7 @@ import pytest
 from monofem.assembly import DiscreteOperators
 from monofem.estimators import (cumulative_bound, estimate_trajectory,
                                 initial_projection_terms,
-                                linearization_indicator, make_balance_hook,
+                                linearization_indicator,
                                 simplified_indicators, space_indicator,
                                 space_residual_functional, time_indicator)
 from monofem.ionic import AlievPanfilovParams, f_value, g_value, react
@@ -195,8 +195,7 @@ def test_gamma_decays_quadratically_along_newton(params):
 
     u0 = l2_project(mesh, lambda x, y: initial_data(x, y)[0])
     prev = StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
-    _, _, states = newton_solve(prev, 0.05, params,
-                                NewtonConfig(tol=1e-14), record_states=True)
+    _, _, states = newton_solve(prev, 0.05, params, NewtonConfig(tol=1e-14))
     gammas = [linearization_indicator((a, b), params)
               for a, b in zip(states, states[1:])]
     gammas = [g for g in gammas if g > 1e-13]
@@ -340,20 +339,6 @@ def test_initial_projection_terms():
     assert w2 == 0.0
     fine_u2, _ = initial_projection_terms(refine_uniform(mesh))
     assert fine_u2 < u2 / 8.0     # O(h^2) defect in L2, squared: factor 16
-
-
-def test_balance_hook_matches_direct_calls(params):
-    mesh = unit_square_mesh(4)
-    rng = np.random.default_rng(20)
-    prev = _random_states(mesh, rng, 0.0)
-    it_a = _random_states(mesh, rng, 0.1)
-    it_b = _random_states(mesh, rng, 0.1)
-    hook = make_balance_hook(params)
-    gamma, eta = hook(prev, (it_a, it_b), 0.1)
-    assert gamma == pytest.approx(
-        linearization_indicator((it_a, it_b), params), rel=1e-14)
-    assert eta == pytest.approx(
-        space_indicator(prev, (it_a, it_b), 0.1, params)[0], rel=1e-14)
 
 
 def test_mesh_mismatch_raises(params):

@@ -3,12 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from monofem.assembly import DiscreteOperators
-from monofem.ionic import react
+from monofem.ionic import AlievPanfilovParams, react
 from monofem.mesh import unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
-                            TrajectorySolution, newton_solve, newton_step,
-                            time_march)
+                            TrajectorySolution, newton_solve, time_march)
 
 
 def test_sparse_solve_identity():
@@ -46,19 +45,6 @@ def _projected_initial_state(mesh, params):
     return StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
 
 
-def test_newton_fixed_point(params):
-    # a state solving the implicit Euler system is a fixed point
-    mesh = unit_square_mesh(8)
-    prev = _projected_initial_state(mesh, params)
-    cfg = NewtonConfig(tol=1e-14)
-    accepted, _ = newton_solve(prev, 0.1, params, cfg)
-    again = newton_step(prev, accepted, 0.1, params)
-    ops = DiscreteOperators(mesh)
-    inc = ops.h1_norm(again.u - accepted.u) + ops.l2_norm(again.w
-                                                          - accepted.w)
-    assert inc < 1e-12
-
-
 def test_newton_step_matches_scalar_oracle(params):
     # constant states remove diffusion: the FEM step equals the 2x2 Newton
     # step of the pointwise ODE system
@@ -67,7 +53,8 @@ def test_newton_step_matches_scalar_oracle(params):
     tau = 0.2
     c_u, c_w = 0.4, 0.0
     prev = StateField(mesh, np.full(nv, c_u), np.full(nv, c_w), 0.0)
-    result = newton_step(prev, prev, tau, params)
+    _, _, iterates = newton_solve(prev, tau, params, NewtonConfig())
+    result = iterates[1]
 
     r = react(c_u, c_w, params)
     J = np.array([[1.0 / tau + r.f_u, r.f_w],
@@ -80,22 +67,20 @@ def test_newton_step_matches_scalar_oracle(params):
     assert np.ptp(result.u) < 1e-12          # spatially constant update
 
 
-def test_newton_step_rejects_mismatched_meshes(params):
-    a = unit_square_mesh(2)
-    b = unit_square_mesh(2)
-    sa = StateField(a, np.zeros(a.num_vertices), np.zeros(a.num_vertices))
-    sb = StateField(b, np.zeros(b.num_vertices), np.zeros(b.num_vertices))
-    with pytest.raises(SolverError):
-        newton_step(sa, sb, 0.1, params)
-    with pytest.raises(SolverError):
-        newton_step(sa, sa, -0.1, params)
+def test_newton_solve_rejects_nonpositive_tau(params):
+    mesh = unit_square_mesh(2)
+    prev = StateField(mesh, np.zeros(mesh.num_vertices),
+                      np.zeros(mesh.num_vertices))
+    for tau in (-0.1, 0.0):
+        with pytest.raises(SolverError, match="tau must be positive"):
+            newton_solve(prev, tau, params, NewtonConfig())
 
 
 def test_newton_quadratic_convergence(params):
     # increments contract quadratically once below 0.1 and above roundoff
     mesh = unit_square_mesh(16)
     prev = _projected_initial_state(mesh, params)
-    _, rec = newton_solve(prev, 0.05, params, NewtonConfig(tol=1e-14))
+    _, rec, _ = newton_solve(prev, 0.05, params, NewtonConfig(tol=1e-14))
     inc = rec.increments
     pairs = [(a, b) for a, b in zip(inc, inc[1:])
              if a < 0.1 and b > 1e-12]
@@ -132,19 +117,23 @@ def test_tau_must_divide_t_end(params):
         time_march(unit_square_mesh(2), params, 0.3, 1.0)
 
 
-def test_reactions_off_preserves_constants(params):
+#: reaction terms far below rounding: the pure Neumann heat equation
+_NEGLIGIBLE_REACTIONS = AlievPanfilovParams(A=1e-300, a=0.15, eps=1e-300,
+                                            M_scalar=1.0)
+
+
+def test_reactions_off_preserves_constants():
     mesh = unit_square_mesh(8)
-    const = (lambda x, y: 0.8 + 0.0 * x, lambda x, y: 0.3 + 0.0 * x)
-    traj = time_march(mesh, params, 0.25, 1.0, initial=const,
-                      reactions=False)
+    const = (lambda x, y: 0.8 + 0.0 * x, lambda x, y: 0.0 * x)
+    traj = time_march(mesh, _NEGLIGIBLE_REACTIONS, 0.25, 1.0, initial=const)
     assert np.max(np.abs(traj.U - 0.8)) < 1e-12
-    assert np.max(np.abs(traj.W - 0.3)) < 1e-12
+    assert np.max(np.abs(traj.W)) < 1e-12
 
 
-def test_reactions_off_conserves_mass(params):
+def test_reactions_off_conserves_mass():
     # pure Neumann heat equation: d/dt integral(u) = 0
     mesh = unit_square_mesh(8)
-    traj = time_march(mesh, params, 0.125, 0.5, reactions=False)
+    traj = time_march(mesh, _NEGLIGIBLE_REACTIONS, 0.125, 0.5)
     ops = DiscreteOperators(mesh)
     ones = np.ones(mesh.num_vertices)
     masses = traj.U @ (ops.mass @ ones)
@@ -192,7 +181,7 @@ def test_newton_failure_reports_step(params):
 def test_frozen_lu_matches_direct(params):
     mesh = unit_square_mesh(8)
     direct = time_march(mesh, params, 0.1, 0.5)
-    frozen = time_march(mesh, params, 0.1, 0.5, linear_solver="frozen-lu")
+    frozen = time_march(mesh, params, 0.1, 0.5, linear=FrozenLUSolver())
     assert np.max(np.abs(direct.U - frozen.U)) < 1e-9
     assert np.max(np.abs(direct.W - frozen.W)) < 1e-9
 
@@ -210,6 +199,35 @@ def test_checkpoint_roundtrip(tmp_path, params):
     assert np.array_equal(loaded.newton_counts(), traj.newton_counts())
     assert loaded.mesh.num_vertices == mesh.num_vertices
     assert np.allclose(loaded.mesh.vertices, mesh.vertices)
+
+
+def test_loaded_checkpoint_needs_its_initial_data(tmp_path, params):
+    # the checkpoint does not hold the initial data: estimating a reloaded
+    # run must not fall back to the default Gaussian
+    from monofem.estimators import estimate_trajectory
+
+    centred = (lambda x, y: np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2)
+                                   / 0.25),
+               lambda x, y: 0.0 * x)
+    traj = time_march(unit_square_mesh(4), params, 0.25, 0.5,
+                      initial=centred)
+    path = tmp_path / "traj.npz"
+    traj.save(path)
+    loaded = TrajectorySolution.load(path)
+    with pytest.raises(ValueError, match="initial"):
+        estimate_trajectory(loaded)
+    marched = estimate_trajectory(traj, simplified=True)
+    reloaded = estimate_trajectory(loaded, initial=centred)
+    assert np.array_equal(reloaded.cumulative, marched.cumulative)
+
+
+def test_trajectory_checks_both_state_shapes(params):
+    mesh = unit_square_mesh(4)
+    times = [0.0, 0.25]
+    good = np.zeros((2, mesh.num_vertices))
+    for U, W in ((np.zeros((3, 7)), good), (good, np.zeros((3, 7)))):
+        with pytest.raises(SolverError, match="shape"):
+            TrajectorySolution(mesh, times, U, W, params)
 
 
 def test_checkpoint_other_version_is_refused(tmp_path, params):

@@ -8,8 +8,7 @@ from monofem.verify import (build_reference, convergence_study, error_curve,
 
 
 def _mini_reference(params, chain, tau=1.0 / 32.0, t_end=0.5):
-    return build_reference(chain[-1], tau, t_end, params, tol=1e-13,
-                           linear_solver="direct")
+    return build_reference(chain[-1], tau, t_end, params, tol=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +103,7 @@ def test_error_curve_is_nondecreasing_in_time(setup):
 def test_same_grid_reference_reproduces_run(setup):
     # identical discrete problem solved at two Newton tolerances
     params, chain, coarse, _ = setup
-    ref_same = build_reference(chain[0], 0.125, 0.5, params, tol=1e-13,
-                               linear_solver="direct")
+    ref_same = build_reference(chain[0], 0.125, 0.5, params, tol=1e-13)
     err = xy_error(coarse, ref_same)
     assert err.combined_xy < 1e-9
 
@@ -157,7 +155,7 @@ def test_upper_bound_study_rows(setup):
 def test_convergence_study_mini_ladder(params):
     result = convergence_study([(4, 0.125), (8, 0.0625)], 0.5, params,
                                ref_levels=2, ref_tau=1.0 / 64.0,
-                               ref_tol=1e-13, linear_solver="direct")
+                               ref_tol=1e-13)
     assert len(result.rows) == 2
     assert result.rows[0].h == pytest.approx(0.25)
     assert result.rows[1].h == pytest.approx(0.125)
@@ -169,8 +167,7 @@ def test_convergence_study_mini_ladder(params):
 
 def test_convergence_study_single_rung_has_no_order(params):
     result = convergence_study([(4, 0.25)], 0.5, params, ref_levels=1,
-                               ref_tau=0.125, ref_tol=1e-12,
-                               linear_solver="direct")
+                               ref_tau=0.125, ref_tol=1e-12)
     assert len(result.rows) == 1
     assert result.error_order is None
     assert result.estimator_order is None
@@ -183,8 +180,7 @@ def test_convergence_study_rejects_bad_ladder(params):
 
 def test_newton_study_tracks_linearization_error(params):
     mesh = unit_square_mesh(8)
-    tables = newton_study(mesh, 0.125, [0.25, 0.5], params, tol=1e-15,
-                          linear_solver="direct")
+    tables = newton_study(mesh, 0.125, [0.25, 0.5], params, tol=1e-15)
     assert sorted(tables) == [0.25, 0.5]
     for rows in tables.values():
         meaningful = [r for r in rows if r.error_combined >= 1e-12]
