@@ -4,12 +4,25 @@ Symmetric Gauss quadrature on the reference triangle, mass / stiffness /
 weighted-mass matrices in CSR form, load vectors, and the L2-orthogonal
 projection onto the P1 space.  All element loops are vectorized over the
 mesh; assembled matrices are immutable and safe to share.
+
+Every integral of a field given at quadrature points against P1 basis
+functions goes through one kernel, `_element_integrals`: a product
+`(nt, nq) @ (nq, k)` with a precomputed table of weighted basis products
+(`w_q l_i(x_q)` for load vectors, `w_q l_i(x_q) l_j(x_q)` for weighted
+masses), scaled by the element areas.  Matrices that are assembled again
+and again on one mesh are filled into a fixed sparsity pattern that
+:class:`DiscreteOperators` builds once, on first use: each element entry
+(i, j) has a precomputed slot in the P1 pattern, so a fill is one
+`bincount`.  The 2N x 2N Newton matrix of the coupled (u, w) system reuses
+that pattern for each of its four blocks and is handed out in CSC form
+with no COO stage, sort or block stacking.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "AssemblyError",
@@ -41,6 +54,19 @@ class QuadratureRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def load_products(self):
+        """(nq, 3) table w_q l_i(x_q) of the load-vector kernel."""
+        return self.points * self.weights[:, None]
+
+    @cached_property
+    def mass_products(self):
+        """(nq, 9) table w_q l_i(x_q) l_j(x_q), column 3 i + j, of the
+        weighted-mass kernel."""
+        B = self.points
+        return (self.weights[:, None, None] * B[:, :, None]
+                * B[:, None, :]).reshape(len(B), 9)
 
 
 def _orbit1():
@@ -199,10 +225,13 @@ def quadrature_coords(mesh, rule):
     return np.einsum("qi,eid->eqd", rule.points, mesh.vertices[mesh.triangles])
 
 
-def _weighted_mass_from_quad(mesh, values, rule):
-    B = rule.points.T                              # (3, nq)
-    local = np.einsum("eq,iq,jq,q->eij", values, B, B, rule.weights)
-    return _scatter(mesh, mesh.areas[:, None, None] * local)
+def _element_integrals(mesh, values, products):
+    """The one basis-product kernel: area_e * sum_q values[..., e, q]
+    products[q, k], for values at a rule's points (shape (..., nt, nq))
+    and one of the rule's product tables (shape (nq, k))."""
+    local = values @ products
+    local *= mesh.areas[:, None]
+    return local
 
 
 def weighted_mass_matrix(mesh, coefficients, rule=None):
@@ -215,14 +244,14 @@ def weighted_mass_matrix(mesh, coefficients, rule=None):
     if rule is None:
         rule = quadrature_rule(4)
     c_q = field_at_quadrature(mesh, coefficients, rule)
-    return _weighted_mass_from_quad(mesh, c_q, rule)
+    local = _element_integrals(mesh, c_q, rule.mass_products)
+    return _scatter(mesh, local.reshape(-1, 3, 3))
 
 
 def load_vector(mesh, values, rule):
     """Load vector b_i = integral of f l_i from values of f at the rule's
     points (shape (nt, nq))."""
-    local = np.einsum("eq,iq,q->ei", values, rule.points.T, rule.weights)
-    local *= mesh.areas[:, None]
+    local = _element_integrals(mesh, values, rule.load_products)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -269,11 +298,67 @@ def evaluate_p1(mesh, vec, x, y):
     return float(lam @ vec[mesh.triangles[k]])
 
 
+@dataclass(frozen=True)
+class _NewtonPattern:
+    """Sparsity of one mesh's P1 matrices and of the 2N x 2N block matrix.
+
+    `slots[e, 3 i + j]` is the position of entry (tri[e, i], tri[e, j]) in
+    the data of the CSR P1 pattern (that of the mass matrix).  The four
+    blocks of the big matrix, in the order 11, 12, 21, 22, share that
+    pattern; `positions[b, s]` is where slot s of block b sits in the big
+    CSC data array, whose `indptr` and `indices` are canonical (sorted,
+    no duplicates).  Every block is symmetric, so a block's CSR data in
+    slot order is also its CSC data.  All index arrays are int32 and
+    read-only: the big `indices` and `indptr` are shared by every matrix
+    filled into them.
+    """
+
+    slots: np.ndarray
+    positions: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _build_newton_pattern(mesh, pattern):
+    """_NewtonPattern of `mesh` from `pattern`, a canonical CSR matrix
+    with the P1 sparsity of the mesh."""
+    nv = mesh.num_vertices
+    indptr = pattern.indptr.astype(np.int64)
+    indices = pattern.indices
+    nnz = len(indices)
+    if 4 * nnz > np.iinfo(np.int32).max:
+        raise AssemblyError("mesh too large for int32 block indices")
+    degree = np.diff(indptr)
+    major = np.repeat(np.arange(nv), degree)      # row (CSR) = column (CSC)
+    keys = major * nv + indices                   # sorted: CSR is canonical
+    tri = mesh.triangles
+    slots = np.empty((mesh.num_triangles, 9), dtype=np.int32)
+    for i in range(3):
+        for j in range(3):
+            slots[:, 3 * i + j] = np.searchsorted(keys,
+                                                  tri[:, i] * nv + tri[:, j])
+    # big column c N + k holds column k of block (0, c), then that of
+    # block (1, c)
+    start = indptr[major] + np.arange(nnz)
+    positions = np.empty((4, nnz), dtype=np.int32)
+    big_indices = np.empty(4 * nnz, dtype=np.int32)
+    for b, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        positions[b] = c * 2 * nnz + start + r * degree[major]
+        big_indices[positions[b]] = indices + r * nv
+    big_indptr = np.concatenate([2 * indptr, 2 * nnz + 2 * indptr[1:]])
+    big_indptr = big_indptr.astype(np.int32)
+    for a in (slots, positions, big_indptr, big_indices):
+        a.setflags(write=False)
+    return _NewtonPattern(slots, positions, big_indptr, big_indices)
+
+
 class DiscreteOperators:
     """Cached matrices and quadrature data for one mesh and conductivity.
 
     Shared by the solver and the estimators so that mass/stiffness and the
-    scatter patterns are assembled once per mesh.
+    scatter patterns are assembled once per mesh.  The fixed pattern of
+    :meth:`weighted_mass` and :meth:`newton_matrix` is built on first use
+    and kept for the life of the operators.
     """
 
     @classmethod
@@ -300,10 +385,51 @@ class DiscreteOperators:
     def field_at(self, vec, rule):
         return field_at_quadrature(self.mesh, vec, rule)
 
+    @cached_property
+    def _newton_pattern(self):
+        # the stiffness matrix has the same pattern: both are scattered
+        # from the same triangles, explicit zeros kept
+        return _build_newton_pattern(self.mesh, self.mass)
+
     def weighted_mass(self, values_at_quad, rule=None):
         """Weighted mass matrix from pointwise weights at quadrature points."""
-        return _weighted_mass_from_quad(self.mesh, values_at_quad,
-                                        rule or self.rule4)
+        rule = rule or self.rule4
+        local = _element_integrals(self.mesh, values_at_quad,
+                                   rule.mass_products)
+        data = np.bincount(self._newton_pattern.slots.ravel(),
+                           weights=local.ravel(), minlength=self.mass.nnz)
+        return sp.csr_matrix((data, self.mass.indices.copy(),
+                              self.mass.indptr.copy()),
+                             shape=self.mass.shape)
+
+    def newton_matrix(self, weights, tau):
+        """The 2N x 2N matrix [[M/tau + K + M(c11), M(c12)],
+        [M(c21), M/tau + M(c22)]] in CSC form.
+
+        M and K are :attr:`mass` and :attr:`stiffness`; M(c) is the mass
+        matrix weighted by pointwise values c at the points of
+        :attr:`rule4`, and `weights` is (c11, c12, c21, c22), each of shape
+        (nt, nq).  Each block is one kernel product and one bincount into
+        the fixed pattern, plus its constant part in the same slot order.
+        The result shares its index arrays with every other matrix this
+        method returns, so it must not be modified in place.
+        """
+        pat = self._newton_pattern
+        slots = pat.slots.ravel()
+        nnz = self.mass.nnz
+        mass_dt = self.mass.data * (1.0 / tau)
+        constant = (mass_dt + self.stiffness.data, 0.0, 0.0, mass_dt)
+        data = np.empty(4 * nnz)
+        # block by block: four (nt, 9) temporaries at a time instead of one
+        # four times as large keep the peak memory of large meshes down
+        for c, const, positions in zip(weights, constant, pat.positions):
+            local = _element_integrals(self.mesh, c,
+                                       self.rule4.mass_products)
+            data[positions] = np.bincount(slots, weights=local.ravel(),
+                                          minlength=nnz) + const
+        n2 = 2 * self.mesh.num_vertices
+        return sp.csc_matrix((data, pat.indices, pat.indptr),
+                             shape=(n2, n2))
 
     def load(self, values_at_quad, rule=None):
         return load_vector(self.mesh, values_at_quad, rule or self.rule4)

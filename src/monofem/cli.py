@@ -24,7 +24,8 @@ import numpy as np
 from . import ionic
 from .assembly import evaluate_p1
 from .mesh import unit_square_mesh, write_vtk
-from .solver import NewtonConfig, SolverError, time_march
+from .solver import (NewtonConfig, SolverError, step_count, time_march,
+                     trajectory_nbytes)
 from .verify import (build_reference, convergence_study, newton_study,
                      upper_bound_study)
 
@@ -321,6 +322,35 @@ def read_csv(path):
         return header, [tuple(cell(c) for c in row) for row in reader]
 
 
+def _physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_marches(cfg, marches):
+    """Refuse a command whose time marches cannot run, before it writes
+    anything.
+
+    `marches` lists (key, n, tau, store_penultimate) for every march the
+    command makes: on a mesh of n cells per side ((n + 1)^2 vertices),
+    with step tau read from config key `key`, up to t_end.  Raises
+    ConfigError when a tau does not divide t_end, or when the trajectory
+    arrays of all the marches together exceed physical memory.
+    """
+    total = 0
+    for key, n, tau, store_penultimate in marches:
+        try:
+            steps = step_count(tau, cfg.t_end)
+        except SolverError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        total += trajectory_nbytes((n + 1) ** 2, steps, store_penultimate)
+    memory = _physical_memory()
+    if total > memory:
+        raise ConfigError(f"the trajectories of this run need "
+                          f"{total / 2 ** 30:.1f} GiB, more than the "
+                          f"{memory / 2 ** 30:.1f} GiB of physical memory")
+
+
 def _ensure_out_dir(cfg):
     out = cfg.resolved_out_dir()
     os.makedirs(out, exist_ok=True)
@@ -328,6 +358,7 @@ def _ensure_out_dir(cfg):
 
 
 def _cmd_solve(cfg):
+    _check_marches(cfg, [("run.tau", cfg.mesh_n, cfg.tau, True)])
     out = _ensure_out_dir(cfg)
     mesh = unit_square_mesh(cfg.mesh_n)
     p = cfg.params()
@@ -369,8 +400,11 @@ def _reference_levels(cfg, n):
 
 
 def _cmd_upperbound(cfg):
-    out = _ensure_out_dir(cfg)
     levels = _reference_levels(cfg, cfg.mesh_n)
+    _check_marches(cfg, [
+        ("run.tau", cfg.mesh_n, cfg.tau, True),
+        ("study.reference_tau", cfg.reference_n, cfg.reference_tau, False)])
+    out = _ensure_out_dir(cfg)
     p = cfg.params()
     mesh = unit_square_mesh(cfg.mesh_n)
     traj = time_march(mesh, p, cfg.tau, cfg.t_end, cfg=cfg.newton_config())
@@ -389,8 +423,12 @@ def _cmd_upperbound(cfg):
 
 
 def _cmd_convergence(cfg):
-    out = _ensure_out_dir(cfg)
     levels = _reference_levels(cfg, cfg.ladder[-1][0])
+    _check_marches(cfg, [("study.ladder", n, tau, True)
+                         for n, tau in cfg.ladder]
+                   + [("study.reference_tau", cfg.reference_n,
+                       cfg.reference_tau, False)])
+    out = _ensure_out_dir(cfg)
     result = convergence_study(list(cfg.ladder), cfg.t_end, cfg.params(),
                                ref_levels=levels, ref_tau=cfg.reference_tau,
                                ref_tol=cfg.reference_tol,

@@ -5,10 +5,16 @@ method; the coupled 2N x 2N linearized system is assembled with exact
 (degree-4) quadrature and solved either by sparse LU or by GMRES
 preconditioned with a frozen LU factorization, both under the same
 relative-residual contract.
+
+The sparsity of the Newton matrix is the same at every iterate, so
+`DiscreteOperators.newton_matrix` fills a CSC pattern built once per
+operator set: each of the four reaction blocks is one call of the
+basis-product kernel and one bincount, and the constant M/tau + K and
+M/tau parts are added in the same slot order.  The right-hand side uses
+the same kernel through `DiscreteOperators.load`.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
@@ -25,6 +31,8 @@ __all__ = [
     "TrajectorySolution",
     "newton_solve",
     "time_march",
+    "step_count",
+    "trajectory_nbytes",
     "initial_state",
     "DirectSolver",
     "FrozenLUSolver",
@@ -183,20 +191,15 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
     fixed point of the iteration is the exact implicit-Euler P1 solution
     and the convergence is genuinely quadratic.
     """
-    mass_dt = ops.mass * (1.0 / tau)
     rhs1 = ops.mass @ (u_prev / tau)
     rhs2 = ops.mass @ (w_prev / tau)
     rule = ops.rule4
     u_q = ops.field_at(u_it, rule)
     w_q = ops.field_at(w_it, rule)
     r = ionic.react(u_q, w_q, p)
-    A11 = mass_dt + ops.stiffness + ops.weighted_mass(r.f_u, rule)
-    A12 = ops.weighted_mass(r.f_w, rule)
-    A21 = ops.weighted_mass(r.g_u, rule)
-    A22 = mass_dt + ops.weighted_mass(r.g_w, rule)
+    A = ops.newton_matrix((r.f_u, r.f_w, r.g_u, r.g_w), tau)
     rhs1 += ops.load(r.f_u * u_q + r.f_w * w_q - r.f, rule)
     rhs2 += ops.load(r.g_u * u_q + r.g_w * w_q - r.g, rule)
-    A = sp.bmat([[A11, A12], [A21, A22]], format="csc")
     return A, np.concatenate([rhs1, rhs2])
 
 
@@ -380,6 +383,28 @@ def initial_state(ops, initial=None):
                       l2_project(mesh, fw0, mass=ops.mass), 0.0)
 
 
+def step_count(tau, t_end):
+    """Number of steps of length tau from 0 to t_end; SolverError unless
+    both are positive and tau divides t_end to 1e-9 max(1, t_end)."""
+    if not tau > 0 or not t_end > 0:
+        raise SolverError("tau and t_end must be positive")
+    N = int(round(t_end / tau))
+    if N < 1 or abs(N * tau - t_end) > 1e-9 * max(1.0, t_end):
+        raise SolverError(f"tau={tau} does not divide t_end={t_end}")
+    return N
+
+
+def trajectory_nbytes(num_vertices, num_steps, store_penultimate=True):
+    """Bytes of the state arrays :func:`time_march` keeps for a march of
+    `num_steps` steps on a mesh with `num_vertices` vertices: U and W,
+    plus one penultimate (u, w) pair per step when those are stored."""
+    per_state = 8 * num_vertices
+    states = 2 * (num_steps + 1)
+    if store_penultimate:
+        states += 2 * num_steps
+    return states * per_state
+
+
 def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
                store_penultimate=True, linear=None):
     """March the monodomain system from its projected initial data to t_end.
@@ -405,11 +430,7 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     """
     if cfg is None:
         cfg = NewtonConfig()
-    if not tau > 0 or not t_end > 0:
-        raise SolverError("tau and t_end must be positive")
-    N = int(round(t_end / tau))
-    if N < 1 or abs(N * tau - t_end) > 1e-9 * max(1.0, t_end):
-        raise SolverError(f"tau={tau} does not divide t_end={t_end}")
+    N = step_count(tau, t_end)
 
     ops = DiscreteOperators.for_params(mesh, p)
     if linear is None:

@@ -3,11 +3,16 @@
 The quadrature oracle uses a tensorized Gauss-Legendre rule on the
 collapsed square (Duffy transform), a construction disjoint from the
 symmetric triangle rules inside the package; barycentric evaluation and
-basis gradients are recomputed here from vertex coordinates.
+basis gradients are recomputed here from vertex coordinates.  The Newton
+system reference assembles each block through COO and stacks the blocks
+with sp.bmat, independently of the package's fixed pattern.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from math import factorial
+
+from monofem.ionic import react
 
 
 def duffy_points(order=12):
@@ -67,3 +72,47 @@ def integrate_p1_expression(mesh, func, order=12):
         lam = barycentric_at(verts, pts)
         out[k] = np.dot(wts, func(pts[:, 0], pts[:, 1], lam))
     return out
+
+
+def weighted_mass_reference(mesh, values, rule):
+    """Weighted mass matrix from pointwise weights at the rule's points,
+    by a four-operand einsum and a COO -> CSR scatter."""
+    B = rule.points.T
+    local = np.einsum("eq,iq,jq,q->eij", values, B, B, rule.weights)
+    local = mesh.areas[:, None, None] * local
+    tri = mesh.triangles
+    nv = mesh.num_vertices
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(nv, nv)).tocsr()
+
+
+def load_reference(mesh, values, rule):
+    """Load vector from values at the rule's points, by einsum."""
+    local = np.einsum("eq,iq,q->ei", values, rule.points.T, rule.weights)
+    local *= mesh.areas[:, None]
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.num_vertices)
+
+
+def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
+    """Newton matrix and right-hand side of one implicit Euler step,
+    linearized at (u_it, w_it): four weighted mass matrices summed with
+    M/tau + K and M/tau and stacked by sp.bmat."""
+    mesh, rule = ops.mesh, ops.rule4
+    mass_dt = ops.mass * (1.0 / tau)
+    u_q = ops.field_at(u_it, rule)
+    w_q = ops.field_at(w_it, rule)
+    r = react(u_q, w_q, p)
+
+    def wm(values):
+        return weighted_mass_reference(mesh, values, rule)
+
+    A = sp.bmat([[mass_dt + ops.stiffness + wm(r.f_u), wm(r.f_w)],
+                 [wm(r.g_u), mass_dt + wm(r.g_w)]], format="csc")
+    rhs1 = ops.mass @ (u_prev / tau) + load_reference(
+        mesh, r.f_u * u_q + r.f_w * w_q - r.f, rule)
+    rhs2 = ops.mass @ (w_prev / tau) + load_reference(
+        mesh, r.g_u * u_q + r.g_w * w_q - r.g, rule)
+    return A, np.concatenate([rhs1, rhs2])

@@ -3,13 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from monofem.assembly import (AssemblyError, ConductivityTensor,
-                              DiscreteOperators, evaluate_p1, l2_project,
+                              DiscreteOperators, evaluate_p1,
+                              field_at_quadrature, l2_project, load_vector,
                               mass_matrix, quadrature_rule,
                               stiffness_matrix, weighted_mass_matrix)
 from monofem.mesh import mesh_chain, refine_uniform, unit_square_mesh
 
-from oracles import (barycentric_at, p1_gradients,
-                     reference_monomial_integral, triangle_quadrature)
+from oracles import (barycentric_at, load_reference, p1_gradients,
+                     reference_monomial_integral, triangle_quadrature,
+                     weighted_mass_reference)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 6])
@@ -164,6 +166,36 @@ def test_weighted_mass_linearity(mesh8):
 def test_weighted_mass_size_mismatch(mesh8):
     with pytest.raises(AssemblyError):
         weighted_mass_matrix(mesh8, np.ones(mesh8.num_vertices + 1))
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), mesh_chain(4, 1)[-1]],
+                         ids=["unit_square_8", "refined"])
+def test_kernels_match_coo_reference(mesh, degree):
+    # the fixed-pattern weighted mass, the COO one and the load vector
+    # against the einsum + COO assembly of tests/oracles.py
+    rule = quadrature_rule(degree)
+    values = np.random.default_rng(3).standard_normal(
+        (mesh.num_triangles, len(rule.weights)))
+    ref = weighted_mass_reference(mesh, values, rule)
+    scale = np.abs(ref).max()
+    ops = DiscreteOperators(mesh)
+    W = ops.weighted_mass(values, rule)
+    assert np.array_equal(W.indptr, ops.mass.indptr)
+    assert np.array_equal(W.indices, ops.mass.indices)
+    assert np.abs(W - ref).max() <= 1e-14 * scale
+    b = load_vector(mesh, values, rule)
+    b_ref = load_reference(mesh, values, rule)
+    assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+
+
+def test_weighted_mass_matrix_matches_coo_reference(mesh8):
+    rule = quadrature_rule(4)
+    c = np.random.default_rng(4).standard_normal(mesh8.num_vertices)
+    ref = weighted_mass_reference(mesh8, field_at_quadrature(mesh8, c, rule),
+                                  rule)
+    W = weighted_mass_matrix(mesh8, c)
+    assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_element_matrices_against_bruteforce_quadrature():

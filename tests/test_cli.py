@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from monofem import cli
 from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ConfigError, main,
                          parse_config, read_csv, run_command, write_csv)
 
@@ -217,6 +218,65 @@ def test_probe_on_the_boundary_is_accepted(out_env):
     assert main(["solve"] + _mini("--set", "output.probe=1,0")) == EXIT_OK
     _, rows = read_csv(out_env / "probe.csv")
     assert rows[0][1] > 0.9       # the initial excitation peaks at (1, 0)
+
+
+@pytest.fixture
+def no_marching(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("marched before the configuration was refused")
+
+    for name in ("time_march", "build_reference", "convergence_study"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", ["run.mesh_n=4", "run.tau=0.3", "run.t_end=1"]),
+    ("upperbound", ["run.mesh_n=4", "run.tau=0.25", "run.t_end=1",
+                    "study.reference_n=8", "study.reference_tau=0.3"]),
+    ("convergence", ["run.t_end=1", "study.ladder=4:0.25,8:0.3",
+                     "study.reference_n=16", "study.reference_tau=0.125"]),
+], ids=["solve", "upperbound-reference", "convergence-ladder"])
+def test_tau_not_dividing_t_end_is_a_config_error(out_env, no_marching,
+                                                  capsys, command,
+                                                  overrides):
+    argv = [command]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_CONFIG
+    assert "does not divide" in capsys.readouterr().err
+    assert not out_env.exists()
+
+
+def test_solve_checks_only_its_own_tau(out_env):
+    # the default reference_tau = 1/256 does not divide 0.3; solve does
+    # not march a reference, so it runs
+    assert main(["solve", "--set", "run.mesh_n=4", "--set", "run.tau=0.1",
+                 "--set", "run.t_end=0.3"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, overrides, memory", [
+    ("solve", _mini(), 4096),
+    ("upperbound", _mini("--set", "study.reference_n=16"), 4096),
+    ("convergence", ["--set", "study.ladder=4:0.125,8:0.0625",
+                     "--set", "study.reference_n=16"], 4096),
+    # n=250, tau=0.002, t_end=16: (4 * 8000 + 2) * 251^2 * 8 B, 15 GiB
+    ("solve", ["--set", "run.preset=paper-reference"], 8 * 2 ** 30),
+], ids=["solve", "upperbound", "convergence", "paper-reference"])
+def test_runs_larger_than_memory_are_refused(out_env, no_marching,
+                                             monkeypatch, capsys, command,
+                                             overrides, memory):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+    assert main([command] + overrides) == EXIT_CONFIG
+    assert "physical memory" in capsys.readouterr().err
+    assert not out_env.exists()
+
+
+def test_trajectory_bytes_fit_just_inside_memory(out_env, monkeypatch):
+    # n=8, tau=0.125, t_end=0.25: 2 steps, (4 * 2 + 2) states of 81 values
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 81 * 8)
+    assert main(["solve"] + _mini()) == EXIT_OK
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 81 * 8 - 1)
+    assert main(["solve"] + _mini()) == EXIT_CONFIG
 
 
 def test_missing_config_file_is_io_error(tmp_path):

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from monofem.assembly import DiscreteOperators
+from monofem import assembly
+from monofem.assembly import ConductivityTensor, DiscreteOperators
 from monofem.ionic import AlievPanfilovParams, react
-from monofem.mesh import unit_square_mesh
+from monofem.mesh import mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
-                            TrajectorySolution, newton_solve, time_march)
+                            TrajectorySolution, _assemble_newton_system,
+                            newton_solve, time_march, trajectory_nbytes)
+
+from oracles import newton_system_reference
 
 
 def test_sparse_solve_identity():
@@ -76,6 +80,92 @@ def test_newton_solve_rejects_nonpositive_tau(params):
             newton_solve(prev, tau, params, NewtonConfig())
 
 
+def _anisotropic(mesh):
+    """Per-element SPD conductivity tensors with eigenvalues in [0.5, 2]
+    and random principal directions."""
+    rng = np.random.default_rng(11)
+    angle = rng.uniform(0.0, np.pi, mesh.num_triangles)
+    rot = np.stack([np.stack([np.cos(angle), -np.sin(angle)], -1),
+                    np.stack([np.sin(angle), np.cos(angle)], -1)], -2)
+    lam = rng.uniform(0.5, 2.0, (mesh.num_triangles, 2))
+    tensors = np.einsum("eij,ej,ekj->eik", rot, lam, rot)
+    return ConductivityTensor.per_element(0.5 * (tensors
+                                                 + tensors.swapaxes(1, 2)))
+
+
+def _newton_case(case):
+    """(operators, parameters) of one oracle case."""
+    mesh = mesh_chain(4, 1)[-1] if case == "refined" else unit_square_mesh(8)
+    p = (AlievPanfilovParams(A=5.0, a=0.3, eps=0.05, M_scalar=2.5)
+         if case == "params" else AlievPanfilovParams())
+    if case == "tensor":
+        return DiscreteOperators(mesh, _anisotropic(mesh)), p
+    return DiscreteOperators.for_params(mesh, p), p
+
+
+def _random_states(mesh, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-0.1, 1.1, mesh.num_vertices) for _ in range(4)]
+
+
+@pytest.mark.parametrize("case", ["unit_square_8", "refined", "params",
+                                  "tensor"])
+def test_newton_system_matches_coo_reference(case):
+    ops, p = _newton_case(case)
+    for seed, tau in ((0, 0.05), (1, 0.3)):
+        states = _random_states(ops.mesh, seed)
+        A, rhs = _assemble_newton_system(ops, p, *states, tau)
+        A_ref, rhs_ref = newton_system_reference(ops, p, *states, tau)
+        assert A.format == "csc"
+        assert np.array_equal(A.indptr, A_ref.indptr)
+        assert np.array_equal(A.indices, A_ref.indices)
+        assert abs(A - A_ref).max() <= 1e-13 * abs(A_ref).max()
+        assert np.abs(rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
+
+
+def test_newton_solve_uses_the_stiffness_of_its_operators(params):
+    # a per-element tensor passed through ops= must reach the Newton
+    # matrix; the scalar p.M_scalar must not
+    mesh = unit_square_mesh(8)
+    ops = DiscreteOperators(mesh, _anisotropic(mesh))
+    prev = _projected_initial_state(mesh, params)
+    tau = 0.05
+    _, _, iterates = newton_solve(prev, tau, params, NewtonConfig(), ops=ops)
+    A, rhs = newton_system_reference(ops, params, prev.u, prev.w, prev.u,
+                                     prev.w, tau)
+    x = DirectSolver().solve(A, rhs)
+    nv = mesh.num_vertices
+    scale = np.abs(x).max()
+    assert np.abs(iterates[1].u - x[:nv]).max() <= 1e-12 * scale
+    assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
+    _, _, scalar = newton_solve(prev, tau, params, NewtonConfig())
+    assert np.abs(scalar[1].u - x[:nv]).max() > 1e-6 * scale
+
+
+def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):
+    built = []
+    real = assembly._build_newton_pattern
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "_build_newton_pattern", counting)
+    mesh = unit_square_mesh(4)
+    ops = DiscreteOperators.for_params(mesh, params)
+    assert built == []                       # nothing before first use
+    states = _random_states(mesh, 2)
+    matrices = [_assemble_newton_system(ops, params, *states, tau)[0]
+                for tau in (0.1, 0.05, 0.025, 0.1)]
+    ops.weighted_mass(np.ones((mesh.num_triangles, 6)))
+    assert len(built) == 1
+    assert all(np.shares_memory(A.indices, matrices[0].indices)
+               for A in matrices)
+    DiscreteOperators.for_params(mesh, params).newton_matrix(
+        [np.ones((mesh.num_triangles, 6))] * 4, 0.1)
+    assert len(built) == 2
+
+
 def test_newton_quadratic_convergence(params):
     # increments contract quadratically once below 0.1 and above roundoff
     mesh = unit_square_mesh(16)
@@ -110,6 +200,20 @@ def test_single_step_march(params):
     traj = time_march(mesh, params, 0.2, 0.2)
     assert traj.num_steps == 1
     assert traj.U.shape == (2, mesh.num_vertices)
+
+
+@pytest.mark.parametrize("store_penultimate", [True, False])
+def test_trajectory_nbytes_counts_the_stored_arrays(params,
+                                                    store_penultimate):
+    mesh = unit_square_mesh(3)
+    traj = time_march(mesh, params, 0.1, 0.3,
+                      store_penultimate=store_penultimate)
+    stored = traj.U.nbytes + traj.W.nbytes
+    for pair in traj.penultimate or ():
+        if pair is not None:
+            stored += pair[0].nbytes + pair[1].nbytes
+    assert trajectory_nbytes(mesh.num_vertices, 3,
+                             store_penultimate) == stored
 
 
 def test_tau_must_divide_t_end(params):
