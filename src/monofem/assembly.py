@@ -9,13 +9,13 @@ Every integral of a field given at quadrature points against P1 basis
 functions goes through one kernel, `_element_integrals`: a product
 `(nt, nq) @ (nq, k)` with a precomputed table of weighted basis products
 (`w_q l_i(x_q)` for load vectors, `w_q l_i(x_q) l_j(x_q)` for weighted
-masses), scaled by the element areas.  Matrices that are assembled again
-and again on one mesh are filled into a fixed sparsity pattern that
-:class:`DiscreteOperators` builds once, on first use: each element entry
-(i, j) has a precomputed slot in the P1 pattern, so a fill is one
-`bincount`.  The 2N x 2N Newton matrix of the coupled (u, w) system reuses
-that pattern for each of its four blocks and is handed out in CSC form
-with no COO stage, sort or block stacking.
+masses), scaled by the element areas.  One-off matrices are scattered
+through COO into CSR.  The 2N x 2N Newton matrix of the coupled (u, w)
+system, assembled again at every Newton iterate, is instead filled into a
+fixed sparsity pattern that :class:`DiscreteOperators` builds once, on
+first use: each element entry (i, j) has a precomputed slot in the P1
+pattern, so each of the four blocks is one `bincount`, and the matrix is
+handed out in CSC form with no COO stage, sort or block stacking.
 """
 
 import numpy as np
@@ -357,8 +357,8 @@ class DiscreteOperators:
 
     Shared by the solver and the estimators so that mass/stiffness and the
     scatter patterns are assembled once per mesh.  The fixed pattern of
-    :meth:`weighted_mass` and :meth:`newton_matrix` is built on first use
-    and kept for the life of the operators.
+    :meth:`newton_matrix` is built on first use and kept for the life of
+    the operators.
     """
 
     @classmethod
@@ -393,14 +393,9 @@ class DiscreteOperators:
 
     def weighted_mass(self, values_at_quad, rule=None):
         """Weighted mass matrix from pointwise weights at quadrature points."""
-        rule = rule or self.rule4
         local = _element_integrals(self.mesh, values_at_quad,
-                                   rule.mass_products)
-        data = np.bincount(self._newton_pattern.slots.ravel(),
-                           weights=local.ravel(), minlength=self.mass.nnz)
-        return sp.csr_matrix((data, self.mass.indices.copy(),
-                              self.mass.indptr.copy()),
-                             shape=self.mass.shape)
+                                   (rule or self.rule4).mass_products)
+        return _scatter(self.mesh, local.reshape(-1, 3, 3))
 
     def newton_matrix(self, weights, tau):
         """The 2N x 2N matrix [[M/tau + K + M(c11), M(c12)],

@@ -172,8 +172,8 @@ def test_weighted_mass_size_mismatch(mesh8):
 @pytest.mark.parametrize("mesh", [unit_square_mesh(8), mesh_chain(4, 1)[-1]],
                          ids=["unit_square_8", "refined"])
 def test_kernels_match_coo_reference(mesh, degree):
-    # the fixed-pattern weighted mass, the COO one and the load vector
-    # against the einsum + COO assembly of tests/oracles.py
+    # the weighted mass of the operators and the load vector against the
+    # einsum + COO assembly of tests/oracles.py
     rule = quadrature_rule(degree)
     values = np.random.default_rng(3).standard_normal(
         (mesh.num_triangles, len(rule.weights)))

@@ -157,7 +157,6 @@ def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):
     states = _random_states(mesh, 2)
     matrices = [_assemble_newton_system(ops, params, *states, tau)[0]
                 for tau in (0.1, 0.05, 0.025, 0.1)]
-    ops.weighted_mass(np.ones((mesh.num_triangles, 6)))
     assert len(built) == 1
     assert all(np.shares_memory(A.indices, matrices[0].indices)
                for A in matrices)
