@@ -2,8 +2,10 @@
 
 Symmetric Gauss quadrature on the reference triangle, mass / stiffness /
 weighted-mass matrices in CSR form, load vectors, and the L2-orthogonal
-projection onto the P1 space.  All element loops are vectorized over the
-mesh; assembled matrices are immutable and safe to share.
+projection onto the P1 space.  The diffusion term has one positive scalar
+conductivity, which scales the stiffness matrix.  All element loops are
+vectorized over the mesh; assembled matrices are immutable and safe to
+share.
 
 Every integral of a field given at quadrature points against P1 basis
 functions goes through one kernel, `_element_integrals`: a product
@@ -27,11 +29,9 @@ from functools import cached_property
 __all__ = [
     "AssemblyError",
     "QuadratureRule",
-    "ConductivityTensor",
     "quadrature_rule",
     "mass_matrix",
     "stiffness_matrix",
-    "weighted_mass_matrix",
     "load_vector",
     "l2_project",
     "evaluate_p1",
@@ -117,66 +117,6 @@ def quadrature_rule(degree):
     return _RULES[degree]
 
 
-class ConductivityTensor:
-    """Symmetric positive definite 2x2 diffusion tensor, scalar or
-    elementwise.
-
-    Use :meth:`scalar` for isotropic media (a single positive value) or
-    :meth:`per_element` with an (nt, 2, 2) array.
-    """
-
-    def __init__(self, value=None, tensors=None):
-        if (value is None) == (tensors is None):
-            raise AssemblyError("give exactly one of scalar value or "
-                                "per-element tensors")
-        if value is not None:
-            value = float(value)
-            if value <= 0.0:
-                raise AssemblyError("scalar conductivity must be positive")
-            self.value = value
-            self.tensors = None
-            self.mu_min = value
-            self.mu_max = value
-        else:
-            tensors = np.asarray(tensors, dtype=float)
-            if tensors.ndim != 3 or tensors.shape[1:] != (2, 2):
-                raise AssemblyError("tensors must have shape (nt, 2, 2)")
-            if not np.allclose(tensors[:, 0, 1], tensors[:, 1, 0],
-                               rtol=0.0, atol=1e-12):
-                raise AssemblyError("conductivity tensors must be symmetric")
-            mean = 0.5 * (tensors[:, 0, 0] + tensors[:, 1, 1])
-            rad = np.sqrt((0.5 * (tensors[:, 0, 0] - tensors[:, 1, 1])) ** 2
-                          + tensors[:, 0, 1] ** 2)
-            lo, hi = mean - rad, mean + rad
-            if lo.min(initial=np.inf) <= 0.0:
-                raise AssemblyError("conductivity tensors must be positive "
-                                    "definite")
-            self.value = None
-            self.tensors = tensors
-            self.mu_min = float(lo.min())
-            self.mu_max = float(hi.max())
-
-    @classmethod
-    def scalar(cls, value):
-        return cls(value=value)
-
-    @classmethod
-    def per_element(cls, tensors):
-        return cls(tensors=tensors)
-
-    @property
-    def is_scalar(self):
-        return self.value is not None
-
-    def as_per_element(self, num_triangles):
-        if self.is_scalar:
-            return self.value * np.broadcast_to(np.eye(2),
-                                                (num_triangles, 2, 2))
-        if len(self.tensors) != num_triangles:
-            raise AssemblyError("tensor count does not match the mesh")
-        return self.tensors
-
-
 def _scatter(mesh, local):
     """Assemble (nt, 3, 3) local blocks into a CSR matrix."""
     nv = mesh.num_vertices
@@ -193,21 +133,18 @@ def mass_matrix(mesh):
     return _scatter(mesh, mesh.areas[:, None, None] * local)
 
 
-def stiffness_matrix(mesh, conductivity=None):
-    """Assemble the conductivity-weighted stiffness matrix.
+def stiffness_matrix(mesh, conductivity=1.0):
+    """Assemble the stiffness matrix of the positive scalar conductivity.
 
-    Entry (i,j) = integral of (M grad l_j) . grad l_i; symmetric positive
-    semidefinite with the constants in its kernel (pure Neumann problem).
+    Entry (i,j) = conductivity * integral of grad l_j . grad l_i; symmetric
+    positive semidefinite with the constants in its kernel (pure Neumann
+    problem).  A conductivity that is not positive raises AssemblyError.
     """
-    if conductivity is None:
-        conductivity = ConductivityTensor.scalar(1.0)
+    if not conductivity > 0.0:
+        raise AssemblyError(f"conductivity must be positive, got "
+                            f"{conductivity}")
     G = mesh.basis_gradients                       # (nt, 3, 2)
-    if conductivity.is_scalar:
-        local = conductivity.value * np.einsum("eid,ejd->eij", G, G)
-    else:
-        MG = np.einsum("edc,ejc->ejd",
-                       conductivity.as_per_element(mesh.num_triangles), G)
-        local = np.einsum("eid,ejd->eij", G, MG)
+    local = conductivity * np.einsum("eid,ejd->eij", G, G)
     return _scatter(mesh, mesh.areas[:, None, None] * local)
 
 
@@ -234,20 +171,6 @@ def _element_integrals(mesh, values, products):
     return local
 
 
-def weighted_mass_matrix(mesh, coefficients, rule=None):
-    """Mass matrix weighted by the P1 interpolant of nodal `coefficients`.
-
-    Entry (i,j) = integral of c_h l_i l_j with c_h the P1 function taking
-    the given nodal values; integrated exactly (P1^3 needs degree 3, the
-    default rule is degree 4).
-    """
-    if rule is None:
-        rule = quadrature_rule(4)
-    c_q = field_at_quadrature(mesh, coefficients, rule)
-    local = _element_integrals(mesh, c_q, rule.mass_products)
-    return _scatter(mesh, local.reshape(-1, 3, 3))
-
-
 def load_vector(mesh, values, rule):
     """Load vector b_i = integral of f l_i from values of f at the rule's
     points (shape (nt, nq))."""
@@ -256,22 +179,29 @@ def load_vector(mesh, values, rule):
                        minlength=mesh.num_vertices)
 
 
-def l2_project(mesh, f, degree=6, mass=None):
-    """L2-orthogonal projection of a pointwise function onto the P1 space.
+def l2_project(mesh, functions, mass=None):
+    """L2-orthogonal projections of pointwise functions onto the P1 space.
 
-    `f(x, y)` must accept coordinate arrays.  Solves the mass system with
-    a load vector integrated at the given quadrature degree.
+    Each `f(x, y)` in `functions` must accept coordinate arrays.  The load
+    vectors are integrated with the degree-6 rule and solved with one
+    factorization of the mass matrix; returns an array of shape
+    (len(functions), nv), one nodal vector per function.
     """
-    rule = quadrature_rule(degree)
+    rule = quadrature_rule(6)
     xy = quadrature_coords(mesh, rule)
-    values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
-    values = np.broadcast_to(values, xy.shape[:2])
-    b = load_vector(mesh, values, rule)
+    b = np.empty((mesh.num_vertices, len(functions)))
+    for k, f in enumerate(functions):
+        values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
+        b[:, k] = load_vector(mesh, np.broadcast_to(values, xy.shape[:2]),
+                              rule)
     M = mass_matrix(mesh) if mass is None else mass
-    x = spla.spsolve(M.tocsc(), b)
+    try:
+        x = spla.splu(M.tocsc()).solve(b)
+    except RuntimeError as exc:
+        raise AssemblyError(f"mass solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
-        raise AssemblyError("mass solve failed (singular mass matrix)")
-    return x
+        raise AssemblyError("mass solve failed (non-finite projection)")
+    return x.T
 
 
 def evaluate_p1(mesh, vec, x, y):
@@ -353,31 +283,29 @@ def _build_newton_pattern(mesh, pattern):
 
 
 class DiscreteOperators:
-    """Cached matrices and quadrature data for one mesh and conductivity.
+    """Cached matrices and quadrature data for one mesh and one positive
+    scalar conductivity.
 
     Shared by the solver and the estimators so that mass/stiffness and the
-    scatter patterns are assembled once per mesh.  The fixed pattern of
-    :meth:`newton_matrix` is built on first use and kept for the life of
-    the operators.
+    scatter patterns are assembled once per mesh.  :attr:`stiffness` is
+    scaled by the conductivity, :attr:`stiffness_identity` (the H1 norm's
+    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` is
+    built on first use and kept for the life of the operators.
     """
 
     @classmethod
     def for_params(cls, mesh, p):
         """Operators of the model with parameters `p`: the conductivity is
-        the scalar p.M_scalar."""
-        return cls(mesh, ConductivityTensor.scalar(p.M_scalar))
+        p.M_scalar."""
+        return cls(mesh, p.M_scalar)
 
-    def __init__(self, mesh, conductivity=None):
-        if conductivity is None:
-            conductivity = ConductivityTensor.scalar(1.0)
+    def __init__(self, mesh, conductivity=1.0):
         self.mesh = mesh
         self.conductivity = conductivity
         self.mass = mass_matrix(mesh)
         self.stiffness = stiffness_matrix(mesh, conductivity)
-        if conductivity.is_scalar and conductivity.value == 1.0:
-            self.stiffness_identity = self.stiffness
-        else:
-            self.stiffness_identity = stiffness_matrix(mesh)
+        self.stiffness_identity = (self.stiffness if conductivity == 1.0
+                                   else stiffness_matrix(mesh))
         self.h1_gram = (self.mass + self.stiffness_identity).tocsr()
         self.rule4 = quadrature_rule(4)
         self.rule6 = quadrature_rule(6)

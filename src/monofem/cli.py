@@ -423,6 +423,9 @@ def _cmd_upperbound(cfg):
 
 
 def _cmd_convergence(cfg):
+    if len(cfg.ladder) < 2:
+        raise ConfigError("study.ladder needs at least two rungs to fit "
+                          "convergence orders")
     levels = _reference_levels(cfg, cfg.ladder[-1][0])
     _check_marches(cfg, [("study.ladder", n, tau, True)
                          for n, tau in cfg.ladder]

@@ -92,12 +92,7 @@ def _edge_jump_terms(ops, u):
     """
     mesh = ops.mesh
     grads = np.einsum("ei,eid->ed", u[mesh.triangles], mesh.basis_gradients)
-    cond = ops.conductivity
-    if cond.is_scalar:
-        flux = cond.value * grads
-    else:
-        flux = np.einsum("edc,ec->ed", cond.as_per_element(mesh.num_triangles),
-                         grads)
+    flux = ops.conductivity * grads
     t1 = mesh.edge_triangles[:, 0]
     t2 = mesh.edge_triangles[:, 1]
     jump = np.einsum("ed,ed->e", mesh.edge_normals, flux[t1])
@@ -131,10 +126,10 @@ def space_indicator(prev, last_two_iterates, tau, p, ops=None):
     """Space indicator of one step from the last two Newton iterates.
 
     Returns (eta, element_terms, edge_terms, ode_term); the squared terms
-    satisfy eta**2 = sum(element) + sum(edge) + ode exactly.  The interior
-    divergence term of the element residual is identically zero for P1
-    with element-constant conductivity and is kept as an explicit slot so
-    variable coefficients change one line.  `ops` defaults to the
+    satisfy eta**2 = sum(element) + sum(edge) + ode exactly.  The element
+    residual has no diffusion part: div(M grad u_h) vanishes on each
+    element for P1 and the scalar conductivity M; the conductivity enters
+    through the conormal jumps of the edge terms.  `ops` defaults to the
     operators of `p` on the states' mesh.
     """
     it_prev, it_cur = last_two_iterates
@@ -148,9 +143,8 @@ def space_indicator(prev, last_two_iterates, tau, p, ops=None):
     wp_q = ops.field_at(prev.w, rule)
     u2_q, w2_q, lin_f, lin_g = _linearized_reaction(ops, last_two_iterates,
                                                     p, rule)
-    div_flux = 0.0   # div(M grad u_h) vanishes elementwise for P1
 
-    res_pde = -(u2_q - up_q) / tau + div_flux - lin_f
+    res_pde = -(u2_q - up_q) / tau - lin_f
     res_ode = -(w2_q - wp_q) / tau - lin_g
 
     element_terms = (mesh.diameters ** 2
@@ -266,15 +260,14 @@ def initial_projection_terms(mesh, initial=None, ops=None):
     `initial`; the integrals use the degree-6 rule.  Only the mass matrix
     of `ops` is used, so any operators on `mesh` give the same result.
     """
-    fu0, fw0 = ionic.initial_pair(initial)
+    pair = ionic.initial_pair(initial)
     ops = ops if ops is not None else DiscreteOperators(mesh)
     rule = ops.rule6
     xy = quadrature_coords(mesh, rule)
     out = []
-    for f in (fu0, fw0):
+    for f, proj in zip(pair, l2_project(mesh, pair, mass=ops.mass)):
         exact = np.broadcast_to(np.asarray(f(xy[:, :, 0], xy[:, :, 1]),
                                            dtype=float), xy.shape[:2])
-        proj = l2_project(mesh, f, mass=ops.mass)
         proj_q = ops.field_at(proj, rule)
         out.append(float(_elementwise_l2sq(ops, (exact - proj_q) ** 2,
                                            rule).sum()))

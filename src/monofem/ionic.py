@@ -19,7 +19,6 @@ __all__ = [
     "react",
     "initial_data",
     "initial_pair",
-    "lipschitz_constants",
 ]
 
 
@@ -115,14 +114,3 @@ def initial_pair(initial=None):
     return (lambda x, y: initial_data(x, y)[0],
             lambda x, y: initial_data(x, y)[1])
 
-
-def lipschitz_constants(p, delta=0.1, resolution=400):
-    """Max gradient norms of f and g over the a priori box
-    [-delta, 1+delta] x [-delta, A(1+a)^2/4 + delta], sampled on a grid."""
-    us = np.linspace(-delta, 1.0 + delta, resolution)
-    ws = np.linspace(-delta, p.recovery_cap + delta, resolution)
-    U, W = np.meshgrid(us, ws, indexing="ij")
-    r = react(U, W, p)
-    K_f = float(np.sqrt(r.f_u ** 2 + r.f_w ** 2).max())
-    K_g = float(np.sqrt(r.g_u ** 2 + r.g_w ** 2).max())
-    return K_f, K_g

@@ -7,16 +7,13 @@ meshes, and a legacy ASCII VTK dump for visualization.
 
 import numpy as np
 import scipy.sparse as sp
-from dataclasses import dataclass
 
 __all__ = [
     "MeshError",
     "TriMesh",
-    "ElementGeometry",
     "unit_square_mesh",
     "refine_uniform",
     "mesh_chain",
-    "element_geometry",
     "prolongation",
     "write_vtk",
 ]
@@ -24,23 +21,6 @@ __all__ = [
 
 class MeshError(ValueError):
     """Invalid mesh input: degenerate cells, broken conformity, bad nesting."""
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometric data of a single triangle.
-
-    ``basis_gradients[i]`` is the (constant) gradient of the barycentric
-    basis function attached to local vertex i.  Local edge j runs from
-    vertex j to vertex (j+1) mod 3; ``outward_normals[j]`` is its outward
-    unit normal.
-    """
-
-    area: float
-    diameter: float
-    basis_gradients: np.ndarray
-    edge_lengths: np.ndarray
-    outward_normals: np.ndarray
 
 
 def _unique_edges(pairs):
@@ -245,19 +225,6 @@ def mesh_chain(base_n, levels):
     for _ in range(levels):
         chain.append(refine_uniform(chain[-1]))
     return chain
-
-
-def element_geometry(mesh, k):
-    """Geometric data of triangle k (areas via cross product, exact)."""
-    if not 0 <= k < mesh.num_triangles:
-        raise MeshError(f"triangle index {k} out of range")
-    return ElementGeometry(
-        area=float(mesh.areas[k]),
-        diameter=float(mesh.diameters[k]),
-        basis_gradients=mesh.basis_gradients[k].copy(),
-        edge_lengths=mesh.tri_edge_lengths[k].copy(),
-        outward_normals=mesh.tri_edge_normals[k].copy(),
-    )
 
 
 def _one_level_prolongation(fine):

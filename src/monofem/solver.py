@@ -377,10 +377,8 @@ class TrajectorySolution:
 def initial_state(ops, initial=None):
     """State at t=0 on ops.mesh: the L2 projections onto V_h of the pair
     of callables :func:`ionic.initial_pair` makes of `initial`."""
-    fu0, fw0 = ionic.initial_pair(initial)
-    mesh = ops.mesh
-    return StateField(mesh, l2_project(mesh, fu0, mass=ops.mass),
-                      l2_project(mesh, fw0, mass=ops.mass), 0.0)
+    u0, w0 = l2_project(ops.mesh, ionic.initial_pair(initial), mass=ops.mass)
+    return StateField(ops.mesh, u0, w0, 0.0)
 
 
 def step_count(tau, t_end):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .assembly import DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
 from .mesh import mesh_chain, prolongation, refine_uniform
-from .solver import (FrozenLUSolver, NewtonConfig, _march_steps,
-                     initial_state, time_march)
+from .solver import (_PERMC_SPEC, FrozenLUSolver, NewtonConfig,
+                     _march_steps, initial_state, time_march)
 
 __all__ = [
     "ErrorNorms",
@@ -163,7 +163,7 @@ def error_curve(coarse, ref, eval_times):
     ref_at = _interpolator(ref)
     ops = DiscreteOperators(ref.mesh)
     mass, stiff = ops.mass, ops.stiffness_identity
-    gram_lu = spla.splu(ops.h1_gram.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    gram_lu = spla.splu(ops.h1_gram.tocsc(), permc_spec=_PERMC_SPEC)
 
     grid = _union_grid(coarse.times, ref.times, t_max)
     missing = eval_times[~np.isclose(eval_times[:, None], grid[None, :],

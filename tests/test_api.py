@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -8,6 +9,17 @@ import pytest
 import monofem
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(monofem.__path__))
+
+SRC = pathlib.Path(monofem.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+#: public names that no package code or benchmark uses, with the reason
+#: each is kept
+UNUSED_ALLOWED = {
+    ("estimators", "space_residual_functional"):
+        "states the Galerkin orthogonality of the Newton system, a "
+        "scientific invariant checked by the tests",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,3 +37,58 @@ def test_package_imports_exist():
     assert imported
     missing = [n for n in imported if not hasattr(monofem, n)]
     assert missing == []
+
+
+@functools.cache
+def _tree(path):
+    return ast.parse(path.read_text())
+
+
+def _package_uses(module, name):
+    """Whether package code other than `module`'s definition of `name`
+    refers to it: a bare `name` or `module.name`.  Imports, `__all__`
+    strings and the package `__init__` do not count."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        nodes = _tree(path).body
+        if path.stem == module:
+            nodes = [n for n in nodes if getattr(n, "name", None) != name]
+        for node in (sub for top in nodes for sub in ast.walk(top)):
+            if isinstance(node, ast.Name) and node.id == name:
+                return True
+            if (isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == module):
+                return True
+    return False
+
+
+def _benchmark_uses(name):
+    """Whether the benchmark names `name`: a reference to it, or a string
+    such as a tracer target "name" or "name.method"."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and node.id == name:
+                return True
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                return True
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.split(".")[0] == name):
+                return True
+    return False
+
+
+def test_allowlist_names_only_unused_exports():
+    for module, name in UNUSED_ALLOWED:
+        assert name in importlib.import_module(f"monofem.{module}").__all__
+        assert not _package_uses(module, name), (module, name)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used_outside_the_tests(module):
+    exported = importlib.import_module(f"monofem.{module}").__all__
+    unused = [n for n in exported
+              if (module, n) not in UNUSED_ALLOWED
+              and not _package_uses(module, n) and not _benchmark_uses(n)]
+    assert unused == []

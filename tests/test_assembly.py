@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from monofem.assembly import (AssemblyError, ConductivityTensor,
-                              DiscreteOperators, evaluate_p1,
+from monofem.assembly import (AssemblyError, DiscreteOperators, evaluate_p1,
                               field_at_quadrature, l2_project, load_vector,
-                              mass_matrix, quadrature_rule,
-                              stiffness_matrix, weighted_mass_matrix)
+                              mass_matrix, quadrature_rule, stiffness_matrix)
 from monofem.mesh import mesh_chain, refine_uniform, unit_square_mesh
 
 from oracles import (barycentric_at, load_reference, p1_gradients,
@@ -92,18 +90,9 @@ def test_stiffness_kernel_contains_constants(mesh8):
 
 
 def test_stiffness_scaling_in_conductivity(mesh8):
-    K1 = stiffness_matrix(mesh8, ConductivityTensor.scalar(1.0))
-    K2 = stiffness_matrix(mesh8, ConductivityTensor.scalar(2.0))
+    K1 = stiffness_matrix(mesh8, 1.0)
+    K2 = stiffness_matrix(mesh8, 2.0)
     assert np.max(np.abs((2.0 * K1 - K2).toarray())) < 1e-13
-
-
-def test_stiffness_scalar_equals_identity_tensor(mesh8):
-    m = 1.7
-    tensors = np.broadcast_to(m * np.eye(2),
-                              (mesh8.num_triangles, 2, 2)).copy()
-    Ks = stiffness_matrix(mesh8, ConductivityTensor.scalar(m))
-    Kt = stiffness_matrix(mesh8, ConductivityTensor.per_element(tensors))
-    assert np.max(np.abs((Ks - Kt).toarray())) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -114,29 +103,18 @@ def test_stiffness_has_exactly_one_zero_eigenvalue(n):
     assert eig[1] > 1e-10
 
 
-def test_non_spd_tensor_rejected():
-    bad = np.array([[[1.0, 2.0], [2.0, 1.0]]])    # eigenvalues 3, -1
+def test_non_spd_tensor_rejected(mesh8):
+    # the tensor M I is positive definite exactly when M > 0
     with pytest.raises(AssemblyError):
-        ConductivityTensor.per_element(bad)
-    asym = np.array([[[1.0, 0.5], [0.0, 1.0]]])
-    with pytest.raises(AssemblyError):
-        ConductivityTensor.per_element(asym)
-    with pytest.raises(AssemblyError):
-        ConductivityTensor.scalar(0.0)
-
-
-def test_conductivity_eigenvalue_range():
-    t = np.array([[[2.0, 0.0], [0.0, 0.5]]])
-    c = ConductivityTensor.per_element(t)
-    assert c.mu_min == pytest.approx(0.5)
-    assert c.mu_max == pytest.approx(2.0)
+        DiscreteOperators(mesh8, 0.0)
 
 
 def test_assembled_matrices_are_symmetric(mesh8):
     rng = np.random.default_rng(0)
     c = rng.standard_normal(mesh8.num_vertices)
+    ops = DiscreteOperators(mesh8)
     for A in (mass_matrix(mesh8), stiffness_matrix(mesh8),
-              weighted_mass_matrix(mesh8, c)):
+              ops.weighted_mass(ops.field_at(c, ops.rule4))):
         x = rng.standard_normal(A.shape[0])
         y = rng.standard_normal(A.shape[0])
         assert abs(x @ (A @ y) - y @ (A.T @ x)) < 1e-12
@@ -145,12 +123,16 @@ def test_assembled_matrices_are_symmetric(mesh8):
 
 def test_weighted_mass_special_coefficients(mesh8):
     nv = mesh8.num_vertices
+    ops = DiscreteOperators(mesh8)
     M = mass_matrix(mesh8)
-    assert np.max(np.abs((weighted_mass_matrix(mesh8, np.ones(nv))
-                          - M).toarray())) < 1e-14
-    assert weighted_mass_matrix(mesh8, np.zeros(nv)).nnz == 0 or \
-        np.max(np.abs(weighted_mass_matrix(mesh8, np.zeros(nv)).data)) < 1e-15
-    assert np.max(np.abs((weighted_mass_matrix(mesh8, 2.5 * np.ones(nv))
+
+    def wm(c):
+        return ops.weighted_mass(ops.field_at(c, ops.rule4))
+
+    assert np.max(np.abs((wm(np.ones(nv)) - M).toarray())) < 1e-14
+    assert wm(np.zeros(nv)).nnz == 0 or \
+        np.max(np.abs(wm(np.zeros(nv)).data)) < 1e-15
+    assert np.max(np.abs((wm(2.5 * np.ones(nv))
                           - 2.5 * M).toarray())) < 1e-13
 
 
@@ -158,14 +140,21 @@ def test_weighted_mass_linearity(mesh8):
     rng = np.random.default_rng(5)
     c1 = rng.standard_normal(mesh8.num_vertices)
     c2 = rng.standard_normal(mesh8.num_vertices)
-    W = weighted_mass_matrix(mesh8, c1 + c2)
-    W12 = weighted_mass_matrix(mesh8, c1) + weighted_mass_matrix(mesh8, c2)
+    ops = DiscreteOperators(mesh8)
+
+    def wm(c):
+        return ops.weighted_mass(ops.field_at(c, ops.rule4))
+
+    W = wm(c1 + c2)
+    W12 = wm(c1) + wm(c2)
     assert np.max(np.abs((W - W12).toarray())) < 1e-13
 
 
 def test_weighted_mass_size_mismatch(mesh8):
+    ops = DiscreteOperators(mesh8)
     with pytest.raises(AssemblyError):
-        weighted_mass_matrix(mesh8, np.ones(mesh8.num_vertices + 1))
+        ops.weighted_mass(ops.field_at(np.ones(mesh8.num_vertices + 1),
+                                       ops.rule4))
 
 
 @pytest.mark.parametrize("degree", [4, 6])
@@ -194,7 +183,8 @@ def test_weighted_mass_matrix_matches_coo_reference(mesh8):
     c = np.random.default_rng(4).standard_normal(mesh8.num_vertices)
     ref = weighted_mass_reference(mesh8, field_at_quadrature(mesh8, c, rule),
                                   rule)
-    W = weighted_mass_matrix(mesh8, c)
+    ops = DiscreteOperators(mesh8)
+    W = ops.weighted_mass(ops.field_at(c, ops.rule4))
     assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -205,7 +195,8 @@ def test_element_matrices_against_bruteforce_quadrature():
     c = rng.standard_normal(mesh.num_vertices)
     M = mass_matrix(mesh)
     K = stiffness_matrix(mesh)
-    W = weighted_mass_matrix(mesh, c)
+    ops = DiscreteOperators(mesh)
+    W = ops.weighted_mass(ops.field_at(c, ops.rule4))
 
     Mo = sp.lil_matrix(M.shape)
     Ko = sp.lil_matrix(M.shape)
@@ -229,11 +220,11 @@ def test_element_matrices_against_bruteforce_quadrature():
 
 
 def test_l2_project_constants_and_p1(mesh8):
-    proj = l2_project(mesh8, lambda x, y: 7.0 + 0.0 * x)
-    assert np.max(np.abs(proj - 7.0)) < 1e-12
+    const, p1 = l2_project(mesh8, [lambda x, y: 7.0 + 0.0 * x,
+                                   lambda x, y: 2.0 * x - 3.0 * y + 0.25])
+    assert np.max(np.abs(const - 7.0)) < 1e-12
     nodal = 2.0 * mesh8.vertices[:, 0] - 3.0 * mesh8.vertices[:, 1] + 0.25
-    proj = l2_project(mesh8, lambda x, y: 2.0 * x - 3.0 * y + 0.25)
-    assert np.max(np.abs(proj - nodal)) < 1e-12
+    assert np.max(np.abs(p1 - nodal)) < 1e-12
 
 
 def test_l2_project_gaussian_second_order():
@@ -244,7 +235,7 @@ def test_l2_project_gaussian_second_order():
     f = lambda x, y: initial_data(x, y)[0]
     errs = []
     for mesh in mesh_chain(4, 2):
-        proj = l2_project(mesh, f)
+        proj, = l2_project(mesh, [f])
         peak = np.flatnonzero((np.abs(mesh.vertices[:, 0] - 1.0) < 1e-12)
                               & (np.abs(mesh.vertices[:, 1]) < 1e-12))[0]
         assert f(1.0, 0.0) == pytest.approx(1.0)

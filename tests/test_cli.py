@@ -247,6 +247,20 @@ def test_tau_not_dividing_t_end_is_a_config_error(out_env, no_marching,
     assert not out_env.exists()
 
 
+def test_convergence_needs_two_rungs(out_env, no_marching, capsys):
+    # one rung fits no order; the ladder is refused before anything runs
+    assert main(["convergence", "--set", "study.ladder=4:0.1",
+                 "--set", "study.reference_n=16",
+                 "--set", "study.reference_tau=0.025",
+                 "--set", "run.t_end=0.1"]) == EXIT_CONFIG
+    assert "at least two rungs" in capsys.readouterr().err
+    assert not out_env.exists()
+
+
+def test_single_rung_ladder_is_accepted_by_solve(out_env):
+    assert main(["solve"] + _mini("--set", "study.ladder=4:0.1")) == EXIT_OK
+
+
 def test_solve_checks_only_its_own_tau(out_env):
     # the default reference_tau = 1/256 does not divide 0.3; solve does
     # not march a reference, so it runs

@@ -59,6 +59,20 @@ def test_affine_state_has_zero_interior_jumps(params):
     assert edge_terms[mesh.boundary_edge].sum() > 0
 
 
+def test_edge_terms_scale_with_the_square_of_the_conductivity(params):
+    # the conormal flux is M grad u_h; the element and ODE terms hold no M
+    mesh = unit_square_mesh(4)
+    rng = np.random.default_rng(6)
+    prev, acc = _random_states(mesh, rng, 0.0), _random_states(mesh, rng)
+    terms = [space_indicator(prev, (acc, acc), 0.1, params,
+                             ops=DiscreteOperators(mesh, m))
+             for m in (1.0, 2.5)]
+    assert np.allclose(terms[1][2], 2.5 ** 2 * terms[0][2], rtol=1e-13,
+                       atol=0.0)
+    assert np.array_equal(terms[1][1], terms[0][1])
+    assert terms[1][3] == terms[0][3]
+
+
 def test_space_indicator_against_bruteforce_quadrature(params):
     # independent high-order quadrature of the same integrals on the n=1
     # mesh with a manufactured configuration
@@ -193,7 +207,7 @@ def test_gamma_decays_quadratically_along_newton(params):
     from monofem.assembly import l2_project
     from monofem.ionic import initial_data
 
-    u0 = l2_project(mesh, lambda x, y: initial_data(x, y)[0])
+    u0, = l2_project(mesh, [lambda x, y: initial_data(x, y)[0]])
     prev = StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
     _, _, states = newton_solve(prev, 0.05, params, NewtonConfig(tol=1e-14))
     gammas = [linearization_indicator((a, b), params)

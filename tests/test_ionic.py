@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from monofem.ionic import (AlievPanfilovParams, initial_data,
-                           lipschitz_constants, react)
+from monofem.ionic import AlievPanfilovParams, initial_data, react
 
 
 def test_paper_parameter_defaults(params):
@@ -87,14 +86,6 @@ def test_react_is_vectorized(params):
     assert r.g_w.shape == (7, 5)
     scalar = react(float(u[3, 0]), float(w[0, 2]), params)
     assert r.f[3, 2] == pytest.approx(float(scalar.f))
-
-
-def test_lipschitz_bounds_are_finite_and_reported(params):
-    K_f, K_g = lipschitz_constants(params, delta=0.1)
-    assert np.isfinite(K_f) and K_f > 0
-    assert np.isfinite(K_g) and K_g > 0
-    print(f"Lipschitz bounds on the a priori box: K_f={K_f:.4f}, "
-          f"K_g={K_g:.4f}")
 
 
 def test_initial_data_values():

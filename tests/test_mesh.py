@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from monofem.assembly import evaluate_p1, mass_matrix
-from monofem.mesh import (MeshError, TriMesh, element_geometry, mesh_chain,
-                          prolongation, refine_uniform, unit_square_mesh,
-                          write_vtk)
+from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
+                          refine_uniform, unit_square_mesh, write_vtk)
 
 
 def test_smallest_mesh_counts():
@@ -96,10 +95,10 @@ def test_coarse_vertices_are_a_prefix():
 
 
 def test_element_geometry_reference_triangle(reference_triangle):
-    g = element_geometry(reference_triangle, 0)
-    assert g.area == pytest.approx(0.5)
-    assert g.diameter == pytest.approx(np.sqrt(2.0))
-    assert np.allclose(g.basis_gradients,
+    m = reference_triangle
+    assert m.areas[0] == pytest.approx(0.5)
+    assert m.diameters[0] == pytest.approx(np.sqrt(2.0))
+    assert np.allclose(m.basis_gradients[0],
                        [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
@@ -112,24 +111,23 @@ def test_basis_gradients_sum_to_zero():
 def test_equilateral_triangle_area():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2]])
     m = TriMesh(verts, np.array([[0, 1, 2]]))
-    g = element_geometry(m, 0)
-    assert g.area == pytest.approx(np.sqrt(3.0) / 4)
-    assert np.allclose(g.edge_lengths, 1.0)
+    assert m.areas[0] == pytest.approx(np.sqrt(3.0) / 4)
+    assert np.allclose(m.tri_edge_lengths[0], 1.0)
 
 
 def test_outward_normals_are_orthogonal_unit():
     m = unit_square_mesh(2)
     p = m.vertices[m.triangles]
     for k in range(m.num_triangles):
-        g = element_geometry(m, k)
+        normals = m.tri_edge_normals[k]
         for j in range(3):
             tangent = p[k, (j + 1) % 3] - p[k, j]
-            assert abs(g.outward_normals[j] @ tangent) < 1e-13
-            assert np.linalg.norm(g.outward_normals[j]) == pytest.approx(1.0)
+            assert abs(normals[j] @ tangent) < 1e-13
+            assert np.linalg.norm(normals[j]) == pytest.approx(1.0)
             # outward: positive against the centroid-to-edge direction
             mid = 0.5 * (p[k, (j + 1) % 3] + p[k, j])
             centroid = p[k].mean(axis=0)
-            assert g.outward_normals[j] @ (mid - centroid) > 0
+            assert normals[j] @ (mid - centroid) > 0
 
 
 def test_degenerate_and_flipped_triangles_rejected():
@@ -142,10 +140,13 @@ def test_degenerate_and_flipped_triangles_rejected():
 
 
 def test_element_geometry_index_errors(reference_triangle):
-    with pytest.raises(MeshError):
-        element_geometry(reference_triangle, 1)
-    with pytest.raises(MeshError):
-        element_geometry(reference_triangle, -1)
+    # every per-element array has one row per triangle and no more
+    m = reference_triangle
+    for a, shape in ((m.areas, ()), (m.diameters, ()),
+                     (m.basis_gradients, (3, 2)),
+                     (m.tri_edge_lengths, (3,)),
+                     (m.tri_edge_normals, (3, 2))):
+        assert a.shape == (m.num_triangles,) + shape
 
 
 def test_prolongation_reproduces_constants_and_midpoints():

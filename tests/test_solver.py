@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from monofem import assembly
-from monofem.assembly import ConductivityTensor, DiscreteOperators
+from monofem.assembly import DiscreteOperators
 from monofem.ionic import AlievPanfilovParams, react
 from monofem.mesh import mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
@@ -45,7 +45,7 @@ def _projected_initial_state(mesh, params):
     from monofem.assembly import l2_project
     from monofem.ionic import initial_data
 
-    u0 = l2_project(mesh, lambda x, y: initial_data(x, y)[0])
+    u0, = l2_project(mesh, [lambda x, y: initial_data(x, y)[0]])
     return StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
 
 
@@ -80,26 +80,11 @@ def test_newton_solve_rejects_nonpositive_tau(params):
             newton_solve(prev, tau, params, NewtonConfig())
 
 
-def _anisotropic(mesh):
-    """Per-element SPD conductivity tensors with eigenvalues in [0.5, 2]
-    and random principal directions."""
-    rng = np.random.default_rng(11)
-    angle = rng.uniform(0.0, np.pi, mesh.num_triangles)
-    rot = np.stack([np.stack([np.cos(angle), -np.sin(angle)], -1),
-                    np.stack([np.sin(angle), np.cos(angle)], -1)], -2)
-    lam = rng.uniform(0.5, 2.0, (mesh.num_triangles, 2))
-    tensors = np.einsum("eij,ej,ekj->eik", rot, lam, rot)
-    return ConductivityTensor.per_element(0.5 * (tensors
-                                                 + tensors.swapaxes(1, 2)))
-
-
 def _newton_case(case):
     """(operators, parameters) of one oracle case."""
     mesh = mesh_chain(4, 1)[-1] if case == "refined" else unit_square_mesh(8)
     p = (AlievPanfilovParams(A=5.0, a=0.3, eps=0.05, M_scalar=2.5)
          if case == "params" else AlievPanfilovParams())
-    if case == "tensor":
-        return DiscreteOperators(mesh, _anisotropic(mesh)), p
     return DiscreteOperators.for_params(mesh, p), p
 
 
@@ -108,8 +93,7 @@ def _random_states(mesh, seed):
     return [rng.uniform(-0.1, 1.1, mesh.num_vertices) for _ in range(4)]
 
 
-@pytest.mark.parametrize("case", ["unit_square_8", "refined", "params",
-                                  "tensor"])
+@pytest.mark.parametrize("case", ["unit_square_8", "refined", "params"])
 def test_newton_system_matches_coo_reference(case):
     ops, p = _newton_case(case)
     for seed, tau in ((0, 0.05), (1, 0.3)):
@@ -124,10 +108,10 @@ def test_newton_system_matches_coo_reference(case):
 
 
 def test_newton_solve_uses_the_stiffness_of_its_operators(params):
-    # a per-element tensor passed through ops= must reach the Newton
-    # matrix; the scalar p.M_scalar must not
+    # the conductivity of the operators passed through ops= must reach the
+    # Newton matrix; the parameters' p.M_scalar (1 here) must not
     mesh = unit_square_mesh(8)
-    ops = DiscreteOperators(mesh, _anisotropic(mesh))
+    ops = DiscreteOperators(mesh, 2.5)
     prev = _projected_initial_state(mesh, params)
     tau = 0.05
     _, _, iterates = newton_solve(prev, tau, params, NewtonConfig(), ops=ops)
