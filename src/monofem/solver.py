@@ -12,6 +12,12 @@ operator set: each of the four reaction blocks is one call of the
 basis-product kernel and one bincount, and the constant M/tau + K and
 M/tau parts are added in the same slot order.  The right-hand side uses
 the same kernel through `DiscreteOperators.load`.
+
+The Newton matrix is born with its unknowns in the mesh's `vertex_order`
+(u, then w), the order in which its LU fills least.  Both backends
+factor the matrix they are given as it is; `_assemble_newton_system`
+gathers the right-hand side into that order and `newton_solve` scatters
+the solution back to the mesh numbering.
 """
 
 import numpy as np
@@ -19,7 +25,7 @@ import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
 from . import estimators, ionic
-from .assembly import DiscreteOperators, l2_project
+from .assembly import _PERMC_SPEC, DiscreteOperators, l2_project
 from .mesh import mesh_chain
 
 __all__ = [
@@ -44,9 +50,6 @@ LINEAR_RESIDUAL_RTOL = 1e-10
 #: increments below ~100 eps * solution scale carry no information; the
 #: Newton loop accepts there even if the configured tolerance is smaller
 _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
-
-#: column ordering of every sparse LU factorization
-_PERMC_SPEC = "MMD_AT_PLUS_A"
 
 #: GMRES restart length of the frozen-LU backend
 _MAX_KRYLOV = 40
@@ -200,7 +203,8 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
     A = ops.newton_matrix((r.f_u, r.f_w, r.g_u, r.g_w), tau)
     rhs1 += ops.load(r.f_u * u_q + r.f_w * w_q - r.f, rule)
     rhs2 += ops.load(r.g_u * u_q + r.g_w * w_q - r.g, rule)
-    return A, np.concatenate([rhs1, rhs2])
+    order = ops.mesh.vertex_order
+    return A, np.concatenate([rhs1[order], rhs2[order]])
 
 
 def _roundoff_floor(ops, u, w):
@@ -235,9 +239,10 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
                                          cur.u, cur.w, tau)
-        x = linear.solve(A, rhs)
+        x = np.empty((2, nv))
+        x[:, ops.mesh.vertex_order] = linear.solve(A, rhs).reshape(2, nv)
         last = cur
-        cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
+        cur = StateField(prev.mesh, x[0], x[1], prev.time + tau)
         inc = ops.h1_norm(cur.u - last.u) + ops.l2_norm(cur.w - last.w)
         rec.increments.append(inc)
         rec.iterations = k

@@ -227,6 +227,28 @@ def test_l2_project_constants_and_p1(mesh8):
     assert np.max(np.abs(p1 - nodal)) < 1e-12
 
 
+def test_ordered_factor_solves_in_the_mesh_numbering():
+    # the factor is taken in vertex order, which is not the identity on a
+    # refined mesh; its solutions must come back in the mesh numbering
+    from scipy.sparse.linalg import spsolve
+
+    from monofem.assembly import _ordered_factor
+
+    mesh = mesh_chain(4, 2)[-1]
+    order = mesh.vertex_order
+    assert not np.array_equal(order, np.arange(mesh.num_vertices))
+    ops = DiscreteOperators(mesh)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((mesh.num_vertices, 2))
+    for matrix in (ops.mass, ops.h1_gram):
+        solve = _ordered_factor(matrix, mesh)
+        expected = spsolve(matrix.tocsc(), b)
+        assert np.abs(solve(b) - expected).max() <= 1e-12 * np.abs(
+            expected).max()
+        assert np.abs(solve(b[:, 0]) - expected[:, 0]).max() <= 1e-12 * (
+            np.abs(expected).max())
+
+
 def test_l2_project_gaussian_second_order():
     # the interpolant is exact at the peak node; the projection differs by
     # O(h^2), checked through the L2 projection error under refinement

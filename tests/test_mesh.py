@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monofem.assembly import evaluate_p1, mass_matrix
 from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
@@ -205,3 +207,25 @@ def test_write_vtk(tmp_path):
     assert f"CELLS {m.num_triangles} {4 * m.num_triangles}" in text
     assert text.count("5") >= m.num_triangles
     assert "SCALARS u double 1" in text
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 8), levels=st.integers(0, 2))
+def test_vertex_order_sweeps_rows_of_the_structured_mesh(n, levels):
+    chain = mesh_chain(n, levels)
+    fine = chain[-1]
+    before = prolongation(chain[0], fine)
+    order = fine.vertex_order
+    assert np.array_equal(np.sort(order), np.arange(fine.num_vertices))
+    structured = unit_square_mesh(n * 2 ** levels)
+    assert np.array_equal(structured.vertex_order,
+                          np.arange(structured.num_vertices))
+    assert np.abs(fine.vertices[order]
+                  - structured.vertices).max() <= 1e-14
+    # the order renumbers nothing: coarse vertices stay a prefix of the
+    # fine ones, so prolongation is unchanged
+    for mesh in chain:
+        assert not mesh.vertex_order.flags.writeable
+    after = prolongation(chain[0], fine)
+    assert (before != after).nnz == 0
+    assert np.array_equal(before.indices, after.indices)

@@ -9,7 +9,8 @@ from monofem.mesh import mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
                             TrajectorySolution, _assemble_newton_system,
-                            newton_solve, time_march, trajectory_nbytes)
+                            initial_state, newton_solve, time_march,
+                            trajectory_nbytes)
 
 from oracles import newton_system_reference
 
@@ -95,11 +96,20 @@ def _random_states(mesh, seed):
 
 @pytest.mark.parametrize("case", ["unit_square_8", "refined", "params"])
 def test_newton_system_matches_coo_reference(case):
+    # the system comes with its unknowns in the mesh's vertex order: it is
+    # P A_ref P^T and P rhs_ref for the permutation P of (u, w) by that
+    # order, the identity except on the refined mesh
     ops, p = _newton_case(case)
+    nv = ops.mesh.num_vertices
+    order = ops.mesh.vertex_order
+    assert np.array_equal(order, np.arange(nv)) == (case != "refined")
+    perm = np.concatenate([order, order + nv])
     for seed, tau in ((0, 0.05), (1, 0.3)):
         states = _random_states(ops.mesh, seed)
         A, rhs = _assemble_newton_system(ops, p, *states, tau)
         A_ref, rhs_ref = newton_system_reference(ops, p, *states, tau)
+        A_ref = A_ref[perm][:, perm].tocsc().sorted_indices()
+        rhs_ref = rhs_ref[perm]
         assert A.format == "csc"
         assert np.array_equal(A.indptr, A_ref.indptr)
         assert np.array_equal(A.indices, A_ref.indices)
@@ -124,6 +134,38 @@ def test_newton_solve_uses_the_stiffness_of_its_operators(params):
     assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
     _, _, scalar = newton_solve(prev, tau, params, NewtonConfig())
     assert np.abs(scalar[1].u - x[:nv]).max() > 1e-6 * scale
+
+
+def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
+    # on a refined mesh the solve runs in vertex order; the first iterate
+    # must still be the solution of the system in the mesh's numbering
+    mesh = mesh_chain(4, 1)[-1]
+    ops = DiscreteOperators.for_params(mesh, params)
+    prev = _projected_initial_state(mesh, params)
+    tau = 0.05
+    _, _, iterates = newton_solve(prev, tau, params, NewtonConfig(), ops=ops)
+    A, rhs = newton_system_reference(ops, params, prev.u, prev.w, prev.u,
+                                     prev.w, tau)
+    x = DirectSolver().solve(A, rhs)
+    nv = mesh.num_vertices
+    scale = np.abs(x).max()
+    assert np.abs(iterates[1].u - x[:nv]).max() <= 1e-12 * scale
+    assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
+
+
+def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
+    # ordered by refine_uniform's numbering, this factor stores about
+    # 16.3M entries of L and U; in vertex order it fills like the
+    # structured n=64 mesh (0.79M)
+    mesh = mesh_chain(16, 2)[-1]
+    ops = DiscreteOperators.for_params(mesh, params)
+    prev = initial_state(ops)
+    A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
+                                     prev.w, 0.025)
+    linear = FrozenLUSolver()
+    linear.solve(A, rhs)
+    assert linear.factorizations == 1
+    assert linear._lu.nnz <= 800_000
 
 
 def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):

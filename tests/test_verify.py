@@ -165,6 +165,21 @@ def test_convergence_study_mini_ladder(params):
                                                abs=0.5)
 
 
+def test_three_rung_ladder_keeps_effectivity_and_order(params):
+    # h and tau halve at each rung; the reference is two refinements above
+    # the finest rung (n=64) with a quarter of its tau.  Before the sparse
+    # factors were ordered by the mesh, this ladder gave effectivities
+    # 2.217, 2.475 and 2.768 and fitted orders 1.0086 (error) and 0.8485
+    # (estimator).  The bound is reliable (effectivity >= 1) and stays
+    # efficient: the effectivity stays in [2, 3] as the ladder refines.
+    result = convergence_study([(4, 0.1), (8, 0.05), (16, 0.025)], 0.2,
+                               params)
+    effectivities = [r.effectivity for r in result.rows]
+    assert all(2.0 <= eff <= 3.0 for eff in effectivities)
+    assert result.error_order == pytest.approx(1.0086, abs=0.01)
+    assert result.estimator_order == pytest.approx(0.8485, abs=0.01)
+
+
 def test_convergence_study_single_rung_has_no_order(params):
     result = convergence_study([(4, 0.25)], 0.5, params, ref_levels=1,
                                ref_tau=0.125, ref_tol=1e-12)
