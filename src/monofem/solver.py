@@ -2,9 +2,15 @@
 
 Each timestep solves the nonlinear P1 system for (u^n, w^n) with Newton's
 method; the coupled 2N x 2N linearized system is assembled with exact
-(degree-4) quadrature and solved either by sparse LU or by GMRES
-preconditioned with a frozen LU factorization, both under the same
-relative-residual contract.
+(degree-4) quadrature.
+
+Every march has one linear backend, a `FrozenLUSolver`: it factors the
+first Newton system of the march once and preconditions GMRES with that
+LU for every later iterate and step, since only the reaction blocks
+change between them.  It factors again only when GMRES stalls or misses
+the relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
+checks.  `DirectSolver`, one LU per solve, is the oracle the tests
+compare the march against.
 
 The sparsity of the Newton matrix is the same at every iterate, so
 `DiscreteOperators.newton_matrix` fills a CSC pattern built once per
@@ -14,7 +20,7 @@ M/tau parts are added in the same slot order.  The right-hand side uses
 the same kernel through `DiscreteOperators.load`.
 
 The Newton matrix is born with its unknowns in the mesh's `vertex_order`
-(u, then w), the order in which its LU fills least.  Both backends
+(u, then w), the order in which its LU fills least.  The backends
 factor the matrix they are given as it is; `_assemble_newton_system`
 gathers the right-hand side into that order and `newton_solve` scatters
 the solution back to the mesh numbering.
@@ -123,7 +129,11 @@ class NewtonRecord:
 
 
 class DirectSolver:
-    """Sparse LU factorization per solve; guarantees |Ax-b| <= 1e-10 |b|."""
+    """Sparse LU factorization per solve; guarantees |Ax-b| <= 1e-10 |b|.
+
+    No march uses it: it is the reference the tests check
+    `FrozenLUSolver` and the march against.
+    """
 
     def solve(self, A, b):
         try:
@@ -136,11 +146,14 @@ class DirectSolver:
 
 
 class FrozenLUSolver:
-    """GMRES preconditioned with a frozen LU of an earlier system matrix.
+    """GMRES preconditioned with a frozen LU of an earlier system matrix;
+    the backend of every march.
 
     The Newton matrices of neighbouring steps differ only in the reaction
-    blocks, so one factorization preconditions many solves; the factor is
-    refreshed whenever GMRES stalls or the residual contract is violated.
+    blocks, so one factorization preconditions many solves.  The first
+    system is factored and solved directly; the factor is refreshed, and
+    the system solved directly, whenever GMRES stalls or misses the
+    residual contract.
     """
 
     def __init__(self):
@@ -158,15 +171,15 @@ class FrozenLUSolver:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        if self._lu is None:
-            self._refactor(A)
-        M = spla.LinearOperator(A.shape, self._lu.solve)
-        x, info = spla.gmres(A, b, M=M, rtol=1e-12, atol=0.0,
-                             restart=_MAX_KRYLOV, maxiter=2)
-        if info != 0 or not _residual_ok(A, x, b, bnorm):
-            self._refactor(A)
-            x = self._lu.solve(b)
-            _check_residual(A, x, b)
+        if self._lu is not None:
+            M = spla.LinearOperator(A.shape, self._lu.solve, dtype=A.dtype)
+            x, info = spla.gmres(A, b, M=M, rtol=1e-12, atol=0.0,
+                                 restart=_MAX_KRYLOV, maxiter=2)
+            if info == 0 and _residual_ok(A, x, b, bnorm):
+                return x
+        self._refactor(A)
+        x = self._lu.solve(b)
+        _check_residual(A, x, b)
         return x
 
 
@@ -215,7 +228,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     """Newton iteration for one implicit Euler step.
 
     Starts from the previous accepted state.  `ops` defaults to the
-    operators of `p` on the state's mesh, `linear` to a DirectSolver.  In
+    operators of `p` on the state's mesh, `linear` to a fresh
+    FrozenLUSolver, which factors this step's first system.  In
     balance mode the stopping test compares the linearization indicator of
     the last two iterates with the space indicator, the current iterate
     standing in for the accepted state.
@@ -228,7 +242,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     if ops is None:
         ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
-        linear = DirectSolver()
+        linear = FrozenLUSolver()
 
     nv = prev.mesh.num_vertices
     cur = StateField(prev.mesh, prev.u.copy(), prev.w.copy(),
@@ -271,11 +285,13 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     return cur, rec, states
 
 
-def _march_steps(state, tau, num_steps, p, cfg, ops, linear):
+def _march_steps(state, tau, num_steps, p, cfg, ops):
     """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
-    the one backend `linear`; yields (record, iterates) of each step, the
-    last iterate being the accepted state.  A NewtonError is re-raised
-    with its step number."""
+    one FrozenLUSolver, so the march factors once (and again only on
+    that backend's fallback); yields (record, iterates) of each step,
+    the last iterate being the accepted state.  A NewtonError is
+    re-raised with its step number."""
+    linear = FrozenLUSolver()
     for n in range(1, num_steps + 1):
         try:
             state, rec, iterates = newton_solve(state, tau, p, cfg, ops=ops,
@@ -409,8 +425,12 @@ def trajectory_nbytes(num_vertices, num_steps, store_penultimate=True):
 
 
 def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
-               store_penultimate=True, linear=None):
+               store_penultimate=True):
     """March the monodomain system from its projected initial data to t_end.
+
+    Every linear solve of the march goes through one FrozenLUSolver: one
+    sparse LU of the first Newton system, then GMRES preconditioned with
+    it, each solve checked to |Ax - b| <= 1e-10 |b|.
 
     Parameters
     ----------
@@ -427,17 +447,12 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     store_penultimate : bool
         Keep the next-to-last Newton iterate of every step (needed by the
         linearization-aware indicators; off for large reference runs).
-    linear : DirectSolver or FrozenLUSolver, optional
-        The backend of every linear solve of the march; a fresh
-        DirectSolver by default.
     """
     if cfg is None:
         cfg = NewtonConfig()
     N = step_count(tau, t_end)
 
     ops = DiscreteOperators.for_params(mesh, p)
-    if linear is None:
-        linear = DirectSolver()
     initial = ionic.initial_pair(initial)
     state = initial_state(ops, initial)
 
@@ -450,7 +465,7 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
 
     newton = []
     penultimate = [None] * (N + 1) if store_penultimate else None
-    steps = _march_steps(state, tau, N, p, cfg, ops, linear)
+    steps = _march_steps(state, tau, N, p, cfg, ops)
     for n, (rec, iterates) in enumerate(steps, start=1):
         U[n] = iterates[-1].u
         W[n] = iterates[-1].w

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from .assembly import DiscreteOperators, _ordered_factor
 from .estimators import estimate_trajectory, linearization_indicator
 from .mesh import mesh_chain, prolongation, refine_uniform
-from .solver import (FrozenLUSolver, NewtonConfig, _march_steps,
-                     initial_state, time_march)
+from .solver import NewtonConfig, _march_steps, initial_state, time_march
 
 __all__ = [
     "ErrorNorms",
@@ -102,7 +101,7 @@ def build_reference(mesh, tau, t_end, p, levels=0, tol=1e-15,
     """High-fidelity trajectory on `mesh` refined `levels` more times.
 
     Newton is driven to `tol` (rounding level) so the linearization error
-    is negligible; the linear systems are solved by a FrozenLUSolver and
+    is negligible; the march is :func:`time_march`, with its one LU, and
     the penultimate iterates are not stored.
     """
     for _ in range(levels):
@@ -110,7 +109,7 @@ def build_reference(mesh, tau, t_end, p, levels=0, tol=1e-15,
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=40)
     return time_march(mesh, p, tau, t_end, cfg=cfg, initial=initial,
-                      store_penultimate=False, linear=FrozenLUSolver())
+                      store_penultimate=False)
 
 
 def _interpolator(traj, P=None):
@@ -302,10 +301,11 @@ def newton_study(mesh, tau, instants, p, tol=1e-15):
     error at selected instants.
 
     Marches from the default initial data at reference-grade tolerance,
-    with a FrozenLUSolver; at each requested instant the converged Newton
-    iterate of the step serves as ground truth, and each iterate k >= 1
-    yields a row with its indicator and its (H1 for u, L2 for w) distance
-    from the converged pair.  Instants must be positive multiples of tau.
+    on the march loop of :func:`time_march` with its one LU; at each
+    requested instant the converged Newton iterate of the step serves as
+    ground truth, and each iterate k >= 1 yields a row with its indicator
+    and its (H1 for u, L2 for w) distance from the converged pair.
+    Instants must be positive multiples of tau.
     """
     instants = sorted(float(t) for t in instants)
     if instants[0] <= 0:
@@ -321,8 +321,7 @@ def newton_study(mesh, tau, instants, p, tol=1e-15):
     ops = DiscreteOperators.for_params(mesh, p)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=60)
-    steps = _march_steps(initial_state(ops), tau, N, p, cfg, ops,
-                         FrozenLUSolver())
+    steps = _march_steps(initial_state(ops), tau, N, p, cfg, ops)
 
     tables = {}
     for n, (_, states) in enumerate(steps, start=1):

@@ -5,14 +5,19 @@ collapsed square (Duffy transform), a construction disjoint from the
 symmetric triangle rules inside the package; barycentric evaluation and
 basis gradients are recomputed here from vertex coordinates.  The Newton
 system reference assembles each block through COO and stacks the blocks
-with sp.bmat, independently of the package's fixed pattern.
+with sp.bmat, independently of the package's fixed pattern.  The march
+oracle solves every Newton system with its own LU (`DirectSolver`), where
+the package's march reuses one factorization.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from math import factorial
 
+from monofem.assembly import DiscreteOperators
 from monofem.ionic import react
+from monofem.solver import (DirectSolver, initial_state, newton_solve,
+                            step_count)
 
 
 def duffy_points(order=12):
@@ -116,3 +121,18 @@ def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
     rhs2 = ops.mass @ (w_prev / tau) + load_reference(
         mesh, r.g_u * u_q + r.g_w * w_q - r.g, rule)
     return A, np.concatenate([rhs1, rhs2])
+
+
+def direct_march(mesh, p, tau, t_end, cfg, initial=None):
+    """The implicit Euler march of `time_march`, one LU per linear solve:
+    (U, W, newton_counts) with U and W of shape (N+1, nv)."""
+    ops = DiscreteOperators.for_params(mesh, p)
+    state = initial_state(ops, initial)
+    U, W, counts = [state.u], [state.w], []
+    for _ in range(step_count(tau, t_end)):
+        state, rec, _ = newton_solve(state, tau, p, cfg, ops=ops,
+                                     linear=DirectSolver())
+        U.append(state.u)
+        W.append(state.w)
+        counts.append(rec.iterations)
+    return np.array(U), np.array(W), np.array(counts)

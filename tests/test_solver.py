@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from monofem import assembly
+from monofem import assembly, solver
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import AlievPanfilovParams, react
 from monofem.mesh import mesh_chain, unit_square_mesh
@@ -11,8 +13,9 @@ from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             TrajectorySolution, _assemble_newton_system,
                             initial_state, newton_solve, time_march,
                             trajectory_nbytes)
+from monofem.verify import build_reference, newton_study
 
-from oracles import newton_system_reference
+from oracles import direct_march, newton_system_reference
 
 
 def test_sparse_solve_identity():
@@ -309,10 +312,123 @@ def test_newton_failure_reports_step(params):
 
 def test_frozen_lu_matches_direct(params):
     mesh = unit_square_mesh(8)
-    direct = time_march(mesh, params, 0.1, 0.5)
-    frozen = time_march(mesh, params, 0.1, 0.5, linear=FrozenLUSolver())
-    assert np.max(np.abs(direct.U - frozen.U)) < 1e-9
-    assert np.max(np.abs(direct.W - frozen.W)) < 1e-9
+    U, W, _ = direct_march(mesh, params, 0.1, 0.5, NewtonConfig())
+    frozen = time_march(mesh, params, 0.1, 0.5)
+    assert np.max(np.abs(U - frozen.U)) < 1e-9
+    assert np.max(np.abs(W - frozen.W)) < 1e-9
+
+
+class _CountingLinalg:
+    """`scipy.sparse.linalg` as `monofem.solver` sees it, counting the
+    sparse LUs and GMRES's inner iterations."""
+
+    def __init__(self, real):
+        self._real = real
+        self.factorizations = 0
+        self.krylov_iterations = 0
+
+    def splu(self, *args, **kwargs):
+        self.factorizations += 1
+        return self._real.splu(*args, **kwargs)
+
+    def gmres(self, *args, **kwargs):
+        def count(_residual):
+            self.krylov_iterations += 1
+        return self._real.gmres(*args, callback=count,
+                                callback_type="pr_norm", **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+@pytest.fixture
+def linalg(monkeypatch):
+    counting = _CountingLinalg(solver.spla)
+    monkeypatch.setattr(solver, "spla", counting)
+    return counting
+
+
+def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params,
+                                                             linalg):
+    # scipy's gmres applies the preconditioner to b (for its stopping
+    # norm), to the residual of each restart and to each Krylov vector;
+    # an operator built without a dtype costs one more triangular solve,
+    # on a zero vector, at every call
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    linear = FrozenLUSolver()
+    linear.solve(*_assemble_newton_system(ops, params,
+                                          *_random_states(ops.mesh, 3), 0.05))
+    factor = linear._lu
+    applied = []
+
+    def counted(v):
+        applied.append(np.any(v))
+        return factor.solve(v)
+
+    linear._lu = SimpleNamespace(solve=counted)
+    before = linalg.krylov_iterations
+    A, rhs = _assemble_newton_system(ops, params,
+                                     *_random_states(ops.mesh, 4), 0.05)
+    x = linear.solve(A, rhs)
+    krylov = linalg.krylov_iterations - before
+    assert linear.factorizations == 1
+    assert 0 < krylov < solver._MAX_KRYLOV       # one restart cycle
+    assert all(applied)
+    assert len(applied) == krylov + 2
+    assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_frozen_lu_refactors_when_gmres_misses_the_contract(params):
+    # a factor frozen on one Newton matrix cannot precondition a system
+    # whose reaction is a million times stronger: the fallback factors
+    # the new matrix and its direct solve meets the contract
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    prev = initial_state(ops)
+    A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
+                                     prev.w, 0.025)
+    linear = FrozenLUSolver()
+    linear.solve(A, rhs)
+    assert linear.factorizations == 1
+    stiff = AlievPanfilovParams(A=params.A * 1e6)
+    B, rhs_b = _assemble_newton_system(ops, stiff, prev.u, prev.w, prev.u,
+                                       prev.w, 0.025)
+    x = linear.solve(B, rhs_b)
+    assert linear.factorizations == 2
+    assert np.linalg.norm(B @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
+
+    fresh = FrozenLUSolver()
+    zero = fresh.solve(A, np.zeros_like(rhs))
+    assert np.array_equal(zero, np.zeros_like(rhs))
+    assert fresh.factorizations == 0
+
+
+#: (mesh n, tau, t_end, Newton settings) of each march the package runs;
+#: the reference and the Newton study drive Newton to rounding level
+_MARCHES = {
+    "time_march": (16, 0.05, 1.0, NewtonConfig()),
+    "build_reference": (8, 0.05, 0.5, NewtonConfig(tol=1e-15,
+                                                   max_iterations=40)),
+    "newton_study": (8, 0.0625, 0.5, NewtonConfig(tol=1e-15,
+                                                  max_iterations=60)),
+}
+
+
+@pytest.mark.parametrize("march", sorted(_MARCHES))
+def test_every_march_factors_once(params, linalg, march):
+    n, tau, t_end, cfg = _MARCHES[march]
+    mesh = unit_square_mesh(n)
+    if march == "time_march":
+        counts = time_march(mesh, params, tau, t_end).newton_counts()
+    elif march == "build_reference":
+        counts = build_reference(mesh, tau, t_end, params).newton_counts()
+    else:
+        tables = newton_study(mesh, tau, [0.25, t_end], params)
+        counts = [len(tables[t]) for t in (0.25, t_end)]
+    assert linalg.factorizations == 1
+    oracle = direct_march(mesh, params, tau, t_end, cfg)[2]
+    if march == "newton_study":
+        oracle = oracle[[3, 7]]               # the steps ending at 0.25, 0.5
+    assert np.array_equal(counts, oracle)
 
 
 def test_checkpoint_roundtrip(tmp_path, params):
