@@ -19,13 +19,9 @@ first use: each element entry (i, j) has a precomputed slot in the P1
 pattern, so each of the four blocks is one `bincount`, and the matrix is
 handed out in CSC form with no COO stage, sort or block stacking.
 
-Every sparse LU is ordered by the mesh's `vertex_order`, not by its
-vertex numbering.  The Newton pattern is built with its unknowns in that
-order (u, then w, each by `vertex_order`), so the Newton matrix is born
-ordered and the solver only gathers the right-hand side and scatters the
-solution back.  The one-off factors of symmetric P1 matrices (the mass
-matrix of `l2_project`, the H1 Gram matrix of the error pass) go through
-`_ordered_factor`, which permutes the matrix once before its `splu`.
+Every sparse LU factors its matrix in the mesh numbering, which
+:mod:`monofem.mesh` makes the order of least fill, with the column
+ordering `_PERMC_SPEC`.
 """
 
 import numpy as np
@@ -208,30 +204,12 @@ def l2_project(mesh, functions, mass=None):
                               rule)
     M = mass_matrix(mesh) if mass is None else mass
     try:
-        x = _ordered_factor(M, mesh)(b)
+        x = spla.splu(M.tocsc(), permc_spec=_PERMC_SPEC).solve(b)
     except RuntimeError as exc:
         raise AssemblyError(f"mass solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise AssemblyError("mass solve failed (non-finite projection)")
     return x.T
-
-
-def _ordered_factor(matrix, mesh):
-    """Solve function of one `splu` of the symmetric P1 `matrix` of `mesh`
-    with its rows and columns in the mesh's `vertex_order`.
-
-    The returned function maps b (shape (nv,) or (nv, k)) to the solution
-    of matrix x = b in the mesh numbering.
-    """
-    order = mesh.vertex_order
-    lu = spla.splu(matrix[order][:, order].tocsc(), permc_spec=_PERMC_SPEC)
-
-    def solve(b):
-        x = np.empty(b.shape)
-        x[order] = lu.solve(b[order])
-        return x
-
-    return solve
 
 
 def evaluate_p1(mesh, vec, x, y):
@@ -265,15 +243,12 @@ class _NewtonPattern:
     `slots[e, 3 i + j]` is the position of entry (tri[e, i], tri[e, j]) in
     the data of the CSR P1 pattern (that of the mass matrix).  The four
     blocks of the big matrix, in the order 11, 12, 21, 22, share that
-    pattern.  The big matrix has its unknowns in the mesh's vertex order:
-    row and column b N + k belong to vertex `vertex_order[k]` of block
-    row (column) b, so it is P A P^T for the block matrix A in the mesh's
-    numbering.  `positions[b, s]` is where slot s of block b sits in the
-    big CSC data array, whose `indptr` and `indices` are canonical
-    (sorted, no duplicates).  Every block is symmetric, so a block's CSR
-    data in slot order is also its CSC data.  All index arrays are int32
-    and read-only: the big `indices` and `indptr` are shared by every
-    matrix filled into them.
+    pattern; `positions[b, s]` is where slot s of block b sits in the big
+    CSC data array, whose `indptr` and `indices` are canonical (sorted,
+    no duplicates).  Every block is symmetric, so a block's CSR data in
+    slot order is also its CSC data.  All index arrays are int32 and
+    read-only: the big `indices` and `indptr` are shared by every matrix
+    filled into them.
     """
 
     slots: np.ndarray
@@ -300,25 +275,15 @@ def _build_newton_pattern(mesh, pattern):
         for j in range(3):
             slots[:, 3 * i + j] = np.searchsorted(keys,
                                                   tri[:, i] * nv + tri[:, j])
-    # the P1 pattern in vertex order: slot s, entry (i, j), moves to
-    # (rank[i], rank[j]), at `moved[s]` in that pattern's canonical data
-    order = mesh.vertex_order
-    rank = np.empty(nv, dtype=np.int64)
-    rank[order] = np.arange(nv)
-    row, col = rank[major], rank[indices]
-    moved = np.empty(nnz, dtype=np.int64)
-    moved[np.argsort(row * nv + col)] = np.arange(nnz)
-    ordered_indptr = np.concatenate([[0], np.cumsum(degree[order])])
     # big column c N + k holds column k of block (0, c), then that of
     # block (1, c)
-    start = ordered_indptr[row] + moved
+    start = indptr[major] + np.arange(nnz)
     positions = np.empty((4, nnz), dtype=np.int32)
     big_indices = np.empty(4 * nnz, dtype=np.int32)
     for b, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         positions[b] = c * 2 * nnz + start + r * degree[major]
-        big_indices[positions[b]] = col + r * nv
-    big_indptr = np.concatenate([2 * ordered_indptr,
-                                 2 * nnz + 2 * ordered_indptr[1:]])
+        big_indices[positions[b]] = indices + r * nv
+    big_indptr = np.concatenate([2 * indptr, 2 * nnz + 2 * indptr[1:]])
     big_indptr = big_indptr.astype(np.int32)
     for a in (slots, positions, big_indptr, big_indices):
         a.setflags(write=False)
@@ -370,8 +335,7 @@ class DiscreteOperators:
 
     def newton_matrix(self, weights, tau):
         """The 2N x 2N matrix [[M/tau + K + M(c11), M(c12)],
-        [M(c21), M/tau + M(c22)]] in CSC form, with its unknowns in the
-        mesh's vertex order (see :class:`_NewtonPattern`).
+        [M(c21), M/tau + M(c22)]] in CSC form.
 
         M and K are :attr:`mass` and :attr:`stiffness`; M(c) is the mass
         matrix weighted by pointwise values c at the points of

@@ -219,7 +219,9 @@ def _validate(cfg):
     return cfg
 
 
-def _apply_items(cfg_dict, items):
+def _apply_items(items):
+    """RunConfig keyword arguments of the preset named in `items`,
+    updated with every other item in order."""
     preset = None
     updates = {}
     for (section, key), raw in items:
@@ -234,18 +236,18 @@ def _apply_items(cfg_dict, items):
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: "
                               f"{sorted(PRESETS)}")
-        cfg_dict.update(PRESETS[preset])
-    cfg_dict.update(updates)
-    return cfg_dict
+        return {**PRESETS[preset], **updates}
+    return updates
 
 
 def parse_config(text, overrides=()):
     """Build a RunConfig from ini-style text plus 'section.key=value'
     overrides.
 
-    A missing or empty document yields the full desk-scale defaults; a
-    `preset` key in [run] applies a named parameter set before any
-    explicit keys.
+    A missing or empty document yields the full desk-scale defaults.  A
+    `preset` key in [run], in the text or in an override (the last one
+    named wins), applies a named parameter set first; every explicit key
+    of the text, then of the overrides, applies after it, in order.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -261,8 +263,6 @@ def parse_config(text, overrides=()):
     items = [((section.strip(), key.strip()), value)
              for section in parser.sections()
              for key, value in parser.items(section)]
-    cfg_dict = _apply_items({}, items)
-
     for text_kv in overrides:
         if "=" not in text_kv:
             raise ConfigError(f"override {text_kv!r} is not "
@@ -272,10 +272,8 @@ def parse_config(text, overrides=()):
             raise ConfigError(f"override {text_kv!r} is not "
                               "section.key=value")
         section, key = lhs.split(".", 1)
-        cfg_dict = _apply_items(cfg_dict,
-                                [((section.strip(), key.strip()), value)])
-
-    return _validate(RunConfig(**cfg_dict))
+        items.append(((section.strip(), key.strip()), value))
+    return _validate(RunConfig(**_apply_items(items)))
 
 
 def write_csv(header, rows, path):

@@ -19,7 +19,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import ionic
-from .assembly import DiscreteOperators, l2_project, quadrature_coords
+from .assembly import DiscreteOperators, quadrature_coords
 
 __all__ = [
     "EstimatorReport",
@@ -252,25 +252,26 @@ def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
     return r1, r2
 
 
-def initial_projection_terms(mesh, initial=None, ops=None):
-    """Squared L2 defects of the initial data against their projections.
+def initial_projection_terms(state, initial=None, ops=None):
+    """Squared L2 defects of the initial data against the t=0 state.
 
-    Returns (|u0 - P u0|^2, |w0 - P w0|^2) where P is the L2-orthogonal
-    projection onto V_h and (u0, w0) is :func:`ionic.initial_pair` of
-    `initial`; the integrals use the degree-6 rule.  Only the mass matrix
-    of `ops` is used, so any operators on `mesh` give the same result.
+    Returns (|u0 - u_h|^2, |w0 - w_h|^2) where (u_h, w_h) is the
+    StateField `state` and (u0, w0) is :func:`ionic.initial_pair` of
+    `initial`; the integrals use the degree-6 rule.  For a march the
+    state is the L2-orthogonal projection of the initial data onto V_h.
+    Only the quadrature of `ops` is used, so any operators on the state's
+    mesh give the same result.
     """
-    pair = ionic.initial_pair(initial)
+    mesh = state.mesh
     ops = ops if ops is not None else DiscreteOperators(mesh)
     rule = ops.rule6
     xy = quadrature_coords(mesh, rule)
     out = []
-    for f, proj in zip(pair, l2_project(mesh, pair, mass=ops.mass)):
+    for f, vec in zip(ionic.initial_pair(initial), (state.u, state.w)):
         exact = np.broadcast_to(np.asarray(f(xy[:, :, 0], xy[:, :, 1]),
                                            dtype=float), xy.shape[:2])
-        proj_q = ops.field_at(proj, rule)
-        out.append(float(_elementwise_l2sq(ops, (exact - proj_q) ** 2,
-                                           rule).sum()))
+        out.append(float(_elementwise_l2sq(
+            ops, (exact - ops.field_at(vec, rule)) ** 2, rule).sum()))
     return out[0], out[1]
 
 
@@ -330,8 +331,8 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
                                        element_terms=el, edge_terms=ed,
                                        ode_term=ode, time_parts=parts))
 
-    init_u2, init_w2 = initial_projection_terms(traj.mesh, initial=initial,
-                                                ops=ops)
+    init_u2, init_w2 = initial_projection_terms(traj.state(0),
+                                                initial=initial, ops=ops)
     cum = cumulative_bound(
         np.diff(traj.times),
         [r.eta for r in reports],

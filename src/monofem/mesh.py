@@ -1,12 +1,19 @@
 """Conforming triangular meshes of the unit square.
 
 Structured right-triangle meshes with a fixed diagonal direction, uniform
-red refinement with parent/child links, P1 prolongation between nested
-meshes, a geometric vertex order for sparse factorizations, and a legacy
-ASCII VTK dump for visualization.
-"""
+red refinement with parent links, P1 prolongation between nested meshes,
+and a legacy ASCII VTK dump for visualization.
 
-from functools import cached_property
+The meshes built here number their vertices row by row: rows of
+increasing y, each row by increasing x.  Every sparse LU of the package
+factors its matrices in the mesh numbering, and this sweep order is the
+one in which they fill least (George & Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981, ch. 4-5): the first Newton factor
+on mesh_chain(16, 2)[-1] stores 0.79M entries in L and U, against 16.3M
+when the midpoints of a refinement are numbered after the coarse
+vertices.  A refined mesh therefore has exactly the vertex numbering of
+the structured mesh of the same width.
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,8 +60,8 @@ class TriMesh:
     triangles : (nt, 3) int array, counterclockwise vertex triples
     parent : TriMesh, optional
         The coarser mesh this one refines (set by :func:`refine_uniform`).
-    child_map : (nt_parent, 4) int array, optional
-        Children of each parent triangle in this mesh.
+    parent_vertex : (nv_parent,) int array, optional
+        Vertex of this mesh sitting at each parent vertex.
     parent_edge_vertex : (ne_parent,) int array, optional
         Vertex of this mesh sitting at the midpoint of each parent edge.
 
@@ -64,7 +71,7 @@ class TriMesh:
     triangles (second entry -1 on the boundary, lower triangle index first).
     """
 
-    def __init__(self, vertices, triangles, parent=None, child_map=None,
+    def __init__(self, vertices, triangles, parent=None, parent_vertex=None,
                  parent_edge_vertex=None):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -78,7 +85,7 @@ class TriMesh:
         self.vertices = vertices
         self.triangles = triangles
         self.parent = parent
-        self.child_map = child_map
+        self.parent_vertex = parent_vertex
         self.parent_edge_vertex = parent_edge_vertex
         # provenance of structured meshes (unit_square_mesh + refinements)
         self.base_n = None
@@ -137,29 +144,6 @@ class TriMesh:
                          axis=1)
         self.edge_normals = self.tri_edge_normals[t1, slot]
 
-    @cached_property
-    def vertex_order(self):
-        """Vertex indices in sweep order: rows of increasing y, each row
-        by increasing x; computed on first use.
-
-        Every sparse LU of the package factors the matrices of a mesh
-        with their rows and columns in this order (George & Liu, Computer
-        Solution of Large Sparse Positive Definite Systems, 1981,
-        ch. 4-5).  The order depends on the geometry only: it is the
-        identity on :func:`unit_square_mesh` and takes the vertices of a
-        refined mesh to those of the structured mesh of the same width.
-        Ordered so, the first Newton factor on mesh_chain(16, 2)[-1]
-        stores 0.79M entries in L and U; in the numbering of
-        :func:`refine_uniform` it stores 16.3M.  Coordinates are rounded
-        to 1/64 of the shortest edge first, so that the midpoints of a
-        row share its y exactly.
-        """
-        step = self.edge_lengths.min() / 64.0
-        key = np.round(self.vertices / step)
-        order = np.lexsort((key[:, 0], key[:, 1]))
-        order.setflags(write=False)
-        return order
-
     @property
     def num_vertices(self):
         return len(self.vertices)
@@ -217,29 +201,35 @@ def unit_square_mesh(n):
 def refine_uniform(mesh):
     """Split every triangle into 4 congruent children via edge midpoints.
 
-    The coarse vertices keep their indices as a prefix of the fine vertex
-    list; the midpoint of coarse edge e becomes fine vertex nv_coarse + e.
-    The returned mesh carries parent/child links for prolongation.
+    The children of coarse triangle k are fine triangles 4k..4k+3: the
+    three corner children (at the triangle's vertices 0, 1, 2), then the
+    middle one.  The fine vertices are numbered row by row like those of
+    :func:`unit_square_mesh`: coordinates rounded to 1/128 of the shortest
+    coarse edge are sorted by y, then x, so that the midpoints of a row
+    share its y exactly.  `parent_vertex` and `parent_edge_vertex` give
+    the fine index of each coarse vertex and of each coarse edge midpoint.
     """
     nv = mesh.num_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                   + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
+    key = np.round(vertices / (mesh.edge_lengths.min() / 128.0))
+    order = np.lexsort((key[:, 0], key[:, 1]))
+    rank = np.empty(len(vertices), dtype=np.int64)
+    rank[order] = np.arange(len(vertices))
 
     a, b, c = (mesh.triangles[:, k] for k in range(3))
     m_ab = nv + mesh.triangle_edges[:, 0]
     m_bc = nv + mesh.triangle_edges[:, 1]
     m_ca = nv + mesh.triangle_edges[:, 2]
-    nt = mesh.num_triangles
-    triangles = np.empty((4 * nt, 3), dtype=np.int64)
+    triangles = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
     triangles[0::4] = np.column_stack([a, m_ab, m_ca])
     triangles[1::4] = np.column_stack([m_ab, b, m_bc])
     triangles[2::4] = np.column_stack([m_ca, m_bc, c])
     triangles[3::4] = np.column_stack([m_ab, m_bc, m_ca])
-    child_map = np.arange(4 * nt, dtype=np.int64).reshape(nt, 4)
 
-    fine = TriMesh(vertices, triangles, parent=mesh, child_map=child_map,
-                   parent_edge_vertex=np.arange(nv, nv + mesh.num_edges))
+    fine = TriMesh(vertices[order], rank[triangles], parent=mesh,
+                   parent_vertex=rank[:nv], parent_edge_vertex=rank[nv:])
     fine.base_n = mesh.base_n
     fine.levels = mesh.levels + 1
     return fine
@@ -257,7 +247,7 @@ def _one_level_prolongation(fine):
     coarse = fine.parent
     nv_c = coarse.num_vertices
     nv_f = fine.num_vertices
-    rows = np.concatenate([np.arange(nv_c), fine.parent_edge_vertex,
+    rows = np.concatenate([fine.parent_vertex, fine.parent_edge_vertex,
                            fine.parent_edge_vertex])
     cols = np.concatenate([np.arange(nv_c), coarse.edges[:, 0],
                            coarse.edges[:, 1]])
@@ -270,8 +260,10 @@ def prolongation(coarse, fine):
 
     P v gives the fine-mesh nodal values of the P1 function with coarse
     nodal values v; exact because the coarse space is a subspace of the
-    fine one.  `fine` must be obtained from `coarse` by one or more
-    applications of :func:`refine_uniform`.
+    fine one.  Each level copies a coarse value to the fine vertex at the
+    same point (`parent_vertex`) and averages the two ends of each coarse
+    edge at its midpoint (`parent_edge_vertex`).  `fine` must be obtained
+    from `coarse` by one or more applications of :func:`refine_uniform`.
     """
     if fine is coarse:
         return sp.identity(coarse.num_vertices, format="csr")

@@ -17,13 +17,9 @@ The sparsity of the Newton matrix is the same at every iterate, so
 operator set: each of the four reaction blocks is one call of the
 basis-product kernel and one bincount, and the constant M/tau + K and
 M/tau parts are added in the same slot order.  The right-hand side uses
-the same kernel through `DiscreteOperators.load`.
-
-The Newton matrix is born with its unknowns in the mesh's `vertex_order`
-(u, then w), the order in which its LU fills least.  The backends
-factor the matrix they are given as it is; `_assemble_newton_system`
-gathers the right-hand side into that order and `newton_solve` scatters
-the solution back to the mesh numbering.
+the same kernel through `DiscreteOperators.load`.  The unknowns are u,
+then w, each in the mesh numbering, the order in which the LU fills least
+(see :mod:`monofem.mesh`); the backends factor the matrix as it is.
 """
 
 import numpy as np
@@ -61,7 +57,7 @@ _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
 _MAX_KRYLOV = 40
 
 #: key layout of TrajectorySolution.save
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 class SolverError(RuntimeError):
@@ -216,8 +212,7 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
     A = ops.newton_matrix((r.f_u, r.f_w, r.g_u, r.g_w), tau)
     rhs1 += ops.load(r.f_u * u_q + r.f_w * w_q - r.f, rule)
     rhs2 += ops.load(r.g_u * u_q + r.g_w * w_q - r.g, rule)
-    order = ops.mesh.vertex_order
-    return A, np.concatenate([rhs1[order], rhs2[order]])
+    return A, np.concatenate([rhs1, rhs2])
 
 
 def _roundoff_floor(ops, u, w):
@@ -253,10 +248,9 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
                                          cur.u, cur.w, tau)
-        x = np.empty((2, nv))
-        x[:, ops.mesh.vertex_order] = linear.solve(A, rhs).reshape(2, nv)
+        x = linear.solve(A, rhs)
         last = cur
-        cur = StateField(prev.mesh, x[0], x[1], prev.time + tau)
+        cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
         inc = ops.h1_norm(cur.u - last.u) + ops.l2_norm(cur.w - last.w)
         rec.increments.append(inc)
         rec.iterations = k
@@ -342,11 +336,14 @@ class TrajectorySolution:
     def save(self, path):
         """Checkpoint to a .npz archive with the keys
 
-        format_version (1), base_n and levels (the mesh is
+        format_version (2), base_n and levels (the mesh is
         mesh_chain(base_n, levels)[-1]), times, U, W, tau (NaN when
         unknown), params ([A, a, eps, M_scalar]) and newton_iterations
-        (one count per step).  The initial data and the penultimate
-        iterates are not saved.
+        (one count per step).  The columns of U and W follow the vertex
+        numbering of that mesh, row by row also on refined meshes; format
+        1 numbered the midpoints of a refinement after the coarse
+        vertices.  The initial data and the penultimate iterates are not
+        saved.
         """
         if self.mesh.base_n is None:
             raise SolverError("only structured meshes (unit_square_mesh + "

@@ -227,26 +227,26 @@ def test_l2_project_constants_and_p1(mesh8):
     assert np.max(np.abs(p1 - nodal)) < 1e-12
 
 
-def test_ordered_factor_solves_in_the_mesh_numbering():
-    # the factor is taken in vertex order, which is not the identity on a
-    # refined mesh; its solutions must come back in the mesh numbering
+def test_l2_project_matches_spsolve_on_a_refined_mesh():
+    # the factor is taken in the mesh numbering, row by row also on a
+    # refined mesh; its solutions must be those of the system as given
     from scipy.sparse.linalg import spsolve
 
-    from monofem.assembly import _ordered_factor
+    from monofem.assembly import quadrature_coords
 
     mesh = mesh_chain(4, 2)[-1]
-    order = mesh.vertex_order
-    assert not np.array_equal(order, np.arange(mesh.num_vertices))
+    funcs = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
+             lambda x, y: x * y]
+    rule = quadrature_rule(6)
+    xy = quadrature_coords(mesh, rule)
+    b = np.column_stack([load_vector(mesh, f(xy[:, :, 0], xy[:, :, 1]),
+                                     rule) for f in funcs])
     ops = DiscreteOperators(mesh)
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal((mesh.num_vertices, 2))
     for matrix in (ops.mass, ops.h1_gram):
-        solve = _ordered_factor(matrix, mesh)
         expected = spsolve(matrix.tocsc(), b)
-        assert np.abs(solve(b) - expected).max() <= 1e-12 * np.abs(
+        got = l2_project(mesh, funcs, mass=matrix).T
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(
             expected).max()
-        assert np.abs(solve(b[:, 0]) - expected[:, 0]).max() <= 1e-12 * (
-            np.abs(expected).max())
 
 
 def test_l2_project_gaussian_second_order():

@@ -30,6 +30,17 @@ def test_explicit_keys_override_preset():
     assert cfg.tau == 0.05
 
 
+@pytest.mark.parametrize("text, overrides", [
+    ("", ["run.mesh_n=10", "run.preset=paper-fig2-fine"]),
+    ("", ["run.preset=paper-fig2-fine", "run.mesh_n=10"]),
+    ("[run]\nmesh_n = 10\n", ["run.preset=paper-fig2-fine"]),
+    ("[run]\npreset = paper-fig2-fine\n", ["run.mesh_n=10"]),
+])
+def test_preset_applies_before_every_explicit_key(text, overrides):
+    cfg = parse_config(text, overrides)
+    assert (cfg.mesh_n, cfg.tau, cfg.t_end) == (10, 0.025, 16.0)
+
+
 def test_overrides_win_over_file():
     cfg = parse_config("[run]\nmesh_n = 16\n",
                        overrides=["run.mesh_n=64", "newton.tol=1e-12"])

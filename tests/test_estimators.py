@@ -10,8 +10,8 @@ from monofem.estimators import (cumulative_bound, estimate_trajectory,
 from monofem.ionic import AlievPanfilovParams, f_value, g_value, react
 from monofem.mesh import TriMesh, prolongation, refine_uniform, \
     unit_square_mesh
-from monofem.solver import NewtonConfig, StateField, newton_solve, \
-    time_march
+from monofem.solver import NewtonConfig, StateField, initial_state, \
+    newton_solve, time_march
 
 from oracles import barycentric_at, p1_gradients, triangle_quadrature
 
@@ -348,11 +348,18 @@ def test_cumulative_bound_nondecreasing(params):
 
 def test_initial_projection_terms():
     mesh = unit_square_mesh(8)
-    u2, w2 = initial_projection_terms(mesh)
+    state = initial_state(DiscreteOperators(mesh))
+    u2, w2 = initial_projection_terms(state)
     assert u2 > 0.0
     assert w2 == 0.0
-    fine_u2, _ = initial_projection_terms(refine_uniform(mesh))
+    fine = refine_uniform(mesh)
+    fine_u2, _ = initial_projection_terms(initial_state(
+        DiscreteOperators(fine)))
     assert fine_u2 < u2 / 8.0     # O(h^2) defect in L2, squared: factor 16
+    # the defect is measured against the state it is given, which the
+    # projection minimizes
+    moved = StateField(mesh, state.u + 1e-3, state.w, 0.0)
+    assert initial_projection_terms(moved)[0] > u2
 
 
 def test_mesh_mismatch_raises(params):

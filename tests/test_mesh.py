@@ -76,10 +76,11 @@ def test_refinement_multiplies_triangles_by_four():
 
 
 def test_children_partition_parents_and_are_similar():
+    # refine_uniform puts the children of coarse triangle k at 4k..4k+3
     m = unit_square_mesh(3)
     f = refine_uniform(m)
     for k in range(m.num_triangles):
-        children = f.child_map[k]
+        children = np.arange(4 * k, 4 * k + 4)
         assert np.sum(f.areas[children]) == pytest.approx(m.areas[k],
                                                           rel=1e-13)
         # similarity ratio 1/2 uniformly: rho(K', K) = 2 for all children
@@ -88,12 +89,14 @@ def test_children_partition_parents_and_are_similar():
         assert np.allclose(f.areas[children], m.areas[k] / 4, rtol=1e-13)
 
 
-def test_coarse_vertices_are_a_prefix():
+def test_parent_links_sit_at_coarse_vertices_and_edge_midpoints():
     m = unit_square_mesh(4)
     f = refine_uniform(m)
-    assert np.array_equal(f.vertices[:m.num_vertices], m.vertices)
+    assert np.array_equal(f.vertices[f.parent_vertex], m.vertices)
     mid = 0.5 * (m.vertices[m.edges[:, 0]] + m.vertices[m.edges[:, 1]])
-    assert np.allclose(f.vertices[f.parent_edge_vertex], mid)
+    assert np.array_equal(f.vertices[f.parent_edge_vertex], mid)
+    links = np.concatenate([f.parent_vertex, f.parent_edge_vertex])
+    assert np.array_equal(np.sort(links), np.arange(f.num_vertices))
 
 
 def test_element_geometry_reference_triangle(reference_triangle):
@@ -210,22 +213,23 @@ def test_write_vtk(tmp_path):
 
 
 @settings(deadline=None)
-@given(n=st.integers(1, 8), levels=st.integers(0, 2))
-def test_vertex_order_sweeps_rows_of_the_structured_mesh(n, levels):
+@given(n=st.integers(1, 8), levels=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_refined_mesh_is_numbered_like_the_structured_mesh(n, levels, seed):
+    # every mesh of a chain numbers its vertices row by row, the order in
+    # which the package's sparse LUs fill least
     chain = mesh_chain(n, levels)
     fine = chain[-1]
-    before = prolongation(chain[0], fine)
-    order = fine.vertex_order
-    assert np.array_equal(np.sort(order), np.arange(fine.num_vertices))
     structured = unit_square_mesh(n * 2 ** levels)
-    assert np.array_equal(structured.vertex_order,
-                          np.arange(structured.num_vertices))
-    assert np.abs(fine.vertices[order]
-                  - structured.vertices).max() <= 1e-14
-    # the order renumbers nothing: coarse vertices stay a prefix of the
-    # fine ones, so prolongation is unchanged
-    for mesh in chain:
-        assert not mesh.vertex_order.flags.writeable
-    after = prolongation(chain[0], fine)
-    assert (before != after).nnz == 0
-    assert np.array_equal(before.indices, after.indices)
+    assert np.abs(fine.vertices - structured.vertices).max() <= 1e-14
+    for coarse, mesh in zip(chain[:-1], chain[1:]):
+        assert np.array_equal(mesh.vertices[mesh.parent_vertex],
+                              coarse.vertices)
+        mid = 0.5 * (coarse.vertices[coarse.edges[:, 0]]
+                     + coarse.vertices[coarse.edges[:, 1]])
+        assert np.array_equal(mesh.vertices[mesh.parent_edge_vertex], mid)
+    # prolongation reproduces random coarse P1 functions at the fine nodes
+    v = np.random.default_rng(seed).standard_normal(chain[0].num_vertices)
+    direct = np.array([evaluate_p1(chain[0], v, x, y)
+                       for x, y in fine.vertices])
+    assert np.abs(prolongation(chain[0], fine) @ v - direct).max() <= 1e-13

@@ -99,20 +99,12 @@ def _random_states(mesh, seed):
 
 @pytest.mark.parametrize("case", ["unit_square_8", "refined", "params"])
 def test_newton_system_matches_coo_reference(case):
-    # the system comes with its unknowns in the mesh's vertex order: it is
-    # P A_ref P^T and P rhs_ref for the permutation P of (u, w) by that
-    # order, the identity except on the refined mesh
     ops, p = _newton_case(case)
-    nv = ops.mesh.num_vertices
-    order = ops.mesh.vertex_order
-    assert np.array_equal(order, np.arange(nv)) == (case != "refined")
-    perm = np.concatenate([order, order + nv])
     for seed, tau in ((0, 0.05), (1, 0.3)):
         states = _random_states(ops.mesh, seed)
         A, rhs = _assemble_newton_system(ops, p, *states, tau)
         A_ref, rhs_ref = newton_system_reference(ops, p, *states, tau)
-        A_ref = A_ref[perm][:, perm].tocsc().sorted_indices()
-        rhs_ref = rhs_ref[perm]
+        A_ref = A_ref.tocsc().sorted_indices()
         assert A.format == "csc"
         assert np.array_equal(A.indptr, A_ref.indptr)
         assert np.array_equal(A.indices, A_ref.indices)
@@ -140,8 +132,8 @@ def test_newton_solve_uses_the_stiffness_of_its_operators(params):
 
 
 def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
-    # on a refined mesh the solve runs in vertex order; the first iterate
-    # must still be the solution of the system in the mesh's numbering
+    # on a refined mesh the first iterate must be the direct solution of
+    # the reference system assembled in the mesh's numbering
     mesh = mesh_chain(4, 1)[-1]
     ops = DiscreteOperators.for_params(mesh, params)
     prev = _projected_initial_state(mesh, params)
@@ -157,9 +149,9 @@ def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
 
 
 def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
-    # ordered by refine_uniform's numbering, this factor stores about
-    # 16.3M entries of L and U; in vertex order it fills like the
-    # structured n=64 mesh (0.79M)
+    # with the midpoints numbered after the coarse vertices, this factor
+    # stores about 16.3M entries of L and U; numbered row by row it fills
+    # like the structured n=64 mesh (0.79M)
     mesh = mesh_chain(16, 2)[-1]
     ops = DiscreteOperators.for_params(mesh, params)
     prev = initial_state(ops)
@@ -446,6 +438,19 @@ def test_checkpoint_roundtrip(tmp_path, params):
     assert np.allclose(loaded.mesh.vertices, mesh.vertices)
 
 
+def test_checkpoint_roundtrip_on_a_refined_mesh(tmp_path, params):
+    # load rebuilds the mesh with mesh_chain: the columns of U and W must
+    # come back in the numbering they were marched in
+    mesh = mesh_chain(4, 1)[-1]
+    traj = time_march(mesh, params, 0.25, 0.5)
+    path = tmp_path / "traj.npz"
+    traj.save(path)
+    loaded = TrajectorySolution.load(path)
+    assert np.array_equal(loaded.mesh.vertices, mesh.vertices)
+    assert np.array_equal(loaded.U, traj.U)
+    assert np.array_equal(loaded.W, traj.W)
+
+
 def test_loaded_checkpoint_needs_its_initial_data(tmp_path, params):
     # the checkpoint does not hold the initial data: estimating a reloaded
     # run must not fall back to the default Gaussian
@@ -481,9 +486,9 @@ def test_checkpoint_other_version_is_refused(tmp_path, params):
     traj.save(path)
     with np.load(path) as data:
         keys = dict(data)
-    keys["format_version"] = np.array(2)
+    keys["format_version"] = np.array(1)
     np.savez_compressed(path, **keys)
-    with pytest.raises(SolverError, match="format version 2"):
+    with pytest.raises(SolverError, match="format version 1"):
         TrajectorySolution.load(path)
 
 
