@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,8 +7,12 @@ method; the coupled 2N x 2N linearized system is assembled with exact
 Every march has one linear backend, a `FrozenLUSolver`: it factors the
 first Newton system of the march once and preconditions GMRES with that
 LU for every later iterate and step, since only the reaction blocks
-change between them.  It factors again only when GMRES stalls or misses
-the relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
+change between them.  GMRES starts from the current Newton iterate,
+which differs from the solution by the Newton increment, so an iterate
+whose increment is at rounding level costs no Krylov iteration: GMRES
+returns the iterate itself, and the step ends on a zero increment.  The
+backend factors again only when GMRES stalls or misses the
+relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
 checks.  `DirectSolver`, one LU per solve, is the oracle the tests
 compare the march against.
 
@@ -128,10 +132,11 @@ class DirectSolver:
     """Sparse LU factorization per solve; guarantees |Ax-b| <= 1e-10 |b|.
 
     No march uses it: it is the reference the tests check
-    `FrozenLUSolver` and the march against.
+    `FrozenLUSolver` and the march against.  `solve` ignores the starting
+    guess `x0`.
     """
 
-    def solve(self, A, b):
+    def solve(self, A, b, x0=None):
         try:
             lu = spla.splu(A.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
@@ -146,10 +151,11 @@ class FrozenLUSolver:
     the backend of every march.
 
     The Newton matrices of neighbouring steps differ only in the reaction
-    blocks, so one factorization preconditions many solves.  The first
-    system is factored and solved directly; the factor is refreshed, and
-    the system solved directly, whenever GMRES stalls or misses the
-    residual contract.
+    blocks, so one factorization preconditions many solves.  GMRES starts
+    from `x0` when given (the Newton loop passes its current iterate).
+    The first system is factored and solved directly; the factor is
+    refreshed, and the system solved directly, whenever GMRES stalls or
+    misses the residual contract.  The direct solves ignore `x0`.
     """
 
     def __init__(self):
@@ -163,13 +169,13 @@ class FrozenLUSolver:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
 
-    def solve(self, A, b):
+    def solve(self, A, b, x0=None):
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
         if self._lu is not None:
             M = spla.LinearOperator(A.shape, self._lu.solve, dtype=A.dtype)
-            x, info = spla.gmres(A, b, M=M, rtol=1e-12, atol=0.0,
+            x, info = spla.gmres(A, b, x0=x0, M=M, rtol=1e-12, atol=0.0,
                                  restart=_MAX_KRYLOV, maxiter=2)
             if info == 0 and _residual_ok(A, x, b, bnorm):
                 return x
@@ -224,7 +230,9 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
 
     Starts from the previous accepted state.  `ops` defaults to the
     operators of `p` on the state's mesh, `linear` to a fresh
-    FrozenLUSolver, which factors this step's first system.  In
+    FrozenLUSolver, which factors this step's first system.  Each linear
+    solve is given the current iterate as its starting guess, so GMRES
+    only has to find the Newton increment.  In
     balance mode the stopping test compares the linearization indicator of
     the last two iterates with the space indicator, the current iterate
     standing in for the accepted state.
@@ -248,7 +256,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
                                          cur.u, cur.w, tau)
-        x = linear.solve(A, rhs)
+        x = linear.solve(A, rhs, np.concatenate([cur.u, cur.w]))
         last = cur
         cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
         inc = ops.h1_norm(cur.u - last.u) + ops.l2_norm(cur.w - last.w)

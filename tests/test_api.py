@@ -92,3 +92,20 @@ def test_every_exported_name_is_used_outside_the_tests(module):
               if (module, n) not in UNUSED_ALLOWED
               and not _package_uses(module, n) and not _benchmark_uses(n)]
     assert unused == []
+
+
+def _imported_names(tree):
+    """The names a module's imports bind: `x` of `import x.y`, the alias
+    of `import x as y`, and each name (or alias) of `from m import ...`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = _tree(SRC / f"{module}.py")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [n for n in _imported_names(tree) if n not in used]
+    assert unused == []
