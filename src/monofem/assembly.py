@@ -21,7 +21,9 @@ handed out in CSC form with no COO stage, sort or block stacking.
 
 Every sparse LU factors its matrix in the mesh numbering, which
 :mod:`monofem.mesh` makes the order of least fill, with the column
-ordering `_PERMC_SPEC`.
+ordering `_PERMC_SPEC`.  :class:`DiscreteOperators` keeps one LU of its
+mass matrix, which the L2 projection of the initial data and the w-block
+of the march's preconditioner share.
 """
 
 import numpy as np
@@ -152,7 +154,7 @@ def stiffness_matrix(mesh, conductivity=1.0):
         raise AssemblyError(f"conductivity must be positive, got "
                             f"{conductivity}")
     G = mesh.basis_gradients                       # (nt, 3, 2)
-    local = conductivity * np.einsum("eid,ejd->eij", G, G)
+    local = conductivity * (G @ G.transpose(0, 2, 1))
     return _scatter(mesh, mesh.areas[:, None, None] * local)
 
 
@@ -167,7 +169,7 @@ def field_at_quadrature(mesh, vec, rule):
 
 def quadrature_coords(mesh, rule):
     """Physical coordinates of the rule's points, shape (nt, nq, 2)."""
-    return np.einsum("qi,eid->eqd", rule.points, mesh.vertices[mesh.triangles])
+    return rule.points @ mesh.vertices[mesh.triangles]
 
 
 def _element_integrals(mesh, values, products):
@@ -187,13 +189,23 @@ def load_vector(mesh, values, rule):
                        minlength=mesh.num_vertices)
 
 
-def l2_project(mesh, functions, mass=None):
+def _factor(M):
+    """Sparse LU of the matrix M, taken in the mesh numbering."""
+    try:
+        return spla.splu(M.tocsc(), permc_spec=_PERMC_SPEC)
+    except RuntimeError as exc:
+        raise AssemblyError(f"mass factorization failed: {exc}") from exc
+
+
+def l2_project(mesh, functions, mass_lu=None):
     """L2-orthogonal projections of pointwise functions onto the P1 space.
 
     Each `f(x, y)` in `functions` must accept coordinate arrays.  The load
-    vectors are integrated with the degree-6 rule and solved with one
-    factorization of the mass matrix; returns an array of shape
-    (len(functions), nv), one nodal vector per function.
+    vectors are integrated with the degree-6 rule and solved with
+    `mass_lu`, a factorization of the mass matrix (such as
+    :attr:`DiscreteOperators.mass_lu`; one is made when it is not given);
+    returns an array of shape (len(functions), nv), one nodal vector per
+    function.
     """
     rule = quadrature_rule(6)
     xy = quadrature_coords(mesh, rule)
@@ -202,11 +214,9 @@ def l2_project(mesh, functions, mass=None):
         values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
         b[:, k] = load_vector(mesh, np.broadcast_to(values, xy.shape[:2]),
                               rule)
-    M = mass_matrix(mesh) if mass is None else mass
-    try:
-        x = spla.splu(M.tocsc(), permc_spec=_PERMC_SPEC).solve(b)
-    except RuntimeError as exc:
-        raise AssemblyError(f"mass solve failed: {exc}") from exc
+    if mass_lu is None:
+        mass_lu = _factor(mass_matrix(mesh))
+    x = mass_lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise AssemblyError("mass solve failed (non-finite projection)")
     return x.T
@@ -297,8 +307,9 @@ class DiscreteOperators:
     Shared by the solver and the estimators so that mass/stiffness and the
     scatter patterns are assembled once per mesh.  :attr:`stiffness` is
     scaled by the conductivity, :attr:`stiffness_identity` (the H1 norm's
-    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` is
-    built on first use and kept for the life of the operators.
+    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` and
+    the factorization :attr:`mass_lu` are built on first use and kept for
+    the life of the operators.
     """
 
     @classmethod
@@ -320,6 +331,13 @@ class DiscreteOperators:
 
     def field_at(self, vec, rule):
         return field_at_quadrature(self.mesh, vec, rule)
+
+    @cached_property
+    def mass_lu(self):
+        """The one sparse LU of :attr:`mass`, shared by the L2 projection
+        of the initial data and the w-block of the march's
+        preconditioner."""
+        return _factor(self.mass)
 
     @cached_property
     def _newton_pattern(self):

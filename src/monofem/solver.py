@@ -1,20 +1,25 @@
 """Implicit Euler time marching with a Newton-Galerkin step solver.
 
 Each timestep solves the nonlinear P1 system for (u^n, w^n) with Newton's
-method; the coupled 2N x 2N linearized system is assembled with exact
-(degree-4) quadrature.
+method; the coupled 2N x 2N linearized system
+[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] is assembled
+with exact (degree-4) quadrature.
 
-Every march has one linear backend, a `FrozenLUSolver`: it factors the
-first Newton system of the march once and preconditions GMRES with that
-LU for every later iterate and step, since only the reaction blocks
-change between them.  GMRES starts from the current Newton iterate,
-which differs from the solution by the Newton increment, so an iterate
-whose increment is at rounding level costs no Krylov iteration: GMRES
-returns the iterate itself, and the step ends on a zero increment.  The
-backend factors again only when GMRES stalls or misses the
-relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
-checks.  `DirectSolver`, one LU per solve, is the oracle the tests
-compare the march against.
+Every march has one linear backend, a `FrozenLUSolver`.  Only the u-block
+of the Newton matrix carries the Laplacian; the w-block is
+(1/tau + eps) M at every iterate, because g_w = eps.  So the backend
+factors only the u-block of the march's first Newton system, keeps that
+system's lower-left block, and preconditions a restarted,
+right-preconditioned GMRES (Saad and Schultz 1986) with the block lower
+triangular matrix they make with the exact w-block (Murphy, Golub and
+Wathen 2000), solved through the operators' one mass LU.  GMRES starts
+from the current Newton iterate, which differs from the solution by the
+Newton increment, so an iterate whose increment is at rounding level
+costs no Krylov iteration: GMRES returns the iterate itself, and the step
+ends on a zero increment.  The backend factors again only when GMRES
+stalls or misses the relative-residual contract |Ax - b| <= 1e-10 |b|,
+which every solve checks.  `DirectSolver`, one LU of the whole system per
+solve, is the oracle the tests compare the march against.
 
 The sparsity of the Newton matrix is the same at every iterate, so
 `DiscreteOperators.newton_matrix` fills a CSC pattern built once per
@@ -27,6 +32,7 @@ then w, each in the mesh numbering, the order in which the LU fills least
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
@@ -59,6 +65,12 @@ _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
 
 #: GMRES restart length of the frozen-LU backend
 _MAX_KRYLOV = 40
+
+#: restart cycles of one GMRES run
+_KRYLOV_CYCLES = 2
+
+#: relative residual at which GMRES stops
+_KRYLOV_RTOL = 1e-12
 
 #: key layout of TrajectorySolution.save
 _CHECKPOINT_VERSION = 2
@@ -147,40 +159,107 @@ class DirectSolver:
 
 
 class FrozenLUSolver:
-    """GMRES preconditioned with a frozen LU of an earlier system matrix;
-    the backend of every march.
+    """Right-preconditioned GMRES with a block-triangular preconditioner
+    frozen on an earlier Newton matrix; the backend of every march.
 
-    The Newton matrices of neighbouring steps differ only in the reaction
-    blocks, so one factorization preconditions many solves.  GMRES starts
-    from `x0` when given (the Newton loop passes its current iterate).
-    The first system is factored and solved directly; the factor is
-    refreshed, and the system solved directly, whenever GMRES stalls or
-    misses the residual contract.  The direct solves ignore `x0`.
+    Every Newton matrix [[A11, A12], [A21, A22]] of a march with step
+    `tau` on the operators `ops` has A22 = c M, c = 1/tau + p.eps.  The
+    solver factors A11 = M/tau + K + M(f_u) of the first system it is
+    given, keeps that system's A21 = M(g_u), and preconditions with
+    P = [[A11, 0], [A21, c M]]: y_u = A11^-1 r_u, then
+    y_w = M^-1 (r_w - A21 y_u) / c with :attr:`DiscreteOperators.mass_lu`.
+    The w-block of P is exact for the whole march; only A11 and A21 are
+    frozen.  GMRES starts from `x0` when given (the Newton loop passes its
+    current iterate).  When GMRES stalls or misses the residual contract,
+    A11 and A21 are taken again from the current matrix and GMRES reruns;
+    a second miss raises SolverError.  `factorizations` counts the LUs of
+    A11, `krylov_iterations` the Krylov vectors, each of which applies P
+    once.
     """
 
-    def __init__(self):
+    def __init__(self, ops, tau, p):
+        self._mass_lu = ops.mass_lu
+        self._c = 1.0 / tau + p.eps
         self._lu = None
+        self._a21 = None
         self.factorizations = 0
+        self.krylov_iterations = 0
 
     def _refactor(self, A):
+        n = A.shape[0] // 2
+        A = A.tocsc()
         try:
-            self._lu = spla.splu(A.tocsc(), permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(A[:n, :n], permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+        self._a21 = A[n:, :n].tocsr()
         self.factorizations += 1
+
+    def _precondition(self, r):
+        n = len(r) // 2
+        y_u = self._lu.solve(r[:n])
+        y_w = self._mass_lu.solve(r[n:] - self._a21 @ y_u) / self._c
+        return np.concatenate([y_u, y_w])
+
+    def _gmres(self, A, b, x, bnorm):
+        """Restarted GMRES for A x = b from `x`, preconditioned on the
+        right, so that its Arnoldi residual is the residual b - A x
+        itself.  Returns (x, converged), converged when that residual is
+        at most _KRYLOV_RTOL |b|; an `x` that already meets it comes back
+        unchanged, with no application of P."""
+        target = _KRYLOV_RTOL * bnorm
+        m = _MAX_KRYLOV
+        for _ in range(_KRYLOV_CYCLES):
+            r = b - A @ x
+            beta = np.linalg.norm(r)
+            if beta <= target:
+                return x, True
+            V = [r / beta]                       # Arnoldi basis
+            Z = []                               # P^-1 of each basis vector
+            H = np.zeros((m, m))
+            cs = np.zeros(m)
+            sn = np.zeros(m)
+            g = np.zeros(m + 1)
+            g[0] = beta
+            for j in range(m):
+                Z.append(self._precondition(V[j]))
+                self.krylov_iterations += 1
+                w = A @ Z[j]
+                for i in range(j + 1):           # modified Gram-Schmidt
+                    H[i, j] = V[i] @ w
+                    w -= H[i, j] * V[i]
+                w_norm = np.linalg.norm(w)
+                for i in range(j):               # earlier Givens rotations
+                    H[i, j], H[i + 1, j] = (
+                        cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+                h = np.hypot(H[j, j], w_norm)
+                cs[j], sn[j] = H[j, j] / h, w_norm / h
+                H[j, j] = h
+                g[j + 1] = -sn[j] * g[j]
+                g[j] *= cs[j]
+                if abs(g[j + 1]) <= target:      # also when w_norm == 0
+                    break
+                V.append(w / w_norm)
+            k = j + 1
+            y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
+            x = x + y @ np.array(Z)
+            if abs(g[k]) <= target:
+                return x, True
+        return x, False
 
     def solve(self, A, b, x0=None):
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
+        if x0 is None:
+            x0 = np.zeros_like(b)
         if self._lu is not None:
-            M = spla.LinearOperator(A.shape, self._lu.solve, dtype=A.dtype)
-            x, info = spla.gmres(A, b, x0=x0, M=M, rtol=1e-12, atol=0.0,
-                                 restart=_MAX_KRYLOV, maxiter=2)
-            if info == 0 and _residual_ok(A, x, b, bnorm):
+            x, converged = self._gmres(A, b, x0, bnorm)
+            if converged and _residual_ok(A, x, b, bnorm):
                 return x
         self._refactor(A)
-        x = self._lu.solve(b)
+        x, _ = self._gmres(A, b, x0, bnorm)
         _check_residual(A, x, b)
         return x
 
@@ -230,7 +309,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
 
     Starts from the previous accepted state.  `ops` defaults to the
     operators of `p` on the state's mesh, `linear` to a fresh
-    FrozenLUSolver, which factors this step's first system.  Each linear
+    FrozenLUSolver, which factors the u-block of this step's first system
+    and preconditions GMRES with it and the mass LU of `ops`.  Each linear
     solve is given the current iterate as its starting guess, so GMRES
     only has to find the Newton increment.  In
     balance mode the stopping test compares the linearization indicator of
@@ -245,7 +325,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     if ops is None:
         ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
-        linear = FrozenLUSolver()
+        linear = FrozenLUSolver(ops, tau, p)
 
     nv = prev.mesh.num_vertices
     cur = StateField(prev.mesh, prev.u.copy(), prev.w.copy(),
@@ -289,11 +369,11 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
 
 def _march_steps(state, tau, num_steps, p, cfg, ops):
     """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
-    one FrozenLUSolver, so the march factors once (and again only on
-    that backend's fallback); yields (record, iterates) of each step,
+    one FrozenLUSolver, so the march factors one u-block (and another
+    only on that backend's fallback); yields (record, iterates) of each step,
     the last iterate being the accepted state.  A NewtonError is
     re-raised with its step number."""
-    linear = FrozenLUSolver()
+    linear = FrozenLUSolver(ops, tau, p)
     for n in range(1, num_steps + 1):
         try:
             state, rec, iterates = newton_solve(state, tau, p, cfg, ops=ops,
@@ -402,8 +482,10 @@ class TrajectorySolution:
 
 def initial_state(ops, initial=None):
     """State at t=0 on ops.mesh: the L2 projections onto V_h of the pair
-    of callables :func:`ionic.initial_pair` makes of `initial`."""
-    u0, w0 = l2_project(ops.mesh, ionic.initial_pair(initial), mass=ops.mass)
+    of callables :func:`ionic.initial_pair` makes of `initial`, solved
+    with :attr:`DiscreteOperators.mass_lu`."""
+    u0, w0 = l2_project(ops.mesh, ionic.initial_pair(initial),
+                        mass_lu=ops.mass_lu)
     return StateField(ops.mesh, u0, w0, 0.0)
 
 
@@ -434,8 +516,10 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     """March the monodomain system from its projected initial data to t_end.
 
     Every linear solve of the march goes through one FrozenLUSolver: one
-    sparse LU of the first Newton system, then GMRES preconditioned with
-    it, each solve checked to |Ax - b| <= 1e-10 |b|.
+    sparse LU of the u-block of the first Newton system, then GMRES with
+    the block-triangular preconditioner it makes with the mass LU that
+    also projects the initial data, each solve checked to
+    |Ax - b| <= 1e-10 |b|.
 
     Parameters
     ----------

@@ -149,18 +149,19 @@ def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
 
 
 def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
-    # with the midpoints numbered after the coarse vertices, this factor
-    # stores about 16.3M entries of L and U; numbered row by row it fills
-    # like the structured n=64 mesh (0.79M)
+    # with the midpoints numbered after the coarse vertices, an LU of the
+    # whole Newton matrix stores about 16.3M entries of L and U; numbered
+    # row by row it fills like the structured n=64 mesh (0.79M), and the
+    # u-block alone stores about 0.22M
     mesh = mesh_chain(16, 2)[-1]
     ops = DiscreteOperators.for_params(mesh, params)
     prev = initial_state(ops)
     A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
                                      prev.w, 0.025)
-    linear = FrozenLUSolver()
+    linear = FrozenLUSolver(ops, 0.025, params)
     linear.solve(A, rhs)
     assert linear.factorizations == 1
-    assert linear._lu.nnz <= 800_000
+    assert linear._lu.nnz <= 250_000
 
 
 def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):
@@ -311,23 +312,18 @@ def test_frozen_lu_matches_direct(params):
 
 
 class _CountingLinalg:
-    """`scipy.sparse.linalg` as `monofem.solver` sees it, counting the
-    sparse LUs and GMRES's inner iterations."""
+    """`scipy.sparse.linalg` as one monofem module sees it, counting its
+    sparse LUs and the order of each factored matrix."""
 
     def __init__(self, real):
         self._real = real
         self.factorizations = 0
-        self.krylov_iterations = 0
+        self.orders = []
 
-    def splu(self, *args, **kwargs):
+    def splu(self, A, *args, **kwargs):
         self.factorizations += 1
-        return self._real.splu(*args, **kwargs)
-
-    def gmres(self, *args, **kwargs):
-        def count(_residual):
-            self.krylov_iterations += 1
-        return self._real.gmres(*args, callback=count,
-                                callback_type="pr_norm", **kwargs)
+        self.orders.append(A.shape[0])
+        return self._real.splu(A, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self._real, name)
@@ -340,14 +336,11 @@ def linalg(monkeypatch):
     return counting
 
 
-def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params,
-                                                             linalg):
-    # scipy's gmres applies the preconditioner to b (for its stopping
-    # norm), to the residual of each restart and to each Krylov vector;
-    # an operator built without a dtype costs one more triangular solve,
-    # on a zero vector, at every call
+def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
+    # right-preconditioned GMRES applies the preconditioner to each Krylov
+    # vector and to nothing else: not to b, not to a restart's residual
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver()
+    linear = FrozenLUSolver(ops, 0.05, params)
     linear.solve(*_assemble_newton_system(ops, params,
                                           *_random_states(ops.mesh, 3), 0.05))
     factor = linear._lu
@@ -358,27 +351,49 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params,
         return factor.solve(v)
 
     linear._lu = SimpleNamespace(solve=counted)
-    before = linalg.krylov_iterations
+    before = linear.krylov_iterations
     A, rhs = _assemble_newton_system(ops, params,
                                      *_random_states(ops.mesh, 4), 0.05)
     x = linear.solve(A, rhs)
-    krylov = linalg.krylov_iterations - before
+    krylov = linear.krylov_iterations - before
     assert linear.factorizations == 1
     assert 0 < krylov < solver._MAX_KRYLOV       # one restart cycle
     assert all(applied)
-    assert len(applied) == krylov + 2
+    assert len(applied) == krylov
     assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_gmres_second_cycle_meets_the_contract(params, monkeypatch):
+    # a restart length one short of what the solve needs: GMRES restarts
+    # from its first cycle's result and converges without a refactor
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    linear = FrozenLUSolver(ops, 0.05, params)
+    linear.solve(*_assemble_newton_system(ops, params,
+                                          *_random_states(ops.mesh, 3), 0.05))
+    A, rhs = _assemble_newton_system(ops, params,
+                                     *_random_states(ops.mesh, 4), 0.05)
+    before = linear.krylov_iterations
+    linear.solve(A, rhs)
+    needed = linear.krylov_iterations - before
+    assert needed >= 3
+    monkeypatch.setattr(solver, "_MAX_KRYLOV", needed - 1)
+    before = linear.krylov_iterations
+    x = linear.solve(A, rhs)
+    assert needed - 1 < linear.krylov_iterations - before <= 2 * (needed - 1)
+    assert linear.factorizations == 1
+    assert (np.linalg.norm(A @ x - rhs)
+            <= solver.LINEAR_RESIDUAL_RTOL * np.linalg.norm(rhs))
 
 
 def test_frozen_lu_refactors_when_gmres_misses_the_contract(params):
     # a factor frozen on one Newton matrix cannot precondition a system
     # whose reaction is a million times stronger: the fallback factors
-    # the new matrix and its direct solve meets the contract
+    # the new matrix's u-block and GMRES then meets the contract
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     prev = initial_state(ops)
     A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
                                      prev.w, 0.025)
-    linear = FrozenLUSolver()
+    linear = FrozenLUSolver(ops, 0.025, params)
     linear.solve(A, rhs)
     assert linear.factorizations == 1
     stiff = AlievPanfilovParams(A=params.A * 1e6)
@@ -388,7 +403,7 @@ def test_frozen_lu_refactors_when_gmres_misses_the_contract(params):
     assert linear.factorizations == 2
     assert np.linalg.norm(B @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
 
-    fresh = FrozenLUSolver()
+    fresh = FrozenLUSolver(ops, 0.025, params)
     zero = fresh.solve(A, np.zeros_like(rhs))
     assert np.array_equal(zero, np.zeros_like(rhs))
     assert fresh.factorizations == 0
@@ -427,6 +442,48 @@ def test_every_march_factors_once(params, linalg, march):
     assert np.all(np.asarray(counts) <= oracle)
 
 
+def test_a_march_factors_one_u_block_and_one_mass_matrix(params,
+                                                         monkeypatch):
+    # the u-block LU is made through the solver's view of scipy, the mass
+    # LU through the assembly's; the initial projection and the
+    # preconditioner share the operators' one mass LU
+    counted = {}
+    for module in (solver, assembly):
+        counted[module] = _CountingLinalg(module.spla)
+        monkeypatch.setattr(module, "spla", counted[module])
+    mesh = unit_square_mesh(8)
+    nv = mesh.num_vertices
+    time_march(mesh, params, 0.1, 0.5)
+    assert counted[solver].orders == [nv]
+    assert counted[assembly].orders == [nv]
+
+    ops = DiscreteOperators.for_params(mesh, params)
+    state = initial_state(ops)
+    assert counted[assembly].orders == [nv, nv]
+    for _ in solver._march_steps(state, 0.1, 2, params, NewtonConfig(), ops):
+        pass
+    assert counted[assembly].orders == [nv, nv]
+    assert counted[solver].orders == [nv, nv]
+
+
+#: (mesh n, tau, t_end) of marches from small to large steps; at tau = 1
+#: the u-block M/tau + K + M(f_u) of the first step's middle Newton
+#: iterates is indefinite
+_TAU_MARCHES = [(8, 0.002, 0.01), (8, 0.25, 1.0), (8, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("n, tau, t_end", _TAU_MARCHES)
+def test_block_preconditioned_march_matches_the_oracle_across_tau(
+        params, linalg, n, tau, t_end):
+    mesh = unit_square_mesh(n)
+    traj = time_march(mesh, params, tau, t_end)
+    assert linalg.factorizations == 1
+    U, W, counts = direct_march(mesh, params, tau, t_end, NewtonConfig())
+    assert np.max(np.abs(traj.U - U)) <= 1e-9
+    assert np.max(np.abs(traj.W - W)) <= 1e-9
+    assert np.all(traj.newton_counts() <= counts)
+
+
 def test_every_accepted_state_meets_the_residual_contract(params):
     # linearized at the accepted state, A(x) x - b(x) is the nonlinear
     # implicit Euler residual of that state, whatever GMRES started from
@@ -443,22 +500,22 @@ def test_every_accepted_state_meets_the_residual_contract(params):
                 <= solver.LINEAR_RESIDUAL_RTOL * np.linalg.norm(rhs)), n
 
 
-def test_gmres_starts_from_the_current_newton_iterate(params, linalg):
+def test_gmres_starts_from_the_current_newton_iterate(params):
     # a factor frozen on another system, and an x0 that already solves
     # this one to 1e-13: GMRES returns x0 without a Krylov iteration
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver()
+    linear = FrozenLUSolver(ops, 0.05, params)
     linear.solve(*_assemble_newton_system(ops, params,
                                           *_random_states(ops.mesh, 3), 0.05))
     A, rhs = _assemble_newton_system(ops, params,
                                      *_random_states(ops.mesh, 4), 0.05)
     x0 = DirectSolver().solve(A, rhs)
     assert np.linalg.norm(A @ x0 - rhs) <= 1e-13 * np.linalg.norm(rhs)
-    before = linalg.krylov_iterations
+    before = linear.krylov_iterations
     assert np.array_equal(linear.solve(A, rhs, x0), x0)
-    assert linalg.krylov_iterations == before
+    assert linear.krylov_iterations == before
     linear.solve(A, rhs)
-    assert linalg.krylov_iterations > before
+    assert linear.krylov_iterations > before
     assert linear.factorizations == 1
 
     # and the Newton loop hands each solve its current iterate
@@ -471,7 +528,8 @@ def test_gmres_starts_from_the_current_newton_iterate(params, linalg):
 
     prev = initial_state(ops)
     _, _, iterates = newton_solve(prev, 0.05, params, NewtonConfig(),
-                                  ops=ops, linear=Recording())
+                                  ops=ops,
+                                  linear=Recording(ops, 0.05, params))
     assert len(starts) == len(iterates) - 1
     for x0, it in zip(starts, iterates):
         assert np.array_equal(x0, np.concatenate([it.u, it.w]))
