@@ -16,21 +16,27 @@ through COO into CSR.  The 2N x 2N Newton matrix of the coupled (u, w)
 system, assembled again at every Newton iterate, is instead filled into a
 fixed sparsity pattern that :class:`DiscreteOperators` builds once, on
 first use: each element entry (i, j) has a precomputed slot in the P1
-pattern, so each of the four blocks is one `bincount`, and the matrix is
-handed out in CSC form with no COO stage, sort or block stacking.
+pattern, so a weighted mass is one `bincount`, and the matrix is handed
+out in CSC form with no COO stage, sort or block stacking.  The recovery
+equation is linear (see :mod:`monofem.ionic`), so only two of the four
+blocks need quadrature at each iterate.
 
-Every sparse LU factors its matrix in the mesh numbering, which
+The mass matrix is never factored.  On every triangle mesh the spectrum
+of D^-1 M, D = diag M, lies in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7,
+1987), so a fixed number of Chebyshev steps on D^-1 M applies M^-1 to
+any accuracy (Wathen and Rees, ETNA 34, 2009): :func:`mass_solver`.  The
+sparse LUs of the package (the solver's u-block, the error pass's H1
+Gram matrix) factor their matrices in the mesh numbering, which
 :mod:`monofem.mesh` makes the order of least fill, with the column
-ordering `_PERMC_SPEC`.  :class:`DiscreteOperators` keeps one LU of its
-mass matrix, which the L2 projection of the initial data and the w-block
-of the march's preconditioner share.
+ordering `_PERMC_SPEC`.
 """
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 from functools import cached_property
+
+from . import ionic
 
 __all__ = [
     "AssemblyError",
@@ -39,6 +45,7 @@ __all__ = [
     "mass_matrix",
     "stiffness_matrix",
     "load_vector",
+    "mass_solver",
     "l2_project",
     "evaluate_p1",
     "DiscreteOperators",
@@ -47,6 +54,14 @@ __all__ = [
 
 #: column ordering of every sparse LU factorization
 _PERMC_SPEC = "MMD_AT_PLUS_A"
+
+#: interval that holds the spectrum of D^-1 M, D = diag M, for the P1 mass
+#: matrix M of every triangle mesh
+_MASS_SPECTRUM = (0.5, 2.0)
+
+#: Chebyshev steps of the L2 projection: the error bound 2 3^-k reaches
+#: rounding level at k = 35
+_PROJECTION_STEPS = 40
 
 
 class AssemblyError(ValueError):
@@ -189,46 +204,71 @@ def load_vector(mesh, values, rule):
                        minlength=mesh.num_vertices)
 
 
-def _factor(M):
-    """Sparse LU of the matrix M, taken in the mesh numbering."""
-    try:
-        return spla.splu(M.tocsc(), permc_spec=_PERMC_SPEC)
-    except RuntimeError as exc:
-        raise AssemblyError(f"mass factorization failed: {exc}") from exc
+def mass_solver(mass, steps):
+    """The map b -> M^-1 b by `steps` steps of Chebyshev semi-iteration on
+    D^-1 M over [1/2, 2] (Wathen and Rees 2009), M = `mass`, D = diag M.
+
+    There is no stopping test: the map is the same polynomial in D^-1 M
+    applied to D^-1 b, a fixed linear operator, whatever b is.  After k
+    steps the error in the M-norm is at most 2 3^-k times that of the
+    zero guess.  b is one nodal vector.
+    """
+    lo, hi = _MASS_SPECTRUM
+    theta, delta = (hi + lo) / 2.0, (hi - lo) / 2.0
+    # three-term recurrence of the scaled Chebyshev polynomials (Saad,
+    # Iterative Methods for Sparse Linear Systems, 2003, Alg. 12.1)
+    rho = delta / theta
+    recurrence = []
+    for _ in range(steps - 1):
+        rho_next = 1.0 / (2.0 * theta / delta - rho)
+        recurrence.append((rho_next * rho, 2.0 * rho_next / delta))
+        rho = rho_next
+    d_inv = 1.0 / mass.diagonal()
+
+    def solve(b):
+        r = np.array(b, dtype=float)
+        d = r * d_inv
+        d /= theta
+        x = d.copy()
+        for keep, gain in recurrence:
+            r -= mass @ d
+            d *= keep
+            d += gain * d_inv * r
+            x += d
+        return x
+
+    return solve
 
 
-def l2_project(mesh, functions, mass_lu=None):
+def l2_project(mesh, functions, mass=None):
     """L2-orthogonal projections of pointwise functions onto the P1 space.
 
     Each `f(x, y)` in `functions` must accept coordinate arrays.  The load
-    vectors are integrated with the degree-6 rule and solved with
-    `mass_lu`, a factorization of the mass matrix (such as
-    :attr:`DiscreteOperators.mass_lu`; one is made when it is not given);
-    returns an array of shape (len(functions), nv), one nodal vector per
-    function.
+    vectors are integrated with the degree-6 rule and solved one by one
+    with `_PROJECTION_STEPS` steps of :func:`mass_solver` on `mass`, the
+    mass matrix of the mesh (assembled when not given), which reach
+    rounding level; returns an array of shape (len(functions), nv), one
+    nodal vector per function.
     """
+    if mass is None:
+        mass = mass_matrix(mesh)
+    solve = mass_solver(mass, _PROJECTION_STEPS)
     rule = quadrature_rule(6)
     xy = quadrature_coords(mesh, rule)
-    b = np.empty((mesh.num_vertices, len(functions)))
+    x = np.empty((len(functions), mesh.num_vertices))
     for k, f in enumerate(functions):
         values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
-        b[:, k] = load_vector(mesh, np.broadcast_to(values, xy.shape[:2]),
-                              rule)
-    if mass_lu is None:
-        mass_lu = _factor(mass_matrix(mesh))
-    x = mass_lu.solve(b)
+        x[k] = solve(load_vector(mesh, np.broadcast_to(values, xy.shape[:2]),
+                                 rule))
     if not np.all(np.isfinite(x)):
         raise AssemblyError("mass solve failed (non-finite projection)")
-    return x.T
+    return x
 
 
-def evaluate_p1(mesh, vec, x, y):
-    """Value of the P1 function with nodal vector `vec` at one point.
-
-    Locates the containing triangle by barycentric coordinates (points on
-    shared edges pick the lowest triangle index).
-    """
-    vec = np.asarray(vec, dtype=float)
+def _locate(mesh, x, y):
+    """(k, lam): the triangle k that holds the point (x, y) and the
+    point's barycentric coordinates lam in it (points on shared edges
+    pick the lowest triangle index), found by a scan of every triangle."""
     p = mesh.vertices[mesh.triangles]
     d = np.array([x, y]) - p[:, 0]
     e1 = p[:, 1] - p[:, 0]
@@ -242,7 +282,21 @@ def evaluate_p1(mesh, vec, x, y):
     if len(hits) == 0:
         raise AssemblyError(f"point ({x}, {y}) lies outside the mesh")
     k = hits[0]
-    lam = np.array([l0[k], l1[k], l2[k]])
+    return k, np.array([l0[k], l1[k], l2[k]])
+
+
+def evaluate_p1(mesh, vec, x, y):
+    """Value of the P1 function with nodal vector `vec` at one point.
+
+    The containing triangle is located once per mesh and point, and kept
+    in the mesh's `located_points`.
+    """
+    vec = np.asarray(vec, dtype=float)
+    key = (float(x), float(y))
+    found = mesh.located_points.get(key)
+    if found is None:
+        found = mesh.located_points[key] = _locate(mesh, x, y)
+    k, lam = found
     return float(lam @ vec[mesh.triangles[k]])
 
 
@@ -307,9 +361,9 @@ class DiscreteOperators:
     Shared by the solver and the estimators so that mass/stiffness and the
     scatter patterns are assembled once per mesh.  :attr:`stiffness` is
     scaled by the conductivity, :attr:`stiffness_identity` (the H1 norm's
-    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` and
-    the factorization :attr:`mass_lu` are built on first use and kept for
-    the life of the operators.
+    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` is
+    built on first use and kept for the life of the operators; no matrix
+    is factored here.
     """
 
     @classmethod
@@ -333,13 +387,6 @@ class DiscreteOperators:
         return field_at_quadrature(self.mesh, vec, rule)
 
     @cached_property
-    def mass_lu(self):
-        """The one sparse LU of :attr:`mass`, shared by the L2 projection
-        of the initial data and the w-block of the march's
-        preconditioner."""
-        return _factor(self.mass)
-
-    @cached_property
     def _newton_pattern(self):
         # the stiffness matrix has the same pattern: both are scattered
         # from the same triangles, explicit zeros kept
@@ -351,34 +398,48 @@ class DiscreteOperators:
                                    (rule or self.rule4).mass_products)
         return _scatter(self.mesh, local.reshape(-1, 3, 3))
 
-    def newton_matrix(self, weights, tau):
-        """The 2N x 2N matrix [[M/tau + K + M(c11), M(c12)],
-        [M(c21), M/tau + M(c22)]] in CSC form.
+    def newton_matrix(self, f_u, u, tau, p):
+        """The 2N x 2N Newton matrix of the model with parameters `p`,
+        [[M/tau + K + M(f_u), M(u)], [s M(u) + c M, (1/tau + g_w) M]], in
+        CSC form.
 
-        M and K are :attr:`mass` and :attr:`stiffness`; M(c) is the mass
-        matrix weighted by pointwise values c at the points of
-        :attr:`rule4`, and `weights` is (c11, c12, c21, c22), each of shape
-        (nt, nq).  Each block is one kernel product and one bincount into
-        the fixed pattern, plus its constant part in the same slot order.
-        The result shares its index arrays with every other matrix this
-        method returns, so it must not be modified in place.
+        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is the mass
+        matrix weighted by pointwise values v at the points of
+        :attr:`rule4`, and `f_u` and `u` (each of shape (nt, nq)) are the
+        partial f_u and the iterate u there (f_w = u).  The lower blocks
+        are those of g_u = s u + c and the constant g_w of
+        :func:`ionic.recovery_jacobian`, so they need no quadrature: block
+        21 is block 12's data times s plus c M, block 22 a multiple of M.
+        Each iterate makes two kernel products and two bincounts into the
+        fixed pattern.  The result shares its index arrays with every
+        other matrix this method returns, so it must not be modified in
+        place.
         """
         pat = self._newton_pattern
-        slots = pat.slots.ravel()
-        nnz = self.mass.nnz
-        mass_dt = self.mass.data * (1.0 / tau)
-        constant = (mass_dt + self.stiffness.data, 0.0, 0.0, mass_dt)
-        data = np.empty(4 * nnz)
-        # block by block: four (nt, 9) temporaries at a time instead of one
-        # four times as large keep the peak memory of large meshes down
-        for c, const, positions in zip(weights, constant, pat.positions):
-            local = _element_integrals(self.mesh, c,
-                                       self.rule4.mass_products)
-            data[positions] = np.bincount(slots, weights=local.ravel(),
-                                          minlength=nnz) + const
+        p11, p12, p21, p22 = pat.positions
+        s, c, g_w = ionic.recovery_jacobian(p)
+        mass = self.mass.data
+        data = np.empty(4 * len(mass))
+        block = self._weighted_mass_data(f_u)
+        block += mass * (1.0 / tau) + self.stiffness.data
+        data[p11] = block
+        block = self._weighted_mass_data(u)
+        data[p12] = block
+        block *= s
+        block += c * mass
+        data[p21] = block
+        data[p22] = mass * (1.0 / tau + g_w)
         n2 = 2 * self.mesh.num_vertices
         return sp.csc_matrix((data, pat.indices, pat.indptr),
                              shape=(n2, n2))
+
+    def _weighted_mass_data(self, values):
+        """Data of the weighted mass matrix M(values), values at the
+        points of :attr:`rule4`, in the slot order of the P1 pattern."""
+        local = _element_integrals(self.mesh, values,
+                                   self.rule4.mass_products)
+        return np.bincount(self._newton_pattern.slots.ravel(),
+                           weights=local.ravel(), minlength=self.mass.nnz)
 
     def load(self, values_at_quad, rule=None):
         return load_vector(self.mesh, values_at_quad, rule or self.rule4)

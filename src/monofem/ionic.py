@@ -8,6 +8,13 @@ Cubic ionic current f and linear-in-recovery dynamics g,
 their four partial derivatives, the model parameters, and the Gaussian
 initial excitation used by the experiments.  All functions are pure and
 accept numpy arrays.
+
+The recovery equation is linear in w and its u-derivative is linear in u:
+g_w = eps and g_u = eps A (2u - 1 - a).  The Newton system of a step
+needs no pointwise g_u or g_w, only the coefficients
+:func:`recovery_jacobian` returns, and its right-hand side reduces to the
+two weights :func:`newton_load` returns.  :func:`react` evaluates the
+general form and is the reference the reduced ones are checked against.
 """
 
 import numpy as np
@@ -17,6 +24,8 @@ __all__ = [
     "AlievPanfilovParams",
     "ReactionEval",
     "react",
+    "recovery_jacobian",
+    "newton_load",
     "initial_data",
     "initial_pair",
 ]
@@ -94,6 +103,24 @@ def react(u, w, p):
     )
 
 
+def recovery_jacobian(p):
+    """(s, c, g_w): the partials of g are g_u = s u + c and the constant
+    g_w, with s = 2 eps A, c = -eps A (1 + a) and g_w = eps."""
+    return 2.0 * p.eps * p.A, -p.eps * p.A * (1.0 + p.a), p.eps
+
+
+def newton_load(u, w, p):
+    """Reaction weights of the Newton right-hand side linearized at
+    (u, w): f_u u + f_w w - f = A u^2 (2u - 1 - a) + u w and
+    g_u u + g_w w - g = eps A u^2."""
+    u2 = u * u
+    load_f = (2.0 * u - (1.0 + p.a)) * u2
+    load_f *= p.A
+    load_f += u * w
+    u2 *= p.eps * p.A
+    return load_f, u2
+
+
 def initial_data(x, y):
     """Initial excitation: a Gaussian bump peaked at (1, 0) and zero
     recovery.
@@ -111,6 +138,8 @@ def initial_pair(initial=None):
     the two components of :func:`initial_data`."""
     if initial is not None:
         return initial
+    # w0 is zero: its callable does not evaluate the Gaussian again
     return (lambda x, y: initial_data(x, y)[0],
-            lambda x, y: initial_data(x, y)[1])
+            lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x),
+                                                      np.shape(y))))
 

@@ -65,10 +65,11 @@ class TriMesh:
     parent_edge_vertex : (ne_parent,) int array, optional
         Vertex of this mesh sitting at the midpoint of each parent edge.
 
-    The mesh is immutable after construction and safe to share between
-    threads for reading.  Edges are stored as sorted vertex pairs in
-    lexicographic order; ``edge_triangles[e]`` lists the one or two incident
-    triangles (second entry -1 on the boundary, lower triangle index first).
+    The mesh is immutable after construction, apart from the cache
+    `located_points`, and safe to share between threads for reading.
+    Edges are stored as sorted vertex pairs in lexicographic order;
+    ``edge_triangles[e]`` lists the one or two incident triangles (second
+    entry -1 on the boundary, lower triangle index first).
     """
 
     def __init__(self, vertices, triangles, parent=None, parent_vertex=None,
@@ -90,6 +91,10 @@ class TriMesh:
         # provenance of structured meshes (unit_square_mesh + refinements)
         self.base_n = None
         self.levels = 0
+        # (x, y) -> (triangle, barycentric coordinates) of each point
+        # assembly.evaluate_p1 has located; a cache, so it lives and dies
+        # with the mesh
+        self.located_points = {}
 
         p = vertices[triangles]                     # (nt, 3, 2)
         e1 = p[:, 1] - p[:, 0]

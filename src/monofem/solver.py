@@ -5,30 +5,34 @@ method; the coupled 2N x 2N linearized system
 [[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] is assembled
 with exact (degree-4) quadrature.
 
-Every march has one linear backend, a `FrozenLUSolver`.  Only the u-block
-of the Newton matrix carries the Laplacian; the w-block is
-(1/tau + eps) M at every iterate, because g_w = eps.  So the backend
-factors only the u-block of the march's first Newton system, keeps that
-system's lower-left block, and preconditions a restarted,
+Every march has one linear backend, a `FrozenLUSolver`, and makes one
+sparse LU.  Only the u-block of the Newton matrix carries the Laplacian;
+the w-block is (1/tau + eps) M at every iterate, because g_w = eps.  So
+the backend factors only the u-block of the march's first Newton system,
+keeps that system's lower-left block, and preconditions a restarted,
 right-preconditioned GMRES (Saad and Schultz 1986) with the block lower
-triangular matrix they make with the exact w-block (Murphy, Golub and
-Wathen 2000), solved through the operators' one mass LU.  GMRES starts
-from the current Newton iterate, which differs from the solution by the
-Newton increment, so an iterate whose increment is at rounding level
-costs no Krylov iteration: GMRES returns the iterate itself, and the step
-ends on a zero increment.  The backend factors again only when GMRES
-stalls or misses the relative-residual contract |Ax - b| <= 1e-10 |b|,
-which every solve checks.  `DirectSolver`, one LU of the whole system per
-solve, is the oracle the tests compare the march against.
+triangular matrix they make with the w-block (Murphy, Golub and Wathen
+2000).  The mass matrix of the w-block is applied inverse by a fixed
+Chebyshev polynomial (`assembly.mass_solver`), not by a factorization.
+GMRES starts from the current Newton iterate, which differs from the
+solution by the Newton increment, so an iterate whose increment is at
+rounding level costs no Krylov iteration: GMRES returns the iterate
+itself, and the step ends on a zero increment.  The backend factors again
+only when GMRES stalls or misses the relative-residual contract
+|Ax - b| <= 1e-10 |b|, which every solve checks.  `DirectSolver`, one LU
+of the whole system per solve, is the oracle the tests compare the march
+against.
 
 The sparsity of the Newton matrix is the same at every iterate, so
 `DiscreteOperators.newton_matrix` fills a CSC pattern built once per
-operator set: each of the four reaction blocks is one call of the
-basis-product kernel and one bincount, and the constant M/tau + K and
-M/tau parts are added in the same slot order.  The right-hand side uses
-the same kernel through `DiscreteOperators.load`.  The unknowns are u,
-then w, each in the mesh numbering, the order in which the LU fills least
-(see :mod:`monofem.mesh`); the backends factor the matrix as it is.
+operator set.  The recovery equation is linear in w and its g_u linear in
+u (see :mod:`monofem.ionic`), so an iterate makes two weighted masses,
+M(f_u) and M(u), each one call of the basis-product kernel and one
+bincount; the other blocks follow from them and from M.  The right-hand
+side uses the same kernel through `DiscreteOperators.load`, with the
+reduced weights of `ionic.newton_load`.  The unknowns are u, then w, each
+in the mesh numbering, the order in which the LU fills least (see
+:mod:`monofem.mesh`); the backends factor the matrix as it is.
 """
 
 import numpy as np
@@ -37,7 +41,8 @@ import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field
 
 from . import estimators, ionic
-from .assembly import _PERMC_SPEC, DiscreteOperators, l2_project
+from .assembly import (_PERMC_SPEC, DiscreteOperators, l2_project,
+                       mass_solver)
 from .mesh import mesh_chain
 
 __all__ = [
@@ -71,6 +76,9 @@ _KRYLOV_CYCLES = 2
 
 #: relative residual at which GMRES stops
 _KRYLOV_RTOL = 1e-12
+
+#: Chebyshev steps of the preconditioner's mass-matrix solve
+_PRECONDITIONER_STEPS = 6
 
 #: key layout of TrajectorySolution.save
 _CHECKPOINT_VERSION = 2
@@ -166,19 +174,21 @@ class FrozenLUSolver:
     `tau` on the operators `ops` has A22 = c M, c = 1/tau + p.eps.  The
     solver factors A11 = M/tau + K + M(f_u) of the first system it is
     given, keeps that system's A21 = M(g_u), and preconditions with
-    P = [[A11, 0], [A21, c M]]: y_u = A11^-1 r_u, then
-    y_w = M^-1 (r_w - A21 y_u) / c with :attr:`DiscreteOperators.mass_lu`.
-    The w-block of P is exact for the whole march; only A11 and A21 are
-    frozen.  GMRES starts from `x0` when given (the Newton loop passes its
-    current iterate).  When GMRES stalls or misses the residual contract,
-    A11 and A21 are taken again from the current matrix and GMRES reruns;
-    a second miss raises SolverError.  `factorizations` counts the LUs of
-    A11, `krylov_iterations` the Krylov vectors, each of which applies P
-    once.
+    P = [[A11, 0], [A21, c Q]]: y_u = A11^-1 r_u, then
+    y_w = Q^-1 (r_w - A21 y_u) / c, where Q^-1 is `_PRECONDITIONER_STEPS`
+    Chebyshev steps of :func:`assembly.mass_solver` on M.  Q^-1 is not
+    M^-1, but it is a fixed polynomial in D^-1 M, so P is one linear
+    operator for the whole march, as right-preconditioned GMRES requires;
+    only A11 and A21 are frozen.  GMRES starts from `x0` when given (the
+    Newton loop passes its current iterate).  When GMRES stalls or misses
+    the residual contract, A11 and A21 are taken again from the current
+    matrix and GMRES reruns; a second miss raises SolverError.
+    `factorizations` counts the LUs of A11, `krylov_iterations` the Krylov
+    vectors, each of which applies P once.
     """
 
     def __init__(self, ops, tau, p):
-        self._mass_lu = ops.mass_lu
+        self._mass_inverse = mass_solver(ops.mass, _PRECONDITIONER_STEPS)
         self._c = 1.0 / tau + p.eps
         self._lu = None
         self._a21 = None
@@ -198,7 +208,8 @@ class FrozenLUSolver:
     def _precondition(self, r):
         n = len(r) // 2
         y_u = self._lu.solve(r[:n])
-        y_w = self._mass_lu.solve(r[n:] - self._a21 @ y_u) / self._c
+        y_w = self._mass_inverse(r[n:] - self._a21 @ y_u)
+        y_w /= self._c
         return np.concatenate([y_u, y_w])
 
     def _gmres(self, A, b, x, bnorm):
@@ -293,10 +304,10 @@ def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
     rule = ops.rule4
     u_q = ops.field_at(u_it, rule)
     w_q = ops.field_at(w_it, rule)
-    r = ionic.react(u_q, w_q, p)
-    A = ops.newton_matrix((r.f_u, r.f_w, r.g_u, r.g_w), tau)
-    rhs1 += ops.load(r.f_u * u_q + r.f_w * w_q - r.f, rule)
-    rhs2 += ops.load(r.g_u * u_q + r.g_w * w_q - r.g, rule)
+    A = ops.newton_matrix(ionic.f_du(u_q, w_q, p), u_q, tau, p)
+    load_f, load_g = ionic.newton_load(u_q, w_q, p)
+    rhs1 += ops.load(load_f, rule)
+    rhs2 += ops.load(load_g, rule)
     return A, np.concatenate([rhs1, rhs2])
 
 
@@ -310,9 +321,9 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     Starts from the previous accepted state.  `ops` defaults to the
     operators of `p` on the state's mesh, `linear` to a fresh
     FrozenLUSolver, which factors the u-block of this step's first system
-    and preconditions GMRES with it and the mass LU of `ops`.  Each linear
-    solve is given the current iterate as its starting guess, so GMRES
-    only has to find the Newton increment.  In
+    and preconditions GMRES with it and Chebyshev steps on the mass matrix
+    of `ops`.  Each linear solve is given the current iterate as its
+    starting guess, so GMRES only has to find the Newton increment.  In
     balance mode the stopping test compares the linearization indicator of
     the last two iterates with the space indicator, the current iterate
     standing in for the accepted state.
@@ -482,10 +493,10 @@ class TrajectorySolution:
 
 def initial_state(ops, initial=None):
     """State at t=0 on ops.mesh: the L2 projections onto V_h of the pair
-    of callables :func:`ionic.initial_pair` makes of `initial`, solved
-    with :attr:`DiscreteOperators.mass_lu`."""
+    of callables :func:`ionic.initial_pair` makes of `initial`, solved on
+    the operators' own mass matrix with no factorization."""
     u0, w0 = l2_project(ops.mesh, ionic.initial_pair(initial),
-                        mass_lu=ops.mass_lu)
+                        mass=ops.mass)
     return StateField(ops.mesh, u0, w0, 0.0)
 
 
@@ -517,9 +528,10 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
 
     Every linear solve of the march goes through one FrozenLUSolver: one
     sparse LU of the u-block of the first Newton system, then GMRES with
-    the block-triangular preconditioner it makes with the mass LU that
-    also projects the initial data, each solve checked to
-    |Ax - b| <= 1e-10 |b|.
+    the block-triangular preconditioner it makes with Chebyshev steps on
+    the mass matrix, each solve checked to |Ax - b| <= 1e-10 |b|.  That
+    LU is the only factorization of the march: the initial data is
+    projected with Chebyshev steps as well.
 
     Parameters
     ----------

@@ -7,10 +7,13 @@ basis gradients are recomputed here from vertex coordinates.  The Newton
 system reference assembles each block through COO and stacks the blocks
 with sp.bmat, independently of the package's fixed pattern.  The march
 oracle solves every Newton system with its own LU (`DirectSolver`), where
-the package's march reuses one factorization.
+the package's march reuses one factorization.  The Chebyshev mass solve
+is checked against the dense matrix of its polynomial, built from the
+generalized eigenvectors of the mass matrix and its diagonal.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from math import factorial
 
@@ -91,6 +94,18 @@ def weighted_mass_reference(mesh, values, rule):
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(nv, nv)).tocsr()
+
+
+def chebyshev_mass_inverse_reference(M, steps):
+    """Dense matrix of `steps` Chebyshev steps on D^-1 M over [1/2, 2]
+    from the zero guess, D = diag M: (I - p(D^-1 M)) M^-1 with the residual
+    polynomial p(t) = T_k((5/4 - t) / (3/4)) / T_k(5/3), k = `steps`.
+    Returns (matrix, values of p at the eigenvalues of D^-1 M)."""
+    d = M.diagonal()
+    lam, V = sla.eigh(M.toarray(), np.diag(d))   # V^T M V = lam, V^T D V = I
+    T = np.polynomial.chebyshev.Chebyshev.basis(steps)
+    p = T((1.25 - lam) / 0.75) / T(5.0 / 3.0)
+    return (V * ((1.0 - p) / lam)) @ V.T, p
 
 
 def load_reference(mesh, values, rule):

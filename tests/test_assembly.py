@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
+from monofem import assembly
 from monofem.assembly import (AssemblyError, DiscreteOperators, evaluate_p1,
                               field_at_quadrature, l2_project, load_vector,
-                              mass_matrix, quadrature_rule, stiffness_matrix)
-from monofem.mesh import mesh_chain, refine_uniform, unit_square_mesh
+                              mass_matrix, mass_solver, quadrature_coords,
+                              quadrature_rule, stiffness_matrix)
+from monofem.mesh import TriMesh, mesh_chain, refine_uniform, unit_square_mesh
 
-from oracles import (barycentric_at, load_reference, p1_gradients,
+from oracles import (barycentric_at, chebyshev_mass_inverse_reference,
+                     load_reference, p1_gradients,
                      reference_monomial_integral, triangle_quadrature,
                      weighted_mass_reference)
 
@@ -227,26 +234,97 @@ def test_l2_project_constants_and_p1(mesh8):
     assert np.max(np.abs(p1 - nodal)) < 1e-12
 
 
-def test_l2_project_matches_spsolve_on_a_refined_mesh():
-    # the factor is taken in the mesh numbering, row by row also on a
-    # refined mesh; its solutions must be those of the system as given
-    from scipy.sparse.linalg import spsolve
+def _distorted_mesh(n, seed):
+    """unit_square_mesh(n) with each interior vertex moved by up to h/10
+    in each coordinate, which keeps every triangle counterclockwise."""
+    mesh = unit_square_mesh(n)
+    xy = mesh.vertices
+    interior = np.all((xy > 1e-12) & (xy < 1.0 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    moved = xy.copy()
+    moved[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
+    return TriMesh(moved, mesh.triangles)
 
-    from monofem.assembly import _factor, quadrature_coords
 
-    mesh = mesh_chain(4, 2)[-1]
-    funcs = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
-             lambda x, y: x * y]
+_PROJECTED = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
+              lambda x, y: x * y,
+              lambda x, y: np.sin(40.0 * x) * np.cos(23.0 * y)]
+
+
+def _projection_error(mesh):
+    """Largest difference between l2_project and spsolve on the mass
+    matrix, relative to the largest entry of the spsolve projections."""
     rule = quadrature_rule(6)
     xy = quadrature_coords(mesh, rule)
     b = np.column_stack([load_vector(mesh, f(xy[:, :, 0], xy[:, :, 1]),
-                                     rule) for f in funcs])
-    ops = DiscreteOperators(mesh)
-    for matrix in (ops.mass, ops.h1_gram):
-        expected = spsolve(matrix.tocsc(), b)
-        got = l2_project(mesh, funcs, mass_lu=_factor(matrix)).T
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(
-            expected).max()
+                                     rule) for f in _PROJECTED])
+    expected = spsolve(mass_matrix(mesh).tocsc(), b)
+    got = l2_project(mesh, _PROJECTED).T
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+def test_l2_project_matches_spsolve_on_a_refined_mesh():
+    # the Chebyshev steps reach rounding level also in the row-by-row
+    # numbering of a refined mesh
+    assert _projection_error(mesh_chain(4, 2)[-1]) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["structured_32", "distorted"])
+def test_l2_project_matches_spsolve_to_rounding_level(case):
+    mesh = unit_square_mesh(32) if case == "structured_32" else \
+        _distorted_mesh(16, 7)
+    assert _projection_error(mesh) <= 1e-13
+
+
+def test_l2_project_uses_the_mass_matrix_it_is_given(mesh8):
+    # a mass matrix handed in is used as it is, not assembled again
+    f = [lambda x, y: np.cos(3.0 * x) + y]
+    ops = DiscreteOperators(mesh8)
+    assert np.array_equal(l2_project(mesh8, f, mass=ops.mass),
+                          l2_project(mesh8, f))
+    assert not np.array_equal(l2_project(mesh8, f, mass=2.0 * ops.mass),
+                              l2_project(mesh8, f))
+
+
+@settings(deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["structured", "refined", "distorted"]),
+       n=st.integers(1, 6), levels=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobi_scaled_mass_spectrum_lies_in_half_to_two(kind, n, levels,
+                                                         seed):
+    # Wathen (1987): the spectrum of D^-1 M, D = diag M, of the P1 mass
+    # matrix of any triangle mesh lies in [1/2, 2]; the Chebyshev steps
+    # of mass_solver are taken over that interval
+    if kind == "structured":
+        mesh = unit_square_mesh(n)
+    elif kind == "refined":
+        mesh = mesh_chain(n, levels)[-1]
+    else:
+        mesh = _distorted_mesh(n + 1, seed)
+    M = mass_matrix(mesh).toarray()
+    lam = sla.eigvalsh(M, np.diag(np.diag(M)))
+    assert lam.min() >= 0.5 - 1e-12
+    assert lam.max() <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 2, 6, 13])
+def test_mass_solver_applies_the_fixed_chebyshev_polynomial(steps):
+    # k steps from the zero guess are one fixed polynomial in D^-1 M,
+    # whatever b is, and meet the error bound 2 3^-k in the M-norm
+    mesh = _distorted_mesh(5, 3)
+    M = mass_matrix(mesh)
+    reference, p = chebyshev_mass_inverse_reference(M, steps)
+    assert np.abs(p).max() <= 2.0 * 3.0 ** -steps
+    rng = np.random.default_rng(steps)
+    for b in (rng.standard_normal(mesh.num_vertices),
+              M @ np.ones(mesh.num_vertices)):
+        exact = spsolve(M.tocsc(), b)
+        got = mass_solver(M, steps)(b)
+        assert np.abs(got - reference @ b).max() <= 1e-13 * np.abs(
+            exact).max()
+        error = exact - got
+        assert (np.sqrt(error @ (M @ error))
+                <= 2.0 * 3.0 ** -steps * np.sqrt(exact @ (M @ exact)))
 
 
 def test_l2_project_gaussian_second_order():
@@ -288,6 +366,34 @@ def test_evaluate_p1_at_vertices_and_inside(mesh8):
         2.0 * 0.3 - 0.45, abs=1e-13)
     with pytest.raises(AssemblyError):
         evaluate_p1(mesh8, v, 1.5, 0.5)
+
+
+def test_evaluate_p1_locates_each_point_once_per_mesh(monkeypatch):
+    # the CLI evaluates u and w at the probe of every stored step; the
+    # triangle and weights found by the first call serve the later ones,
+    # and each mesh keeps its own
+    scans = []
+    real = assembly._locate
+
+    def counting(mesh, x, y):
+        scans.append((x, y))
+        return real(mesh, x, y)
+
+    mesh = unit_square_mesh(8)
+    rng = np.random.default_rng(4)
+    u, w = rng.standard_normal((2, mesh.num_vertices))
+    before = [evaluate_p1(mesh, v, 0.37, 0.61) for v in (u, w)]
+    mesh = unit_square_mesh(8)
+    monkeypatch.setattr(assembly, "_locate", counting)
+    after = [evaluate_p1(mesh, v, 0.37, 0.61) for v in (u, w, u)]
+    assert scans == [(0.37, 0.61)]
+    assert after == before + before[:1]          # bit for bit
+    k, lam = mesh.located_points[(0.37, 0.61)]
+    verts = mesh.vertices[mesh.triangles[k]]
+    assert np.abs(lam - barycentric_at(verts, np.array([[0.37, 0.61]]))[0]
+                  ).max() <= 1e-14
+    evaluate_p1(unit_square_mesh(8), u, 0.37, 0.61)
+    assert len(scans) == 2
 
 
 def test_discrete_operators_norms(mesh8):

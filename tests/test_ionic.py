@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from monofem.ionic import AlievPanfilovParams, initial_data, react
+from monofem.ionic import (AlievPanfilovParams, initial_data, newton_load,
+                           react, recovery_jacobian)
 
 
 def test_paper_parameter_defaults(params):
@@ -105,3 +106,20 @@ def test_initial_data_vectorized():
     assert u0.shape == (3,)
     assert np.all(w0 == 0.0)
     assert u0[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("p", [AlievPanfilovParams(),
+                               AlievPanfilovParams(A=5.0, a=0.3, eps=0.05)])
+def test_reduced_newton_weights_match_react(p):
+    # the Newton system needs g_u = s u + c, the constant g_w and the
+    # right-hand side weights f_u u + f_w w - f and g_u u + g_w w - g
+    rng = np.random.default_rng(8)
+    u, w = rng.uniform(-0.2, 1.2, (2, 5, 6))
+    r = react(u, w, p)
+    s, c, g_w = recovery_jacobian(p)
+    assert np.abs(s * u + c - r.g_u).max() <= 1e-14
+    assert np.all(r.g_w == g_w)
+    load_f, load_g = newton_load(u, w, p)
+    assert np.abs(load_f - (r.f_u * u + r.f_w * w - r.f)).max() <= 1e-13
+    assert np.abs(load_g - (r.g_u * u + r.g_w * w - r.g)).max() <= 1e-14
+    assert np.array_equal(r.f_w, u)

@@ -15,7 +15,8 @@ from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             trajectory_nbytes)
 from monofem.verify import build_reference, newton_study
 
-from oracles import direct_march, newton_system_reference
+from oracles import (chebyshev_mass_inverse_reference, direct_march,
+                     newton_system_reference)
 
 
 def test_sparse_solve_identity():
@@ -182,8 +183,9 @@ def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):
     assert len(built) == 1
     assert all(np.shares_memory(A.indices, matrices[0].indices)
                for A in matrices)
-    DiscreteOperators.for_params(mesh, params).newton_matrix(
-        [np.ones((mesh.num_triangles, 6))] * 4, 0.1)
+    ones = np.ones((mesh.num_triangles, 6))
+    DiscreteOperators.for_params(mesh, params).newton_matrix(ones, ones, 0.1,
+                                                             params)
     assert len(built) == 2
 
 
@@ -442,28 +444,81 @@ def test_every_march_factors_once(params, linalg, march):
     assert np.all(np.asarray(counts) <= oracle)
 
 
-def test_a_march_factors_one_u_block_and_one_mass_matrix(params,
-                                                         monkeypatch):
-    # the u-block LU is made through the solver's view of scipy, the mass
-    # LU through the assembly's; the initial projection and the
-    # preconditioner share the operators' one mass LU
-    counted = {}
-    for module in (solver, assembly):
-        counted[module] = _CountingLinalg(module.spla)
-        monkeypatch.setattr(module, "spla", counted[module])
+def test_a_march_makes_one_splu_of_its_u_block(params, linalg,
+                                               monkeypatch):
+    # the u-block LU, made through the solver's view of scipy, is the only
+    # factorization: the initial projection and the preconditioner's
+    # w-block solve the mass matrix by Chebyshev steps
+    import scipy.sparse.linalg
+
+    every = _CountingLinalg(SimpleNamespace(splu=scipy.sparse.linalg.splu))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", every.splu)
     mesh = unit_square_mesh(8)
     nv = mesh.num_vertices
     time_march(mesh, params, 0.1, 0.5)
-    assert counted[solver].orders == [nv]
-    assert counted[assembly].orders == [nv]
+    assert linalg.orders == [nv]
+    assert every.orders == [nv]
 
     ops = DiscreteOperators.for_params(mesh, params)
     state = initial_state(ops)
-    assert counted[assembly].orders == [nv, nv]
+    assert every.orders == [nv]
     for _ in solver._march_steps(state, 0.1, 2, params, NewtonConfig(), ops):
         pass
-    assert counted[assembly].orders == [nv, nv]
-    assert counted[solver].orders == [nv, nv]
+    assert linalg.orders == [nv, nv]
+    assert every.orders == [nv, nv]
+
+
+def test_block_preconditioner_is_one_fixed_linear_operator(params):
+    # right-preconditioned GMRES needs the same P at every Krylov vector:
+    # P^-1 is linear, the same input gives the same output, and its
+    # w-block is the fixed Chebyshev polynomial, not a solve to a
+    # tolerance
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    tau = 0.05
+    linear = FrozenLUSolver(ops, tau, params)
+    linear.solve(*_assemble_newton_system(ops, params,
+                                          *_random_states(ops.mesh, 3), tau))
+    nv = ops.mesh.num_vertices
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 2 * nv))
+    pa, pb = linear._precondition(a), linear._precondition(b)
+    for alpha in (-0.37, 1e6):
+        combined = linear._precondition(alpha * a + b)
+        scale = np.abs(alpha * pa + pb).max()
+        assert np.abs(combined - (alpha * pa + pb)).max() <= 1e-14 * scale
+    assert np.array_equal(linear._precondition(b), pb)
+
+    reference, _ = chebyshev_mass_inverse_reference(
+        ops.mass, solver._PRECONDITIONER_STEPS)
+    r_w = b[nv:]
+    y = linear._precondition(np.concatenate([np.zeros(nv), r_w]))
+    expected = reference @ r_w / (1.0 / tau + params.eps)
+    assert not np.any(y[:nv])
+    assert np.abs(y[nv:] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_initial_state_evaluates_the_default_data_once(params, monkeypatch):
+    # w0 = 0 is not computed from the Gaussian again; the projection is
+    # the one of both components of initial_data, bit for bit
+    from monofem import ionic
+    from monofem.assembly import l2_project
+
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    both = [lambda x, y: ionic.initial_data(x, y)[0],
+            lambda x, y: ionic.initial_data(x, y)[1]]
+    expected = l2_project(ops.mesh, both, mass=ops.mass)
+    calls = []
+    real = ionic.initial_data
+
+    def counting(x, y):
+        calls.append(np.shape(x))
+        return real(x, y)
+
+    monkeypatch.setattr(ionic, "initial_data", counting)
+    state = initial_state(ops)
+    assert len(calls) == 1
+    assert np.array_equal(state.u, expected[0])
+    assert np.array_equal(state.w, expected[1])
 
 
 #: (mesh n, tau, t_end) of marches from small to large steps; at tau = 1
