@@ -11,15 +11,15 @@ Every integral of a field given at quadrature points against P1 basis
 functions goes through one kernel, `_element_integrals`: a product
 `(nt, nq) @ (nq, k)` with a precomputed table of weighted basis products
 (`w_q l_i(x_q)` for load vectors, `w_q l_i(x_q) l_j(x_q)` for weighted
-masses), scaled by the element areas.  One-off matrices are scattered
-through COO into CSR.  The 2N x 2N Newton matrix of the coupled (u, w)
-system, assembled again at every Newton iterate, is instead filled into a
-fixed sparsity pattern that :class:`DiscreteOperators` builds once, on
-first use: each element entry (i, j) has a precomputed slot in the P1
-pattern, so a weighted mass is one `bincount`, and the matrix is handed
-out in CSC form with no COO stage, sort or block stacking.  The recovery
-equation is linear (see :mod:`monofem.ionic`), so only two of the four
-blocks need quadrature at each iterate.
+masses), scaled by the element areas.  The mass and stiffness matrices
+are scattered once through COO into CSR.  A weighted mass, assembled
+again at every Newton iterate, is instead filled into the pattern of the
+mass matrix: each element entry (i, j) has a precomputed slot there, so a
+weighted mass is one `bincount`, with no COO stage or sort.  The Newton
+matrix of the coupled (u, w) system stays as its blocks
+(:class:`NewtonMatrix`); the recovery equation is linear (see
+:mod:`monofem.ionic`), so only two N x N blocks need quadrature at each
+iterate.
 
 The mass matrix is never factored.  On every triangle mesh the spectrum
 of D^-1 M, D = diag M, lies in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7,
@@ -48,6 +48,7 @@ __all__ = [
     "mass_solver",
     "l2_project",
     "evaluate_p1",
+    "NewtonMatrix",
     "DiscreteOperators",
 ]
 
@@ -247,7 +248,8 @@ def l2_project(mesh, functions, mass=None):
     vectors are integrated with the degree-6 rule and solved one by one
     with `_PROJECTION_STEPS` steps of :func:`mass_solver` on `mass`, the
     mass matrix of the mesh (assembled when not given), which reach
-    rounding level; returns an array of shape (len(functions), nv), one
+    rounding level; a load vector that is exactly zero projects to zero
+    without them.  Returns an array of shape (len(functions), nv), one
     nodal vector per function.
     """
     if mass is None:
@@ -255,11 +257,12 @@ def l2_project(mesh, functions, mass=None):
     solve = mass_solver(mass, _PROJECTION_STEPS)
     rule = quadrature_rule(6)
     xy = quadrature_coords(mesh, rule)
-    x = np.empty((len(functions), mesh.num_vertices))
+    x = np.zeros((len(functions), mesh.num_vertices))
     for k, f in enumerate(functions):
         values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
-        x[k] = solve(load_vector(mesh, np.broadcast_to(values, xy.shape[:2]),
-                                 rule))
+        b = load_vector(mesh, np.broadcast_to(values, xy.shape[:2]), rule)
+        if np.any(b):
+            x[k] = solve(b)
     if not np.all(np.isfinite(x)):
         raise AssemblyError("mass solve failed (non-finite projection)")
     return x
@@ -300,70 +303,76 @@ def evaluate_p1(mesh, vec, x, y):
     return float(lam @ vec[mesh.triangles[k]])
 
 
-@dataclass(frozen=True)
-class _NewtonPattern:
-    """Sparsity of one mesh's P1 matrices and of the 2N x 2N block matrix.
-
-    `slots[e, 3 i + j]` is the position of entry (tri[e, i], tri[e, j]) in
-    the data of the CSR P1 pattern (that of the mass matrix).  The four
-    blocks of the big matrix, in the order 11, 12, 21, 22, share that
-    pattern; `positions[b, s]` is where slot s of block b sits in the big
-    CSC data array, whose `indptr` and `indices` are canonical (sorted,
-    no duplicates).  Every block is symmetric, so a block's CSR data in
-    slot order is also its CSC data.  All index arrays are int32 and
-    read-only: the big `indices` and `indptr` are shared by every matrix
-    filled into them.
-    """
-
-    slots: np.ndarray
-    positions: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-
-def _build_newton_pattern(mesh, pattern):
-    """_NewtonPattern of `mesh` from `pattern`, a canonical CSR matrix
-    with the P1 sparsity of the mesh."""
+def _slot_map(mesh, pattern):
+    """(nt, 9) read-only map whose entry [e, 3 i + j] is the position of
+    entry (tri[e, i], tri[e, j]) in the data of `pattern`, a canonical CSR
+    matrix with the P1 sparsity of `mesh`."""
     nv = mesh.num_vertices
-    indptr = pattern.indptr.astype(np.int64)
-    indices = pattern.indices
-    nnz = len(indices)
-    if 4 * nnz > np.iinfo(np.int32).max:
-        raise AssemblyError("mesh too large for int32 block indices")
-    degree = np.diff(indptr)
-    major = np.repeat(np.arange(nv), degree)      # row (CSR) = column (CSC)
-    keys = major * nv + indices                   # sorted: CSR is canonical
+    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
+    keys = rows * nv + pattern.indices            # sorted: CSR is canonical
     tri = mesh.triangles
-    slots = np.empty((mesh.num_triangles, 9), dtype=np.int32)
-    for i in range(3):
-        for j in range(3):
-            slots[:, 3 * i + j] = np.searchsorted(keys,
-                                                  tri[:, i] * nv + tri[:, j])
-    # big column c N + k holds column k of block (0, c), then that of
-    # block (1, c)
-    start = indptr[major] + np.arange(nnz)
-    positions = np.empty((4, nnz), dtype=np.int32)
-    big_indices = np.empty(4 * nnz, dtype=np.int32)
-    for b, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        positions[b] = c * 2 * nnz + start + r * degree[major]
-        big_indices[positions[b]] = indices + r * nv
-    big_indptr = np.concatenate([2 * indptr, 2 * nnz + 2 * indptr[1:]])
-    big_indptr = big_indptr.astype(np.int32)
-    for a in (slots, positions, big_indptr, big_indices):
-        a.setflags(write=False)
-    return _NewtonPattern(slots, positions, big_indptr, big_indices)
+    slots = np.searchsorted(keys, (tri[:, :, None] * nv
+                                   + tri[:, None, :]).reshape(-1, 9))
+    slots.setflags(write=False)
+    return slots
+
+
+def _on_pattern(pattern, data):
+    """CSR matrix with the given data on the index arrays of `pattern`,
+    which it shares."""
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
+
+
+@dataclass(frozen=True)
+class NewtonMatrix:
+    """The 2N x 2N Newton matrix [[a11, a12], [s a12 + c M, d M]] as its
+    blocks: `a11` and `a12` are CSR matrices that share the index arrays
+    of the mass matrix `mass` (M).  `A @ x` multiplies by the whole
+    matrix; :meth:`tocsc` assembles it for a direct solve."""
+
+    a11: sp.csr_matrix
+    a12: sp.csr_matrix
+    s: float
+    c: float
+    d: float
+    mass: sp.csr_matrix
+
+    @property
+    def shape(self):
+        n = 2 * self.mass.shape[0]
+        return n, n
+
+    def __matmul__(self, x):
+        n = self.mass.shape[0]
+        x_u, x_w = x[:n], x[n:]
+        y_u = self.a11 @ x_u
+        y_u += self.a12 @ x_w
+        y_w = self.mass @ (self.c * x_u + self.d * x_w)
+        y_w += self.s * (self.a12 @ x_u)
+        return np.concatenate([y_u, y_w])
+
+    def lower_left(self):
+        return _on_pattern(self.mass,
+                           self.s * self.a12.data + self.c * self.mass.data)
+
+    def tocsc(self):
+        return sp.bmat([[self.a11, self.a12],
+                        [self.lower_left(), self.d * self.mass]],
+                       format="csc")
 
 
 class DiscreteOperators:
     """Cached matrices and quadrature data for one mesh and one positive
     scalar conductivity.
 
-    Shared by the solver and the estimators so that mass/stiffness and the
-    scatter patterns are assembled once per mesh.  :attr:`stiffness` is
-    scaled by the conductivity, :attr:`stiffness_identity` (the H1 norm's
-    Gram part) is not.  The fixed pattern of :meth:`newton_matrix` is
-    built on first use and kept for the life of the operators; no matrix
-    is factored here.
+    Shared by the solver and the estimators so that mass and stiffness
+    are assembled once per mesh.  :attr:`stiffness` is scaled by the
+    conductivity, :attr:`stiffness_identity` (the H1 norm's Gram part) is
+    not.  Every weighted mass, and so every Newton block, is filled into
+    the pattern of :attr:`mass` through a slot map built on first use and
+    kept for the life of the operators; the index arrays of :attr:`mass`
+    are shared by all of them and read-only.  No matrix is factored here.
     """
 
     @classmethod
@@ -376,6 +385,8 @@ class DiscreteOperators:
         self.mesh = mesh
         self.conductivity = conductivity
         self.mass = mass_matrix(mesh)
+        self.mass.indices.setflags(write=False)
+        self.mass.indptr.setflags(write=False)
         self.stiffness = stiffness_matrix(mesh, conductivity)
         self.stiffness_identity = (self.stiffness if conductivity == 1.0
                                    else stiffness_matrix(mesh))
@@ -387,59 +398,40 @@ class DiscreteOperators:
         return field_at_quadrature(self.mesh, vec, rule)
 
     @cached_property
-    def _newton_pattern(self):
-        # the stiffness matrix has the same pattern: both are scattered
-        # from the same triangles, explicit zeros kept
-        return _build_newton_pattern(self.mesh, self.mass)
+    def _slots(self):
+        return _slot_map(self.mesh, self.mass)
 
     def weighted_mass(self, values_at_quad, rule=None):
-        """Weighted mass matrix from pointwise weights at quadrature points."""
+        """Mass matrix weighted by pointwise values at the points of
+        `rule` (default :attr:`rule4`), shape (nt, nq), on the pattern of
+        :attr:`mass`: one call of the basis-product kernel and one
+        bincount through the slot map."""
         local = _element_integrals(self.mesh, values_at_quad,
                                    (rule or self.rule4).mass_products)
-        return _scatter(self.mesh, local.reshape(-1, 3, 3))
+        return _on_pattern(self.mass, np.bincount(
+            self._slots.ravel(), weights=local.ravel(),
+            minlength=self.mass.nnz))
 
     def newton_matrix(self, f_u, u, tau, p):
-        """The 2N x 2N Newton matrix of the model with parameters `p`,
-        [[M/tau + K + M(f_u), M(u)], [s M(u) + c M, (1/tau + g_w) M]], in
-        CSC form.
+        """The Newton matrix of the model with parameters `p`,
+        [[M/tau + K + M(f_u), M(u)], [s M(u) + c M, d M]], as a
+        :class:`NewtonMatrix`.
 
-        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is the mass
-        matrix weighted by pointwise values v at the points of
-        :attr:`rule4`, and `f_u` and `u` (each of shape (nt, nq)) are the
-        partial f_u and the iterate u there (f_w = u).  The lower blocks
-        are those of g_u = s u + c and the constant g_w of
-        :func:`ionic.recovery_jacobian`, so they need no quadrature: block
-        21 is block 12's data times s plus c M, block 22 a multiple of M.
-        Each iterate makes two kernel products and two bincounts into the
-        fixed pattern.  The result shares its index arrays with every
-        other matrix this method returns, so it must not be modified in
-        place.
+        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is
+        :meth:`weighted_mass` at the points of :attr:`rule4`, and `f_u`
+        and `u` (each of shape (nt, nq)) are the partial f_u and the
+        iterate u there (f_w = u).  The lower blocks are those of
+        g_u = s u + c and the constant g_w of :func:`ionic.recovery_jacobian`,
+        d = 1/tau + g_w, so they need no quadrature: an iterate makes two
+        weighted masses.  The stiffness matrix is scattered from the same
+        triangles as the mass matrix, explicit zeros kept, so its data
+        lies on the same pattern.
         """
-        pat = self._newton_pattern
-        p11, p12, p21, p22 = pat.positions
         s, c, g_w = ionic.recovery_jacobian(p)
-        mass = self.mass.data
-        data = np.empty(4 * len(mass))
-        block = self._weighted_mass_data(f_u)
-        block += mass * (1.0 / tau) + self.stiffness.data
-        data[p11] = block
-        block = self._weighted_mass_data(u)
-        data[p12] = block
-        block *= s
-        block += c * mass
-        data[p21] = block
-        data[p22] = mass * (1.0 / tau + g_w)
-        n2 = 2 * self.mesh.num_vertices
-        return sp.csc_matrix((data, pat.indices, pat.indptr),
-                             shape=(n2, n2))
-
-    def _weighted_mass_data(self, values):
-        """Data of the weighted mass matrix M(values), values at the
-        points of :attr:`rule4`, in the slot order of the P1 pattern."""
-        local = _element_integrals(self.mesh, values,
-                                   self.rule4.mass_products)
-        return np.bincount(self._newton_pattern.slots.ravel(),
-                           weights=local.ravel(), minlength=self.mass.nnz)
+        a11 = self.weighted_mass(f_u)
+        a11.data += self.mass.data * (1.0 / tau) + self.stiffness.data
+        return NewtonMatrix(a11, self.weighted_mass(u), s, c,
+                            1.0 / tau + g_w, self.mass)
 
     def load(self, values_at_quad, rule=None):
         return load_vector(self.mesh, values_at_quad, rule or self.rule4)

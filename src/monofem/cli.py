@@ -196,9 +196,10 @@ def _validate(cfg):
         positive(name)
     if not 0.0 < cfg.a < 1.0:
         raise ConfigError(f"a must lie in (0, 1), got {cfg.a}")
-    if cfg.mode not in ("increment_tolerance", "estimator_balance"):
-        raise ConfigError(f"newton.mode {cfg.mode!r} is not one of "
-                          "increment_tolerance, estimator_balance")
+    try:
+        cfg.newton_config()
+    except ValueError as exc:
+        raise ConfigError(f"[newton] {exc}") from exc
     if cfg.vtk_every < 0:
         raise ConfigError("vtk_every must be >= 0")
     if not all(0.0 <= c <= 1.0 for c in cfg.probe):

@@ -1,8 +1,8 @@
 """Implicit Euler time marching with a Newton-Galerkin step solver.
 
 Each timestep solves the nonlinear P1 system for (u^n, w^n) with Newton's
-method; the coupled 2N x 2N linearized system
-[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] is assembled
+method; the blocks of the 2N x 2N linearized system
+[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] are assembled
 with exact (degree-4) quadrature.
 
 Every march has one linear backend, a `FrozenLUSolver`, and makes one
@@ -23,16 +23,14 @@ only when GMRES stalls or misses the relative-residual contract
 of the whole system per solve, is the oracle the tests compare the march
 against.
 
-The sparsity of the Newton matrix is the same at every iterate, so
-`DiscreteOperators.newton_matrix` fills a CSC pattern built once per
-operator set.  The recovery equation is linear in w and its g_u linear in
-u (see :mod:`monofem.ionic`), so an iterate makes two weighted masses,
-M(f_u) and M(u), each one call of the basis-product kernel and one
-bincount; the other blocks follow from them and from M.  The right-hand
-side uses the same kernel through `DiscreteOperators.load`, with the
-reduced weights of `ionic.newton_load`.  The unknowns are u, then w, each
-in the mesh numbering, the order in which the LU fills least (see
-:mod:`monofem.mesh`); the backends factor the matrix as it is.
+`DiscreteOperators.newton_matrix` returns the Newton matrix as its
+blocks (`assembly.NewtonMatrix`): M/tau + K + M(f_u) and M(u) are two
+weighted masses on the mass matrix's pattern, and the recovery equation
+is linear (see :mod:`monofem.ionic`), so the lower blocks follow from M(u)
+and M.  The right-hand side uses the same kernel through
+`DiscreteOperators.load`, with the reduced weights of
+`ionic.newton_load`.  The unknowns are u, then w, each in the mesh
+numbering, the order in which the LU fills least (see :mod:`monofem.mesh`).
 """
 
 import numpy as np
@@ -152,8 +150,8 @@ class DirectSolver:
     """Sparse LU factorization per solve; guarantees |Ax-b| <= 1e-10 |b|.
 
     No march uses it: it is the reference the tests check
-    `FrozenLUSolver` and the march against.  `solve` ignores the starting
-    guess `x0`.
+    `FrozenLUSolver` and the march against, assembling a NewtonMatrix
+    with `tocsc`.  `solve` ignores the starting guess `x0`.
     """
 
     def solve(self, A, b, x0=None):
@@ -196,13 +194,11 @@ class FrozenLUSolver:
         self.krylov_iterations = 0
 
     def _refactor(self, A):
-        n = A.shape[0] // 2
-        A = A.tocsc()
         try:
-            self._lu = spla.splu(A[:n, :n], permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(A.a11.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
-        self._a21 = A[n:, :n].tocsr()
+        self._a21 = A.lower_left()
         self.factorizations += 1
 
     def _precondition(self, r):

@@ -4,12 +4,15 @@ The quadrature oracle uses a tensorized Gauss-Legendre rule on the
 collapsed square (Duffy transform), a construction disjoint from the
 symmetric triangle rules inside the package; barycentric evaluation and
 basis gradients are recomputed here from vertex coordinates.  The Newton
-system reference assembles each block through COO and stacks the blocks
-with sp.bmat, independently of the package's fixed pattern.  The march
-oracle solves every Newton system with its own LU (`DirectSolver`), where
-the package's march reuses one factorization.  The Chebyshev mass solve
-is checked against the dense matrix of its polynomial, built from the
-generalized eigenvectors of the mass matrix and its diagonal.
+system reference assembles all four blocks through COO, each from its own
+reaction partial, and stacks them with sp.bmat into one 2N x 2N CSC
+matrix; the package keeps the Newton matrix as two blocks filled through
+its slot map and derives the other two from the linear recovery
+equation.  The march oracle solves every Newton system with its own LU
+(`DirectSolver`, which assembles the blocks with `tocsc`), where the
+package's march reuses one factorization of the u-block.  The Chebyshev
+mass solve is checked against the dense matrix of its polynomial, built
+from the generalized eigenvectors of the mass matrix and its diagonal.
 """
 
 import numpy as np

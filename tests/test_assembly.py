@@ -286,6 +286,36 @@ def test_l2_project_uses_the_mass_matrix_it_is_given(mesh8):
                               l2_project(mesh8, f))
 
 
+def test_l2_project_solves_no_zero_load(mesh8, monkeypatch):
+    # the default w0 loads exactly zero: its projection is the zero that
+    # the Chebyshev steps would give, and the steps run only for u0
+    from monofem.ionic import initial_pair
+
+    mass = mass_matrix(mesh8)
+    real = assembly.mass_solver
+    steps = assembly._PROJECTION_STEPS
+    applied = []
+
+    def counting(M, k):
+        solve = real(M, k)
+
+        def counted(b):
+            applied.append(k)
+            return solve(b)
+
+        return counted
+
+    monkeypatch.setattr(assembly, "mass_solver", counting)
+    u0, w0 = l2_project(mesh8, initial_pair(), mass=mass)
+    assert applied == [steps]
+    zero = real(mass, steps)(np.zeros(mesh8.num_vertices))
+    assert np.array_equal(w0, zero) and not np.any(np.signbit(w0))
+    rule = quadrature_rule(6)
+    xy = quadrature_coords(mesh8, rule)
+    b = load_vector(mesh8, initial_pair()[0](xy[:, :, 0], xy[:, :, 1]), rule)
+    assert np.array_equal(u0, real(mass, steps)(b))
+
+
 @settings(deadline=None, max_examples=30)
 @given(kind=st.sampled_from(["structured", "refined", "distorted"]),
        n=st.integers(1, 6), levels=st.integers(1, 2),

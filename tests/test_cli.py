@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from monofem import cli
 from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ConfigError, main,
@@ -85,15 +87,19 @@ def test_bad_override_syntax():
         parse_config("", overrides=["run.mesh_n"])
 
 
-def test_csv_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    values = list(rng.standard_normal(20))
-    values += [1e-308, 1.7976931348623157e308, 0.1, 2.0 / 3.0, -0.0]
-    rows = [(i, float(v)) for i, v in enumerate(values)]
+@settings(deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False))))
+@example(rows=list(enumerate(
+    [float(v) for v in np.random.default_rng(0).standard_normal(20)]
+    + [1e-308, 1.7976931348623157e308, 0.1, 2.0 / 3.0, -0.0])))
+def test_csv_roundtrip_bit_exact(tmp_path, rows):
     path = tmp_path / "t.csv"
     write_csv(["i", "x"], rows, path)
     header, back = read_csv(path)
     assert header == ["i", "x"]
+    assert len(back) == len(rows)
     for (i, v), (j, w) in zip(rows, back):
         assert i == j
         assert v == w and np.signbit(v) == np.signbit(w)

@@ -105,11 +105,13 @@ def test_newton_system_matches_coo_reference(case):
         states = _random_states(ops.mesh, seed)
         A, rhs = _assemble_newton_system(ops, p, *states, tau)
         A_ref, rhs_ref = newton_system_reference(ops, p, *states, tau)
-        A_ref = A_ref.tocsc().sorted_indices()
-        assert A.format == "csc"
-        assert np.array_equal(A.indptr, A_ref.indptr)
-        assert np.array_equal(A.indices, A_ref.indices)
-        assert abs(A - A_ref).max() <= 1e-13 * abs(A_ref).max()
+        for block in (A.a11, A.a12, A.lower_left()):
+            assert np.shares_memory(block.indices, ops.mass.indices)
+            assert np.shares_memory(block.indptr, ops.mass.indptr)
+        assert abs(A.tocsc() - A_ref).max() <= 1e-13 * abs(A_ref).max()
+        x = np.random.default_rng(seed).standard_normal(A.shape[0])
+        y_ref = A_ref @ x
+        assert np.abs(A @ x - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
         assert np.abs(rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
 
 
@@ -165,25 +167,31 @@ def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
     assert linear._lu.nnz <= 250_000
 
 
-def test_newton_pattern_is_built_once_per_operators(params, monkeypatch):
+def test_slot_map_is_built_once_per_operators(params, monkeypatch):
     built = []
-    real = assembly._build_newton_pattern
+    real = assembly._slot_map
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(assembly, "_build_newton_pattern", counting)
+    monkeypatch.setattr(assembly, "_slot_map", counting)
     mesh = unit_square_mesh(4)
     ops = DiscreteOperators.for_params(mesh, params)
     assert built == []                       # nothing before first use
     states = _random_states(mesh, 2)
-    matrices = [_assemble_newton_system(ops, params, *states, tau)[0]
-                for tau in (0.1, 0.05, 0.025, 0.1)]
-    assert len(built) == 1
-    assert all(np.shares_memory(A.indices, matrices[0].indices)
-               for A in matrices)
+    for tau in (0.1, 0.05, 0.025, 0.1):
+        _assemble_newton_system(ops, params, *states, tau)
     ones = np.ones((mesh.num_triangles, 6))
+    W = ops.weighted_mass(ones)
+    assert len(built) == 1
+    assert not ops._slots.flags.writeable
+    for shared in (ops.mass.indices, ops.mass.indptr):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = shared[0]
+    assert np.shares_memory(W.indices, ops.mass.indices)
+    assert np.shares_memory(W.indptr, ops.mass.indptr)
     DiscreteOperators.for_params(mesh, params).newton_matrix(ones, ones, 0.1,
                                                              params)
     assert len(built) == 2
@@ -442,6 +450,26 @@ def test_every_march_factors_once(params, linalg, march):
     # a step may stop one iterate before the oracle's, never after it
     assert len(counts) == len(oracle)
     assert np.all(np.asarray(counts) <= oracle)
+
+
+@pytest.mark.parametrize("march", sorted(_MARCHES))
+def test_no_march_assembles_the_whole_newton_matrix(params, monkeypatch,
+                                                    march):
+    # a march multiplies by the Newton blocks and factors the u-block;
+    # only the DirectSolver oracle assembles the 2N x 2N matrix
+    def refuse(self):
+        raise AssertionError("a march assembled the whole Newton matrix")
+
+    monkeypatch.setattr(assembly.NewtonMatrix, "tocsc", refuse)
+    n, tau, t_end, _ = _MARCHES[march]
+    mesh = unit_square_mesh(n)
+    if march == "time_march":
+        assert time_march(mesh, params, tau, t_end).num_steps == 20
+    elif march == "build_reference":
+        assert build_reference(mesh, tau, t_end, params).num_steps == 10
+    else:
+        assert sorted(newton_study(mesh, tau, [0.25, t_end], params)) == [
+            0.25, t_end]
 
 
 def test_a_march_makes_one_splu_of_its_u_block(params, linalg,
