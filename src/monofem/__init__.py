@@ -20,8 +20,7 @@ from .estimators import (space_indicator, time_indicator,
                          linearization_indicator, simplified_indicators,
                          cumulative_bound, estimate_trajectory,
                          EstimatorReport, TrajectoryEstimate)
-from .verify import (ErrorNorms, StudyResult, build_reference, xy_error,
-                     error_curve, upper_bound_study, convergence_study,
-                     newton_study)
+from .verify import (ErrorNorms, StudyResult, build_reference, error_curve,
+                     upper_bound_study, convergence_study, newton_study)
 
 __version__ = "0.1.0"

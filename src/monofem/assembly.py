@@ -15,11 +15,13 @@ masses), scaled by the element areas.  The mass and stiffness matrices
 are scattered once through COO into CSR.  A weighted mass, assembled
 again at every Newton iterate, is instead filled into the pattern of the
 mass matrix: each element entry (i, j) has a precomputed slot there, so a
-weighted mass is one `bincount`, with no COO stage or sort.  The Newton
-matrix of the coupled (u, w) system stays as its blocks
-(:class:`NewtonMatrix`); the recovery equation is linear (see
-:mod:`monofem.ionic`), so only two N x N blocks need quadrature at each
-iterate.
+weighted mass is one `bincount`, with no COO stage or sort.
+
+The linear system of a Newton step, matrix and right-hand side, is built
+in one place, :meth:`DiscreteOperators.newton_system`.  Its matrix stays
+as its blocks (:class:`NewtonMatrix`); the recovery equation is linear
+(see :mod:`monofem.ionic`), so only two N x N blocks need quadrature at
+each iterate.
 
 The mass matrix is never factored.  On every triangle mesh the spectrum
 of D^-1 M, D = diag M, lies in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7,
@@ -412,26 +414,45 @@ class DiscreteOperators:
             self._slots.ravel(), weights=local.ravel(),
             minlength=self.mass.nnz))
 
-    def newton_matrix(self, f_u, u, tau, p):
-        """The Newton matrix of the model with parameters `p`,
-        [[M/tau + K + M(f_u), M(u)], [s M(u) + c M, d M]], as a
-        :class:`NewtonMatrix`.
+    def newton_system(self, p, u_prev, w_prev, u_it, w_it, tau):
+        """The linear system (A, rhs) of one Newton step of implicit
+        Euler for the model with parameters `p`: the step of length `tau`
+        from the nodal vectors (u_prev, w_prev), linearized at the
+        iterate (u_it, w_it).
 
-        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is
-        :meth:`weighted_mass` at the points of :attr:`rule4`, and `f_u`
-        and `u` (each of shape (nt, nq)) are the partial f_u and the
-        iterate u there (f_w = u).  The lower blocks are those of
-        g_u = s u + c and the constant g_w of :func:`ionic.recovery_jacobian`,
-        d = 1/tau + g_w, so they need no quadrature: an iterate makes two
-        weighted masses.  The stiffness matrix is scattered from the same
-        triangles as the mass matrix, explicit zeros kept, so its data
-        lies on the same pattern.
+        A is the :class:`NewtonMatrix` [[M/tau + K + M(f_u), M(u)],
+        [s M(u) + c M, d M]].  M and K are :attr:`mass` and
+        :attr:`stiffness`; M(v) is :meth:`weighted_mass` at the points of
+        :attr:`rule4`, of the partial f_u and of the iterate u (f_w = u)
+        there.  The lower blocks are those of g_u = s u + c and the
+        constant g_w of :func:`ionic.recovery_jacobian`, d = 1/tau + g_w,
+        so they need no quadrature: an iterate makes two weighted masses.
+        The stiffness matrix is scattered from the same triangles as the
+        mass matrix, explicit zeros kept, so its data lies on the same
+        pattern.  rhs stacks M u_prev / tau and M w_prev / tau, each plus
+        the :meth:`load` of its reduced weight from
+        :func:`ionic.newton_load`.
+
+        All reaction integrals are evaluated pointwise at degree-4
+        quadrature, which is exact here (cubic f times a linear test
+        function), so the fixed point of the iteration is the exact
+        implicit-Euler P1 solution and the convergence is genuinely
+        quadratic.
         """
+        rhs1 = self.mass @ (u_prev / tau)
+        rhs2 = self.mass @ (w_prev / tau)
+        rule = self.rule4
+        u_q = self.field_at(u_it, rule)
+        w_q = self.field_at(w_it, rule)
         s, c, g_w = ionic.recovery_jacobian(p)
-        a11 = self.weighted_mass(f_u)
+        a11 = self.weighted_mass(ionic.f_du(u_q, w_q, p))
         a11.data += self.mass.data * (1.0 / tau) + self.stiffness.data
-        return NewtonMatrix(a11, self.weighted_mass(u), s, c,
-                            1.0 / tau + g_w, self.mass)
+        A = NewtonMatrix(a11, self.weighted_mass(u_q), s, c,
+                         1.0 / tau + g_w, self.mass)
+        load_f, load_g = ionic.newton_load(u_q, w_q, p)
+        rhs1 += self.load(load_f, rule)
+        rhs2 += self.load(load_g, rule)
+        return A, np.concatenate([rhs1, rhs2])
 
     def load(self, values_at_quad, rule=None):
         return load_vector(self.mesh, values_at_quad, rule or self.rule4)

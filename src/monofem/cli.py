@@ -190,12 +190,14 @@ def _validate(cfg):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be positive")
 
-    for name in ("mesh_n", "tau", "t_end", "A", "eps", "M", "tol", "sigma",
-                 "max_iterations", "reference_n", "reference_tau",
-                 "reference_tol", "newton_n", "newton_tau"):
+    for name in ("mesh_n", "tau", "t_end", "tol", "sigma", "max_iterations",
+                 "reference_n", "reference_tau", "reference_tol", "newton_n",
+                 "newton_tau"):
         positive(name)
-    if not 0.0 < cfg.a < 1.0:
-        raise ConfigError(f"a must lie in (0, 1), got {cfg.a}")
+    try:
+        cfg.params()
+    except ValueError as exc:
+        raise ConfigError(f"[params] {exc}") from exc
     try:
         cfg.newton_config()
     except ValueError as exc:
@@ -213,10 +215,11 @@ def _validate(cfg):
     if not cfg.instants:
         raise ConfigError("instants must not be empty")
     for t in cfg.instants:
-        steps = round(t / cfg.newton_tau)
-        if not t > 0 or abs(steps * cfg.newton_tau - t) > 1e-9:
+        try:
+            step_count(cfg.newton_tau, t)
+        except SolverError as exc:
             raise ConfigError(f"instants: {t} is not a positive multiple of "
-                              f"newton_tau={cfg.newton_tau}")
+                              f"newton_tau={cfg.newton_tau}") from exc
     return cfg
 
 

@@ -1,36 +1,32 @@
 """Implicit Euler time marching with a Newton-Galerkin step solver.
 
 Each timestep solves the nonlinear P1 system for (u^n, w^n) with Newton's
-method; the blocks of the 2N x 2N linearized system
-[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] are assembled
-with exact (degree-4) quadrature.
+method.  The linear system of each iterate, the 2N x 2N matrix
+[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] and its
+right-hand side, is built by `DiscreteOperators.newton_system` (see
+:mod:`monofem.assembly`), with exact (degree-4) quadrature; this module
+holds the Newton loop and the linear algebra.
 
 Every march has one linear backend, a `FrozenLUSolver`, and makes one
 sparse LU.  Only the u-block of the Newton matrix carries the Laplacian;
 the w-block is (1/tau + eps) M at every iterate, because g_w = eps.  So
 the backend factors only the u-block of the march's first Newton system,
-keeps that system's lower-left block, and preconditions a restarted,
-right-preconditioned GMRES (Saad and Schultz 1986) with the block lower
-triangular matrix they make with the w-block (Murphy, Golub and Wathen
-2000).  The mass matrix of the w-block is applied inverse by a fixed
-Chebyshev polynomial (`assembly.mass_solver`), not by a factorization.
-GMRES starts from the current Newton iterate, which differs from the
-solution by the Newton increment, so an iterate whose increment is at
-rounding level costs no Krylov iteration: GMRES returns the iterate
-itself, and the step ends on a zero increment.  The backend factors again
-only when GMRES stalls or misses the relative-residual contract
-|Ax - b| <= 1e-10 |b|, which every solve checks.  `DirectSolver`, one LU
-of the whole system per solve, is the oracle the tests compare the march
-against.
-
-`DiscreteOperators.newton_matrix` returns the Newton matrix as its
-blocks (`assembly.NewtonMatrix`): M/tau + K + M(f_u) and M(u) are two
-weighted masses on the mass matrix's pattern, and the recovery equation
-is linear (see :mod:`monofem.ionic`), so the lower blocks follow from M(u)
-and M.  The right-hand side uses the same kernel through
-`DiscreteOperators.load`, with the reduced weights of
-`ionic.newton_load`.  The unknowns are u, then w, each in the mesh
-numbering, the order in which the LU fills least (see :mod:`monofem.mesh`).
+keeps that system's lower-left block and w-block scale, and
+preconditions a restarted, right-preconditioned GMRES (Saad and Schultz
+1986) with the block lower triangular matrix they make (Murphy, Golub
+and Wathen 2000).  It takes nothing but the matrices it is handed, so it
+cannot disagree with them about tau or eps.  The mass matrix of the
+w-block is applied inverse by a fixed Chebyshev polynomial
+(`assembly.mass_solver`), not by a factorization.  GMRES starts from the
+current Newton iterate, which differs from the solution by the Newton
+increment, so an iterate whose increment is at rounding level costs no
+Krylov iteration: GMRES returns the iterate itself, and the step ends on
+a zero increment.  The backend factors again only when GMRES stalls or
+misses the relative-residual contract |Ax - b| <= 1e-10 |b|, which every
+solve checks.  `DirectSolver`, one LU of the whole system per solve, is
+the oracle the tests compare the march against.  The unknowns are u,
+then w, each in the mesh numbering, the order in which the LU fills
+least (see :mod:`monofem.mesh`).
 """
 
 import numpy as np
@@ -168,28 +164,28 @@ class FrozenLUSolver:
     """Right-preconditioned GMRES with a block-triangular preconditioner
     frozen on an earlier Newton matrix; the backend of every march.
 
-    Every Newton matrix [[A11, A12], [A21, A22]] of a march with step
-    `tau` on the operators `ops` has A22 = c M, c = 1/tau + p.eps.  The
-    solver factors A11 = M/tau + K + M(f_u) of the first system it is
-    given, keeps that system's A21 = M(g_u), and preconditions with
-    P = [[A11, 0], [A21, c Q]]: y_u = A11^-1 r_u, then
-    y_w = Q^-1 (r_w - A21 y_u) / c, where Q^-1 is `_PRECONDITIONER_STEPS`
-    Chebyshev steps of :func:`assembly.mass_solver` on M.  Q^-1 is not
-    M^-1, but it is a fixed polynomial in D^-1 M, so P is one linear
-    operator for the whole march, as right-preconditioned GMRES requires;
-    only A11 and A21 are frozen.  GMRES starts from `x0` when given (the
-    Newton loop passes its current iterate).  When GMRES stalls or misses
-    the residual contract, A11 and A21 are taken again from the current
-    matrix and GMRES reruns; a second miss raises SolverError.
-    `factorizations` counts the LUs of A11, `krylov_iterations` the Krylov
-    vectors, each of which applies P once.
+    Every Newton matrix [[A11, A12], [A21, A22]] of a march has
+    A22 = d M (`NewtonMatrix.d` = 1/tau + eps).  The solver takes no
+    arguments: it freezes what it needs from the first system it is
+    given.  It factors A11 = M/tau + K + M(f_u), keeps A21 = M(g_u), d
+    and Q^-1, `_PRECONDITIONER_STEPS` Chebyshev steps of
+    :func:`assembly.mass_solver` on that system's M, and preconditions
+    with P = [[A11, 0], [A21, d Q]]: y_u = A11^-1 r_u, then
+    y_w = Q^-1 (r_w - A21 y_u) / d.  Q^-1 is not M^-1, but it is a fixed
+    polynomial in D^-1 M, so P is one linear operator for the whole
+    march, as right-preconditioned GMRES requires.  GMRES starts from
+    `x0` when given (the Newton loop passes its current iterate).  When
+    GMRES stalls or misses the residual contract, P is frozen again from
+    the current matrix and GMRES reruns; a second miss raises
+    SolverError.  `factorizations` counts the LUs of A11,
+    `krylov_iterations` the Krylov vectors, each of which applies P once.
     """
 
-    def __init__(self, ops, tau, p):
-        self._mass_inverse = mass_solver(ops.mass, _PRECONDITIONER_STEPS)
-        self._c = 1.0 / tau + p.eps
+    def __init__(self):
         self._lu = None
         self._a21 = None
+        self._d = None
+        self._mass_inverse = None
         self.factorizations = 0
         self.krylov_iterations = 0
 
@@ -199,13 +195,15 @@ class FrozenLUSolver:
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         self._a21 = A.lower_left()
+        self._d = A.d
+        self._mass_inverse = mass_solver(A.mass, _PRECONDITIONER_STEPS)
         self.factorizations += 1
 
     def _precondition(self, r):
         n = len(r) // 2
         y_u = self._lu.solve(r[:n])
         y_w = self._mass_inverse(r[n:] - self._a21 @ y_u)
-        y_w /= self._c
+        y_w /= self._d
         return np.concatenate([y_u, y_w])
 
     def _gmres(self, A, b, x, bnorm):
@@ -287,26 +285,6 @@ def _check_residual(A, x, b):
         raise SolverError("linear solve missed the residual contract")
 
 
-def _assemble_newton_system(ops, p, u_prev, w_prev, u_it, w_it, tau):
-    """Coupled linear system of one Newton step, linearized at (u_it, w_it).
-
-    All reaction integrals are evaluated pointwise at degree-4 quadrature,
-    which is exact here (cubic f times a linear test function), so the
-    fixed point of the iteration is the exact implicit-Euler P1 solution
-    and the convergence is genuinely quadratic.
-    """
-    rhs1 = ops.mass @ (u_prev / tau)
-    rhs2 = ops.mass @ (w_prev / tau)
-    rule = ops.rule4
-    u_q = ops.field_at(u_it, rule)
-    w_q = ops.field_at(w_it, rule)
-    A = ops.newton_matrix(ionic.f_du(u_q, w_q, p), u_q, tau, p)
-    load_f, load_g = ionic.newton_load(u_q, w_q, p)
-    rhs1 += ops.load(load_f, rule)
-    rhs2 += ops.load(load_g, rule)
-    return A, np.concatenate([rhs1, rhs2])
-
-
 def _roundoff_floor(ops, u, w):
     return _ROUNDOFF_FACTOR * (1.0 + ops.h1_norm(u) + ops.l2_norm(w))
 
@@ -314,11 +292,11 @@ def _roundoff_floor(ops, u, w):
 def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     """Newton iteration for one implicit Euler step.
 
-    Starts from the previous accepted state.  `ops` defaults to the
-    operators of `p` on the state's mesh, `linear` to a fresh
-    FrozenLUSolver, which factors the u-block of this step's first system
-    and preconditions GMRES with it and Chebyshev steps on the mass matrix
-    of `ops`.  Each linear solve is given the current iterate as its
+    Starts from the previous accepted state.  Each iterate solves the
+    system `ops.newton_system` builds; `ops` defaults to the operators of
+    `p` on the state's mesh, `linear` to a fresh FrozenLUSolver, which
+    freezes its preconditioner on this step's first system.  Each linear
+    solve is given the current iterate as its
     starting guess, so GMRES only has to find the Newton increment.  In
     balance mode the stopping test compares the linearization indicator of
     the last two iterates with the space indicator, the current iterate
@@ -332,7 +310,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     if ops is None:
         ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
-        linear = FrozenLUSolver(ops, tau, p)
+        linear = FrozenLUSolver()
 
     nv = prev.mesh.num_vertices
     cur = StateField(prev.mesh, prev.u.copy(), prev.w.copy(),
@@ -341,8 +319,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
     states = [StateField(prev.mesh, cur.u.copy(), cur.w.copy(), cur.time)]
     inc_prev = np.inf
     for k in range(1, cfg.max_iterations + 1):
-        A, rhs = _assemble_newton_system(ops, p, prev.u, prev.w,
-                                         cur.u, cur.w, tau)
+        A, rhs = ops.newton_system(p, prev.u, prev.w, cur.u, cur.w, tau)
         x = linear.solve(A, rhs, np.concatenate([cur.u, cur.w]))
         last = cur
         cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
@@ -376,11 +353,12 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
 
 def _march_steps(state, tau, num_steps, p, cfg, ops):
     """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
-    one FrozenLUSolver, so the march factors one u-block (and another
-    only on that backend's fallback); yields (record, iterates) of each step,
-    the last iterate being the accepted state.  A NewtonError is
+    one FrozenLUSolver, which freezes its preconditioner on the march's
+    first Newton system, so the march factors one u-block (and another
+    only on that backend's fallback); yields (record, iterates) of each
+    step, the last iterate being the accepted state.  A NewtonError is
     re-raised with its step number."""
-    linear = FrozenLUSolver(ops, tau, p)
+    linear = FrozenLUSolver()
     for n in range(1, num_steps + 1):
         try:
             state, rec, iterates = newton_solve(state, tau, p, cfg, ops=ops,

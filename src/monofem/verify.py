@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .assembly import _PERMC_SPEC, DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
 from .mesh import mesh_chain, prolongation, refine_uniform
-from .solver import NewtonConfig, _march_steps, initial_state, time_march
+from .solver import (NewtonConfig, SolverError, _march_steps, initial_state,
+                     step_count, time_march)
 
 __all__ = [
     "ErrorNorms",
@@ -30,7 +31,6 @@ __all__ = [
     "StudyResult",
     "NewtonStudyRow",
     "build_reference",
-    "xy_error",
     "error_curve",
     "upper_bound_study",
     "convergence_study",
@@ -225,14 +225,6 @@ def error_curve(coarse, ref, eval_times):
     return out
 
 
-def xy_error(coarse, ref, up_to=None):
-    """X/Y-norm error of a coarse trajectory against the reference on
-    (0, up_to]; defaults to the full common horizon."""
-    if up_to is None:
-        up_to = min(coarse.times[-1], ref.times[-1])
-    return error_curve(coarse, ref, [up_to])[0]
-
-
 def upper_bound_study(coarse, ref, p=None):
     """Per-timestep comparison of the error curve with the cumulative
     simplified-indicator bound; returns UpperBoundRow per accepted coarse
@@ -263,7 +255,8 @@ def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
     The reference is built ref_levels refinements above the finest rung,
     on the refinement chain of the coarsest one, with timestep ref_tau
     (default: a quarter of the finest rung's tau).  Each rung is scored
-    with the simplified-indicator bound.
+    at t_end by :func:`upper_bound_study`, with the simplified-indicator
+    bound.
     """
     ns = [n for n, _ in rungs]
     base_n = ns[0]
@@ -281,14 +274,11 @@ def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
     rows = []
     for (n, tau), mesh in zip(rungs, meshes):
         traj = time_march(mesh, p, tau, t_end, cfg=newton_cfg)
-        err = xy_error(traj, reference, up_to=t_end).combined_xy
-        est = estimate_trajectory(traj, p, simplified=True)
-        bound = float(est.cumulative[-1])
-        eff = bound / err if err > 0 else np.inf
+        last = upper_bound_study(traj, reference, p)[-1]
         rows.append(ConvergenceRow(n=n, h=1.0 / n,
                                    h_max=mesh.max_diameter, tau=tau,
-                                   error=err, estimator=bound,
-                                   effectivity=eff))
+                                   error=last.error, estimator=last.estimator,
+                                   effectivity=last.effectivity))
 
     hs = [r.h for r in rows]
     return StudyResult(rows=rows,
@@ -306,28 +296,24 @@ def newton_study(mesh, tau, instants, p, tol=1e-15):
     requested instant the converged Newton iterate of the step serves as
     ground truth, and each iterate k >= 1 yields a row with its indicator
     and its (H1 for u, L2 for w) distance from the converged pair.
-    Instants must be positive multiples of tau.
+    Instants must be positive multiples of tau, in the sense of
+    :func:`solver.step_count`; ValueError otherwise.
     """
-    instants = sorted(float(t) for t in instants)
-    if instants[0] <= 0:
-        raise ValueError("instants must be positive")
-    t_end = instants[-1]
-    N = int(round(t_end / tau))
-    for t in instants:
-        if abs(round(t / tau) * tau - t) > _TIME_ATOL:
-            raise ValueError(f"instant {t} is not on the time grid")
+    try:
+        at_step = {step_count(tau, t): float(t) for t in instants}
+    except SolverError as exc:
+        raise ValueError(f"instants: {exc}") from exc
 
     ops = DiscreteOperators.for_params(mesh, p)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=60)
-    steps = _march_steps(initial_state(ops), tau, N, p, cfg, ops)
+    steps = _march_steps(initial_state(ops), tau, max(at_step), p, cfg, ops)
 
     tables = {}
     for n, (_, states) in enumerate(steps, start=1):
-        t_n = n * tau
-        hit = [t for t in instants if abs(t - t_n) <= _TIME_ATOL]
-        if not hit:
+        if n not in at_step:
             continue
+        t_n = n * tau
         conv = states[-1]
         rows = []
         for k in range(1, len(states)):
@@ -339,5 +325,5 @@ def newton_study(mesh, tau, instants, p, tol=1e-15):
                 time=t_n, k=k, gamma=gamma, error_u_h1=err_u,
                 error_w_l2=err_w,
                 error_combined=float(np.hypot(err_u, err_w))))
-        tables[hit[0]] = rows
+        tables[at_step[n]] = rows
     return tables

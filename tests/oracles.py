@@ -5,10 +5,12 @@ collapsed square (Duffy transform), a construction disjoint from the
 symmetric triangle rules inside the package; barycentric evaluation and
 basis gradients are recomputed here from vertex coordinates.  The Newton
 system reference assembles all four blocks through COO, each from its own
-reaction partial, and stacks them with sp.bmat into one 2N x 2N CSC
-matrix; the package keeps the Newton matrix as two blocks filled through
-its slot map and derives the other two from the linear recovery
-equation.  The march oracle solves every Newton system with its own LU
+reaction partial, stacks them with sp.bmat into one 2N x 2N CSC matrix,
+and builds the right-hand side from the full reaction values; the
+package's `DiscreteOperators.newton_system` keeps the matrix as two
+blocks filled through its slot map, derives the other two from the
+linear recovery equation, and loads reduced reaction weights.  The march
+oracle solves every Newton system with its own LU
 (`DirectSolver`, which assembles the blocks with `tocsc`), where the
 package's march reuses one factorization of the u-block.  The Chebyshev
 mass solve is checked against the dense matrix of its polynomial, built

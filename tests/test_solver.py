@@ -10,9 +10,8 @@ from monofem.ionic import AlievPanfilovParams, react
 from monofem.mesh import mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
-                            TrajectorySolution, _assemble_newton_system,
-                            initial_state, newton_solve, time_march,
-                            trajectory_nbytes)
+                            TrajectorySolution, initial_state, newton_solve,
+                            time_march, trajectory_nbytes)
 from monofem.verify import build_reference, newton_study
 
 from oracles import (chebyshev_mass_inverse_reference, direct_march,
@@ -103,7 +102,7 @@ def test_newton_system_matches_coo_reference(case):
     ops, p = _newton_case(case)
     for seed, tau in ((0, 0.05), (1, 0.3)):
         states = _random_states(ops.mesh, seed)
-        A, rhs = _assemble_newton_system(ops, p, *states, tau)
+        A, rhs = ops.newton_system(p, *states, tau)
         A_ref, rhs_ref = newton_system_reference(ops, p, *states, tau)
         for block in (A.a11, A.a12, A.lower_left()):
             assert np.shares_memory(block.indices, ops.mass.indices)
@@ -159,9 +158,9 @@ def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
     mesh = mesh_chain(16, 2)[-1]
     ops = DiscreteOperators.for_params(mesh, params)
     prev = initial_state(ops)
-    A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
-                                     prev.w, 0.025)
-    linear = FrozenLUSolver(ops, 0.025, params)
+    A, rhs = ops.newton_system(params, prev.u, prev.w, prev.u, prev.w,
+                               0.025)
+    linear = FrozenLUSolver()
     linear.solve(A, rhs)
     assert linear.factorizations == 1
     assert linear._lu.nnz <= 250_000
@@ -181,7 +180,7 @@ def test_slot_map_is_built_once_per_operators(params, monkeypatch):
     assert built == []                       # nothing before first use
     states = _random_states(mesh, 2)
     for tau in (0.1, 0.05, 0.025, 0.1):
-        _assemble_newton_system(ops, params, *states, tau)
+        ops.newton_system(params, *states, tau)
     ones = np.ones((mesh.num_triangles, 6))
     W = ops.weighted_mass(ones)
     assert len(built) == 1
@@ -192,8 +191,8 @@ def test_slot_map_is_built_once_per_operators(params, monkeypatch):
             shared[0] = shared[0]
     assert np.shares_memory(W.indices, ops.mass.indices)
     assert np.shares_memory(W.indptr, ops.mass.indptr)
-    DiscreteOperators.for_params(mesh, params).newton_matrix(ones, ones, 0.1,
-                                                             params)
+    other = DiscreteOperators.for_params(mesh, params)
+    other.newton_system(params, *states, 0.1)
     assert len(built) == 2
 
 
@@ -350,9 +349,9 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
     # right-preconditioned GMRES applies the preconditioner to each Krylov
     # vector and to nothing else: not to b, not to a restart's residual
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver(ops, 0.05, params)
-    linear.solve(*_assemble_newton_system(ops, params,
-                                          *_random_states(ops.mesh, 3), 0.05))
+    linear = FrozenLUSolver()
+    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
+                                    0.05))
     factor = linear._lu
     applied = []
 
@@ -362,8 +361,7 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
 
     linear._lu = SimpleNamespace(solve=counted)
     before = linear.krylov_iterations
-    A, rhs = _assemble_newton_system(ops, params,
-                                     *_random_states(ops.mesh, 4), 0.05)
+    A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     x = linear.solve(A, rhs)
     krylov = linear.krylov_iterations - before
     assert linear.factorizations == 1
@@ -377,11 +375,10 @@ def test_gmres_second_cycle_meets_the_contract(params, monkeypatch):
     # a restart length one short of what the solve needs: GMRES restarts
     # from its first cycle's result and converges without a refactor
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver(ops, 0.05, params)
-    linear.solve(*_assemble_newton_system(ops, params,
-                                          *_random_states(ops.mesh, 3), 0.05))
-    A, rhs = _assemble_newton_system(ops, params,
-                                     *_random_states(ops.mesh, 4), 0.05)
+    linear = FrozenLUSolver()
+    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
+                                    0.05))
+    A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     before = linear.krylov_iterations
     linear.solve(A, rhs)
     needed = linear.krylov_iterations - before
@@ -401,19 +398,19 @@ def test_frozen_lu_refactors_when_gmres_misses_the_contract(params):
     # the new matrix's u-block and GMRES then meets the contract
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     prev = initial_state(ops)
-    A, rhs = _assemble_newton_system(ops, params, prev.u, prev.w, prev.u,
-                                     prev.w, 0.025)
-    linear = FrozenLUSolver(ops, 0.025, params)
+    A, rhs = ops.newton_system(params, prev.u, prev.w, prev.u, prev.w,
+                               0.025)
+    linear = FrozenLUSolver()
     linear.solve(A, rhs)
     assert linear.factorizations == 1
     stiff = AlievPanfilovParams(A=params.A * 1e6)
-    B, rhs_b = _assemble_newton_system(ops, stiff, prev.u, prev.w, prev.u,
-                                       prev.w, 0.025)
+    B, rhs_b = ops.newton_system(stiff, prev.u, prev.w, prev.u, prev.w,
+                                 0.025)
     x = linear.solve(B, rhs_b)
     assert linear.factorizations == 2
     assert np.linalg.norm(B @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
 
-    fresh = FrozenLUSolver(ops, 0.025, params)
+    fresh = FrozenLUSolver()
     zero = fresh.solve(A, np.zeros_like(rhs))
     assert np.array_equal(zero, np.zeros_like(rhs))
     assert fresh.factorizations == 0
@@ -496,16 +493,17 @@ def test_a_march_makes_one_splu_of_its_u_block(params, linalg,
     assert every.orders == [nv, nv]
 
 
-def test_block_preconditioner_is_one_fixed_linear_operator(params):
+@pytest.mark.parametrize("tau", [0.05, 0.5])
+def test_block_preconditioner_is_one_fixed_linear_operator(params, tau):
     # right-preconditioned GMRES needs the same P at every Krylov vector:
     # P^-1 is linear, the same input gives the same output, and its
     # w-block is the fixed Chebyshev polynomial, not a solve to a
-    # tolerance
+    # tolerance, scaled by the 1/tau + eps that the backend reads from
+    # the Newton matrix it is given
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    tau = 0.05
-    linear = FrozenLUSolver(ops, tau, params)
-    linear.solve(*_assemble_newton_system(ops, params,
-                                          *_random_states(ops.mesh, 3), tau))
+    linear = FrozenLUSolver()
+    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
+                                    tau))
     nv = ops.mesh.num_vertices
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 2 * nv))
@@ -575,9 +573,8 @@ def test_every_accepted_state_meets_the_residual_contract(params):
     traj = time_march(mesh, params, tau, 1.0)
     ops = DiscreteOperators.for_params(mesh, params)
     for n in range(1, traj.num_steps + 1):
-        A, rhs = _assemble_newton_system(ops, params, traj.U[n - 1],
-                                         traj.W[n - 1], traj.U[n],
-                                         traj.W[n], tau)
+        A, rhs = ops.newton_system(params, traj.U[n - 1], traj.W[n - 1],
+                                   traj.U[n], traj.W[n], tau)
         x = np.concatenate([traj.U[n], traj.W[n]])
         assert (np.linalg.norm(A @ x - rhs)
                 <= solver.LINEAR_RESIDUAL_RTOL * np.linalg.norm(rhs)), n
@@ -587,11 +584,10 @@ def test_gmres_starts_from_the_current_newton_iterate(params):
     # a factor frozen on another system, and an x0 that already solves
     # this one to 1e-13: GMRES returns x0 without a Krylov iteration
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver(ops, 0.05, params)
-    linear.solve(*_assemble_newton_system(ops, params,
-                                          *_random_states(ops.mesh, 3), 0.05))
-    A, rhs = _assemble_newton_system(ops, params,
-                                     *_random_states(ops.mesh, 4), 0.05)
+    linear = FrozenLUSolver()
+    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
+                                    0.05))
+    A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     x0 = DirectSolver().solve(A, rhs)
     assert np.linalg.norm(A @ x0 - rhs) <= 1e-13 * np.linalg.norm(rhs)
     before = linear.krylov_iterations
@@ -612,7 +608,7 @@ def test_gmres_starts_from_the_current_newton_iterate(params):
     prev = initial_state(ops)
     _, _, iterates = newton_solve(prev, 0.05, params, NewtonConfig(),
                                   ops=ops,
-                                  linear=Recording(ops, 0.05, params))
+                                  linear=Recording())
     assert len(starts) == len(iterates) - 1
     for x0, it in zip(starts, iterates):
         assert np.array_equal(x0, np.concatenate([it.u, it.w]))

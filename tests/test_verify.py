@@ -4,7 +4,15 @@ import pytest
 from monofem.mesh import mesh_chain, unit_square_mesh
 from monofem.solver import NewtonConfig, TrajectorySolution, time_march
 from monofem.verify import (build_reference, convergence_study, error_curve,
-                            newton_study, upper_bound_study, xy_error)
+                            newton_study, upper_bound_study)
+
+
+def xy_error(coarse, ref, up_to=None):
+    """ErrorNorms of `coarse` against `ref` on (0, up_to], by default the
+    whole common horizon."""
+    if up_to is None:
+        up_to = min(coarse.times[-1], ref.times[-1])
+    return error_curve(coarse, ref, [up_to])[0]
 
 
 def _mini_reference(params, chain, tau=1.0 / 32.0, t_end=0.5):
