@@ -19,14 +19,19 @@ cannot disagree with them about tau or eps.  The mass matrix of the
 w-block is applied inverse by a fixed Chebyshev polynomial
 (`assembly.mass_solver`), not by a factorization.  GMRES starts from the
 current Newton iterate, which differs from the solution by the Newton
-increment, so an iterate whose increment is at rounding level costs no
-Krylov iteration: GMRES returns the iterate itself, and the step ends on
-a zero increment.  The backend factors again only when GMRES stalls or
-misses the relative-residual contract |Ax - b| <= 1e-10 |b|, which every
-solve checks.  `DirectSolver`, one LU of the whole system per solve, is
-the oracle the tests compare the march against.  The unknowns are u,
-then w, each in the mesh numbering, the order in which the LU fills
-least (see :mod:`monofem.mesh`).
+increment.  The backend factors again only when GMRES stalls or misses
+the relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
+checks, and refuses a right-hand side whose norm is not finite.
+`DirectSolver`, one LU of the whole system per solve, is the oracle the
+tests compare the march against.  The unknowns are u, then w, each in
+the mesh numbering, the order in which the LU fills least (see
+:mod:`monofem.mesh`).
+
+Each step after a march's first starts Newton from the linear
+extrapolation of the two states before it.  In increment mode a step
+stops as soon as the quadratic rate predicts its next increment below the
+tolerance, so it does not spend an iterate confirming a converged one;
+its last increment is still below 1e-8 (`_LOOSEST_INCREMENT`).
 """
 
 import numpy as np
@@ -61,6 +66,10 @@ LINEAR_RESIDUAL_RTOL = 1e-10
 #: increments below ~100 eps * solution scale carry no information; the
 #: Newton loop accepts there even if the configured tolerance is smaller
 _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
+
+#: largest last increment of an accepted step: the stagnation test and the
+#: quadratic-rate stop of the Newton loop accept only below it
+_LOOSEST_INCREMENT = 1e-8
 
 #: GMRES restart length of the frozen-LU backend
 _MAX_KRYLOV = 40
@@ -151,6 +160,7 @@ class DirectSolver:
     """
 
     def solve(self, A, b, x0=None):
+        _rhs_norm(b)
         try:
             lu = spla.splu(A.tocsc(), permc_spec=_PERMC_SPEC)
         except RuntimeError as exc:
@@ -254,7 +264,7 @@ class FrozenLUSolver:
         return x, False
 
     def solve(self, A, b, x0=None):
-        bnorm = np.linalg.norm(b)
+        bnorm = _rhs_norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
         if x0 is None:
@@ -267,6 +277,17 @@ class FrozenLUSolver:
         x, _ = self._gmres(A, b, x0, bnorm)
         _check_residual(A, x, b)
         return x
+
+
+def _rhs_norm(b):
+    """|b|; SolverError when it is not finite, because every x meets the
+    relative-residual contract of such a b."""
+    bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise SolverError("the norm of the linear system's right-hand "
+                          "side is not finite (overflow in the Newton "
+                          "system?)")
+    return bnorm
 
 
 def _residual_ok(A, x, b, bnorm=None):
@@ -289,21 +310,41 @@ def _roundoff_floor(ops, u, w):
     return _ROUNDOFF_FACTOR * (1.0 + ops.h1_norm(u) + ops.l2_norm(w))
 
 
-def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
-    """Newton iteration for one implicit Euler step.
+def _converged_quadratically(inc, inc_prev, bound):
+    """Deuflhard's a posteriori test of a quadratically converging Newton
+    iteration: with the contraction Theta = inc / inc_prev below 1/2, the
+    next increment is predicted as Theta^2 inc, and the iterate is accepted
+    when that prediction is below `bound`.  Accepts only increments below
+    _LOOSEST_INCREMENT, so an accepted step's last increment stays there."""
+    theta = inc / inc_prev
+    return (inc < _LOOSEST_INCREMENT and theta < 0.5
+            and theta * theta * inc < bound)
 
-    Starts from the previous accepted state.  Each iterate solves the
-    system `ops.newton_system` builds; `ops` defaults to the operators of
-    `p` on the state's mesh, `linear` to a fresh FrozenLUSolver, which
-    freezes its preconditioner on this step's first system.  Each linear
-    solve is given the current iterate as its
-    starting guess, so GMRES only has to find the Newton increment.  In
-    balance mode the stopping test compares the linearization indicator of
-    the last two iterates with the space indicator, the current iterate
-    standing in for the accepted state.
+
+def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
+    """Newton iteration for one implicit Euler step from `prev`.
+
+    The right-hand side is built from `prev`; the iteration starts from
+    `start`, a (u, w) pair of nodal vectors, or from `prev` when it is
+    None.  Each iterate solves the system `ops.newton_system` builds;
+    `ops` defaults to the operators of `p` on the state's mesh, `linear`
+    to a fresh FrozenLUSolver, which freezes its preconditioner on this
+    step's first system.  Each linear solve is given the current iterate
+    as its starting guess, so GMRES only has to find the Newton increment.
+
+    In increment mode the iteration stops when the increment is below
+    `cfg.tol` or the rounding floor, when it stagnates below
+    _LOOSEST_INCREMENT, or from iterate 2 on when the quadratic rate
+    predicts the next increment below max(tol, floor), so that no
+    iterate is spent confirming the one before it; the last increment of
+    an accepted step is below _LOOSEST_INCREMENT.  In balance mode the
+    stopping test compares the linearization indicator of the last two
+    iterates with the space indicator, the current iterate standing in
+    for the accepted state.
 
     Returns (state, record, [iterate_0, ..., iterate_K]): iterate_0 is a
-    copy of `prev` and iterate_K the accepted state.
+    copy of the start, the point the first system is linearized at, and
+    iterate_K the accepted state.
     """
     if not tau > 0:
         raise SolverError("tau must be positive")
@@ -313,8 +354,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
         linear = FrozenLUSolver()
 
     nv = prev.mesh.num_vertices
-    cur = StateField(prev.mesh, prev.u.copy(), prev.w.copy(),
-                     prev.time + tau)
+    u0, w0 = (prev.u, prev.w) if start is None else start
+    cur = StateField(prev.mesh, u0.copy(), w0.copy(), prev.time + tau)
     rec = NewtonRecord()
     states = [StateField(prev.mesh, cur.u.copy(), cur.w.copy(), cur.time)]
     inc_prev = np.inf
@@ -329,9 +370,11 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None):
         states.append(cur)
 
         floor = _roundoff_floor(ops, cur.u, cur.w)
-        stagnated = inc < 1e-8 and inc >= inc_prev
+        stagnated = inc < _LOOSEST_INCREMENT and inc >= inc_prev
         if cfg.mode == "increment_tolerance":
-            if inc < cfg.tol or inc < floor or stagnated:
+            if (inc < cfg.tol or inc < floor or stagnated
+                    or (k >= 2 and _converged_quadratically(
+                        inc, inc_prev, max(cfg.tol, floor)))):
                 break
         else:
             gamma = estimators.linearization_indicator((last, cur), p,
@@ -356,16 +399,28 @@ def _march_steps(state, tau, num_steps, p, cfg, ops):
     one FrozenLUSolver, which freezes its preconditioner on the march's
     first Newton system, so the march factors one u-block (and another
     only on that backend's fallback); yields (record, iterates) of each
-    step, the last iterate being the accepted state.  A NewtonError is
-    re-raised with its step number."""
+    step, the last iterate being the accepted state.
+
+    Step 1 starts Newton from `state`; every later step n starts from the
+    linear extrapolation 2 x^(n-1) - x^(n-2) of the two states before it
+    (Hairer and Wanner, Solving ODEs II, IV.8), O(tau^2) from x^n where
+    x^(n-1) is O(tau) from it.  A SolverError, a NewtonError among them, is re-raised
+    with its step number."""
     linear = FrozenLUSolver()
+    before = None
     for n in range(1, num_steps + 1):
+        start = None if before is None else (2.0 * state.u - before.u,
+                                             2.0 * state.w - before.w)
         try:
-            state, rec, iterates = newton_solve(state, tau, p, cfg, ops=ops,
-                                                linear=linear)
+            accepted, rec, iterates = newton_solve(
+                state, tau, p, cfg, ops=ops, linear=linear, start=start)
         except NewtonError as exc:
             raise NewtonError(f"step {n} (t={exc.time:.6g}): {exc}",
                               step=n, time=exc.time) from exc
+        except SolverError as exc:
+            raise SolverError(f"step {n} (t={state.time + tau:.6g}): "
+                              f"{exc}") from exc
+        before, state = state, accepted
         yield rec, iterates
 
 
@@ -407,7 +462,7 @@ class TrajectorySolution:
         return np.array([r.iterations for r in self.newton], dtype=int)
 
     def save(self, path):
-        """Checkpoint to a .npz archive with the keys
+        """Checkpoint to an uncompressed .npz archive with the keys
 
         format_version (2), base_n and levels (the mesh is
         mesh_chain(base_n, levels)[-1]), times, U, W, tau (NaN when
@@ -416,13 +471,15 @@ class TrajectorySolution:
         numbering of that mesh, row by row also on refined meshes; format
         1 numbered the midpoints of a refinement after the coarse
         vertices.  The initial data and the penultimate iterates are not
-        saved.
+        saved.  Compressing took over ten times as long as writing,
+        for a file about 1.6 times smaller; :meth:`load` reads both
+        kinds.
         """
         if self.mesh.base_n is None:
             raise SolverError("only structured meshes (unit_square_mesh + "
                               "refinements) can be checkpointed")
         p = self.params
-        np.savez_compressed(
+        np.savez(
             path,
             format_version=_CHECKPOINT_VERSION,
             base_n=self.mesh.base_n,

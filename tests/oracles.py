@@ -145,13 +145,17 @@ def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
 
 def direct_march(mesh, p, tau, t_end, cfg, initial=None):
     """The implicit Euler march of `time_march`, one LU per linear solve:
-    (U, W, newton_counts) with U and W of shape (N+1, nv)."""
+    (U, W, newton_counts) with U and W of shape (N+1, nv).  Like the
+    march, every step after the first starts Newton from the linear
+    extrapolation of the two states before it."""
     ops = DiscreteOperators.for_params(mesh, p)
     state = initial_state(ops, initial)
     U, W, counts = [state.u], [state.w], []
-    for _ in range(step_count(tau, t_end)):
+    for n in range(step_count(tau, t_end)):
+        start = None if n == 0 else (2.0 * U[-1] - U[-2],
+                                     2.0 * W[-1] - W[-2])
         state, rec, _ = newton_solve(state, tau, p, cfg, ops=ops,
-                                     linear=DirectSolver())
+                                     linear=DirectSolver(), start=start)
         U.append(state.u)
         W.append(state.w)
         counts.append(rec.iterations)

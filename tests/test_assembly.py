@@ -1,8 +1,10 @@
+from math import factorial, prod
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -32,6 +34,43 @@ def test_quadrature_exact_for_monomials(degree):
                                   * xy[:, 1] ** q)
             assert approx == pytest.approx(
                 reference_monomial_integral(p, q), abs=1e-13)
+
+
+def _barycentric_exponents(degree):
+    """Every (a1, a2, a3) with a1 + a2 + a3 = degree."""
+    return [(i, j, degree - i - j) for i in range(degree + 1)
+            for j in range(degree + 1 - i)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(coords=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       scale=st.floats(1e-3, 1e3))
+def test_quadrature_exact_to_its_degree_on_any_triangle(coords, scale):
+    # integral over T of l1^a1 l2^a2 l3^a3 = 2 |T| a1! a2! a3! / (|a| + 2)!;
+    # each rule meets it for every |a| <= its degree and misses it for
+    # some |a| = degree + 1; the barycentric coordinates are recomputed
+    # from the physical points, the area from the vertices
+    verts = scale * np.array(coords).reshape(3, 2)
+    e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
+    area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+    longest = np.max(np.sum((verts - np.roll(verts, 1, axis=0)) ** 2, axis=1))
+    assume(area > 0.0 and area >= 0.05 * longest)
+    for degree in (1, 2, 4, 6):
+        rule = quadrature_rule(degree)
+        lam = barycentric_at(verts, rule.points @ verts)
+
+        def relative_error(alpha):
+            approx = area * np.sum(rule.weights
+                                   * np.prod(lam ** np.array(alpha), axis=1))
+            exact = (2.0 * area * prod(factorial(a) for a in alpha)
+                     / factorial(sum(alpha) + 2))
+            return abs(approx - exact) / exact
+
+        for d in range(degree + 1):
+            for alpha in _barycentric_exponents(d):
+                assert relative_error(alpha) <= 1e-13, (degree, alpha)
+        assert max(relative_error(alpha)
+                   for alpha in _barycentric_exponents(degree + 1)) > 1e-6
 
 
 def test_centroid_rule_integrates_constants():

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monofem import cli
-from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, ConfigError, main,
-                         parse_config, read_csv, run_command, write_csv)
+from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
+                         ConfigError, main, parse_config, read_csv,
+                         run_command, write_csv)
 
 
 def test_empty_config_gives_desk_defaults():
@@ -328,3 +329,15 @@ def test_bad_config_exit_code(out_env):
 def test_run_command_rejects_unknown():
     with pytest.raises(ConfigError):
         run_command("frobnicate", parse_config(""))
+
+
+def test_overflowing_newton_system_fails_at_its_step(out_env, capsys):
+    # with A = 1e300 the norm of the first right-hand side overflows;
+    # every x would meet a residual contract relative to an infinite |b|,
+    # so the march must fail there instead of reporting converged steps
+    rc = main(["solve", "--set", "params.A=1e300", "--set", "run.mesh_n=4",
+               "--set", "run.tau=0.1", "--set", "run.t_end=0.3"])
+    assert rc == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure: step 1 (t=0.1)" in err
+    assert "not finite" in err

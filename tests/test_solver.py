@@ -1,3 +1,4 @@
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -614,6 +615,63 @@ def test_gmres_starts_from_the_current_newton_iterate(params):
         assert np.array_equal(x0, np.concatenate([it.u, it.w]))
 
 
+def test_quadratic_stop_only_drops_confirming_iterates(params,
+                                                      monkeypatch):
+    # the quadratic-rate stop accepts an iterate whose next increment
+    # would be zero: with the test switched off, every step of the march
+    # ends on the same state, one iterate later at most
+    mesh = unit_square_mesh(16)
+    stopped = time_march(mesh, params, 0.05, 2.0)
+    monkeypatch.setattr(solver, "_converged_quadratically",
+                        lambda *args: False)
+    confirmed = time_march(mesh, params, 0.05, 2.0)
+    assert stopped.num_steps == 40
+    assert np.array_equal(stopped.U, confirmed.U)
+    assert np.array_equal(stopped.W, confirmed.W)
+    extra = confirmed.newton_counts() - stopped.newton_counts()
+    assert np.all((extra == 0) | (extra == 1))
+    assert np.any(extra == 1)
+
+
+@pytest.mark.parametrize("tau, t_end", [(0.05, 2.0), (0.25, 2.0)])
+def test_every_accepted_step_ends_below_the_loosest_increment(params, tau,
+                                                              t_end):
+    traj = time_march(unit_square_mesh(16), params, tau, t_end)
+    for n, rec in enumerate(traj.newton, start=1):
+        assert rec.increments[-1] < solver._LOOSEST_INCREMENT, n
+
+
+def test_march_starts_newton_from_the_extrapolated_state(params):
+    # step 1 starts from the previous state, bit for bit as newton_solve
+    # alone does; step 2 from 2 x^1 - x^0, its iterate 0
+    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    state = initial_state(ops)
+    cfg = NewtonConfig()
+    steps = solver._march_steps(state, 0.1, 2, params, cfg, ops)
+    (rec1, first), (_, second) = steps
+    _, alone_rec, alone = newton_solve(state, 0.1, params, cfg, ops=ops)
+    assert rec1.increments == alone_rec.increments
+    assert len(first) == len(alone)
+    for a, b in zip(first, alone):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
+    x1 = first[-1]
+    assert np.array_equal(second[0].u, 2.0 * x1.u - state.u)
+    assert np.array_equal(second[0].w, 2.0 * x1.w - state.w)
+
+
+def test_newton_solve_copies_its_start(params):
+    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    prev = initial_state(ops)
+    start = (prev.u * 1.01, prev.w + 0.01)
+    kept = (start[0].copy(), start[1].copy())
+    _, _, iterates = newton_solve(prev, 0.1, params, NewtonConfig(), ops=ops,
+                                  start=start)
+    assert np.array_equal(iterates[0].u, kept[0])
+    assert np.array_equal(iterates[0].w, kept[1])
+    assert np.array_equal(start[0], kept[0])
+    assert not np.shares_memory(iterates[0].u, start[0])
+
+
 def test_checkpoint_roundtrip(tmp_path, params):
     mesh = unit_square_mesh(4)
     traj = time_march(mesh, params, 0.25, 0.5)
@@ -640,6 +698,26 @@ def test_checkpoint_roundtrip_on_a_refined_mesh(tmp_path, params):
     assert np.array_equal(loaded.mesh.vertices, mesh.vertices)
     assert np.array_equal(loaded.U, traj.U)
     assert np.array_equal(loaded.W, traj.W)
+
+
+def test_compressed_checkpoint_still_loads(tmp_path, params):
+    # save writes an uncompressed archive; a format-2 file written by
+    # np.savez_compressed with the same keys loads to the same arrays
+    traj = time_march(unit_square_mesh(4), params, 0.25, 0.5)
+    path = tmp_path / "traj.npz"
+    traj.save(path)
+    with zipfile.ZipFile(path) as archive:
+        assert {m.compress_type for m in archive.infolist()} == {
+            zipfile.ZIP_STORED}
+    with np.load(path) as data:
+        keys = dict(data)
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(compressed, **keys)
+    loaded = TrajectorySolution.load(compressed)
+    assert np.array_equal(loaded.times, traj.times)
+    assert np.array_equal(loaded.U, traj.U)
+    assert np.array_equal(loaded.W, traj.W)
+    assert np.array_equal(loaded.newton_counts(), traj.newton_counts())
 
 
 def test_loaded_checkpoint_needs_its_initial_data(tmp_path, params):
