@@ -26,8 +26,8 @@ from .assembly import evaluate_p1
 from .mesh import unit_square_mesh, write_vtk
 from .solver import (NewtonConfig, SolverError, step_count, time_march,
                      trajectory_nbytes)
-from .verify import (build_reference, convergence_study, newton_study,
-                     upper_bound_study)
+from .verify import (REFERENCE_TOL, build_reference, convergence_study,
+                     newton_study, upper_bound_study)
 
 __all__ = [
     "ConfigError",
@@ -66,14 +66,14 @@ class RunConfig:
     mesh_n: int = 32
     tau: float = 0.05
     t_end: float = 2.0
-    A: float = 8.0
-    a: float = 0.15
-    eps: float = 0.2
-    M: float = 1.0
-    mode: str = "increment_tolerance"
-    tol: float = 1e-14
-    sigma: float = 0.1
-    max_iterations: int = 30
+    A: float = ionic.AlievPanfilovParams.A
+    a: float = ionic.AlievPanfilovParams.a
+    eps: float = ionic.AlievPanfilovParams.eps
+    M: float = ionic.AlievPanfilovParams.M_scalar
+    mode: str = NewtonConfig.mode
+    tol: float = NewtonConfig.tol
+    sigma: float = NewtonConfig.sigma
+    max_iterations: int = NewtonConfig.max_iterations
     out_dir: str = ""
     vtk_every: int = 0
     checkpoint: str = "trajectory.npz"
@@ -81,7 +81,7 @@ class RunConfig:
     ladder: tuple = ((8, 0.1), (16, 0.05), (32, 0.025))
     reference_n: int = 128
     reference_tau: float = 1.0 / 256.0
-    reference_tol: float = 1e-15
+    reference_tol: float = REFERENCE_TOL
     newton_n: int = 64
     newton_tau: float = 1.0 / 128.0
     instants: tuple = (0.5, 1.5)
@@ -105,7 +105,7 @@ PRESETS = {
     "paper-fig2-coarse": {"mesh_n": 20, "tau": 0.1, "t_end": 16.0},
     "paper-fig2-fine": {"mesh_n": 80, "tau": 0.025, "t_end": 16.0},
     "paper-reference": {"mesh_n": 250, "tau": 0.002, "t_end": 16.0,
-                        "tol": 1e-15},
+                        "tol": REFERENCE_TOL},
 }
 
 

@@ -13,6 +13,14 @@ All residual norms are integrated exactly: the integrands are piecewise
 polynomials of degree at most 6 in space (cubic reaction times linears,
 squared) and in time, covered by the degree-6 triangle rule and 4-point
 Gauss on each time interval.
+
+Each indicator is a private kernel (`_space_terms`, `_time_terms`,
+`_gamma`) on the values at the degree-6 points (`_at`) of the previous
+state, the penultimate iterate and the accepted state; the public
+indicators evaluate their states and call it.  :func:`estimate_trajectory`
+evaluates each accepted state once and carries its values forward as the
+next step's previous state.  Its simplified bound passes the accepted
+values as the penultimate ones, and gamma is then 0.0 without a call.
 """
 
 import numpy as np
@@ -78,8 +86,18 @@ class TrajectoryEstimate:
     cumulative: np.ndarray
 
 
-def _ops_for(mesh, p, ops):
+def _operators(ops, p, *states):
+    """`ops`, else the operators of `p`, on the mesh of `states`;
+    ValueError when a state or `ops` lives on another mesh."""
+    mesh = states[0].mesh if ops is None else ops.mesh
+    if any(s.mesh is not mesh for s in states):
+        raise ValueError("states and operators live on different meshes")
     return ops if ops is not None else DiscreteOperators.for_params(mesh, p)
+
+
+def _at(ops, state):
+    """(u, w) of `state` at the points of ops.rule6, each (nt, nq)."""
+    return ops.field_at(state.u, ops.rule6), ops.field_at(state.w, ops.rule6)
 
 
 def _edge_jump_terms(ops, u):
@@ -93,8 +111,7 @@ def _edge_jump_terms(ops, u):
     mesh = ops.mesh
     grads = np.einsum("ei,eid->ed", u[mesh.triangles], mesh.basis_gradients)
     flux = ops.conductivity * grads
-    t1 = mesh.edge_triangles[:, 0]
-    t2 = mesh.edge_triangles[:, 1]
+    t1, t2 = mesh.edge_triangles.T
     jump = np.einsum("ed,ed->e", mesh.edge_normals, flux[t1])
     interior = t2 >= 0
     jump[interior] -= np.einsum("ed,ed->e", mesh.edge_normals[interior],
@@ -102,24 +119,69 @@ def _edge_jump_terms(ops, u):
     return mesh.edge_lengths ** 2 * jump ** 2
 
 
-def _elementwise_l2sq(ops, values_sq, rule):
-    """integral over each element of a squared quantity given at
-    quadrature points."""
-    return np.einsum("eq,q->e", values_sq, rule.weights) * ops.mesh.areas
+def _elementwise_l2sq(ops, values):
+    """Squared L2 norm on each element of a quantity given at the points
+    of ops.rule6."""
+    return (np.einsum("eq,q->e", values ** 2, ops.rule6.weights)
+            * ops.mesh.areas)
 
 
-def _linearized_reaction(ops, last_two_iterates, p, rule):
-    """The last iterate at the rule's points and the reaction linearized
-    at the one before it: (u2_q, w2_q, lin_f, lin_g)."""
-    it_prev, it_cur = last_two_iterates
-    u1_q = ops.field_at(it_prev.u, rule)
-    w1_q = ops.field_at(it_prev.w, rule)
-    u2_q = ops.field_at(it_cur.u, rule)
-    w2_q = ops.field_at(it_cur.w, rule)
-    r = ionic.react(u1_q, w1_q, p)
-    lin_f = r.f + r.f_u * (u2_q - u1_q) + r.f_w * (w2_q - w1_q)
-    lin_g = r.g + r.g_u * (u2_q - u1_q) + r.g_w * (w2_q - w1_q)
-    return u2_q, w2_q, lin_f, lin_g
+def _l2sq(ops, values):
+    """Squared L2 norm of a quantity given at the points of ops.rule6."""
+    return float(_elementwise_l2sq(ops, values).sum())
+
+
+def _linearized_reaction(p, pen, acc):
+    """(f, g) linearized at the values `pen` and taken at the values
+    `acc`."""
+    (u1, w1), (u2, w2) = pen, acc
+    r = ionic.react(u1, w1, p)
+    return (r.f + r.f_u * (u2 - u1) + r.f_w * (w2 - w1),
+            r.g + r.g_u * (u2 - u1) + r.g_w * (w2 - w1))
+
+
+def _space_terms(ops, p, tau, acc_u, prev, pen, acc):
+    """(eta, element_terms, edge_terms, ode_term) from the values of the
+    previous state and of the last two iterates, and the nodal u of the
+    last one."""
+    lin_f, lin_g = _linearized_reaction(p, pen, acc)
+    res_pde = -(acc[0] - prev[0]) / tau - lin_f
+    res_ode = -(acc[1] - prev[1]) / tau - lin_g
+    element_terms = ops.mesh.diameters ** 2 * _elementwise_l2sq(ops, res_pde)
+    edge_terms = _edge_jump_terms(ops, acc_u)
+    ode_term = _l2sq(ops, res_ode)
+    eta = float(np.sqrt(element_terms.sum() + edge_terms.sum() + ode_term))
+    return eta, element_terms, edge_terms, ode_term
+
+
+def _time_terms(ops, p, du, prev, acc):
+    """(theta, parts) from the nodal increment of u and the values of the
+    two accepted states; the reaction mismatch is integrated along the
+    linear-in-time interpolant by 4-point Gauss."""
+    grad_part = float(du @ (ops.stiffness @ du)) / 3.0
+    (up, wp), (ua, wa) = prev, acc
+    f_acc, g_acc = ionic.f_value(ua, wa, p), ionic.g_value(ua, wa, p)
+    p1_part = p2_part = 0.0
+    for s, ws in zip(_TIME_GAUSS_X, _TIME_GAUSS_W):
+        u_s = up + s * (ua - up)
+        w_s = wp + s * (wa - wp)
+        p1_part += ws * _l2sq(ops, ionic.f_value(u_s, w_s, p) - f_acc)
+        p2_part += ws * _l2sq(ops, ionic.g_value(u_s, w_s, p) - g_acc)
+    theta = float(np.sqrt(grad_part + p1_part + p2_part))
+    return theta, (grad_part, p1_part, p2_part)
+
+
+def _gamma(ops, p, pen, acc):
+    """L2 norm of the Taylor remainder of (f, g) from the values `pen` to
+    the values `acc`, summed left to right.  As f(acc) minus
+    :func:`_linearized_reaction` it would round otherwise, which moves the
+    gammas near 4e-17 and changes newton_study.csv."""
+    (u1, w1), (u2, w2) = pen, acc
+    r = ionic.react(u1, w1, p)
+    du, dw = u2 - u1, w2 - w1
+    q1 = ionic.f_value(u2, w2, p) - r.f - r.f_u * du - r.f_w * dw
+    q2 = ionic.g_value(u2, w2, p) - r.g - r.g_u * du - r.g_w * dw
+    return float(np.sqrt(_l2sq(ops, q1) + _l2sq(ops, q2)))
 
 
 def space_indicator(prev, last_two_iterates, tau, p, ops=None):
@@ -132,27 +194,10 @@ def space_indicator(prev, last_two_iterates, tau, p, ops=None):
     through the conormal jumps of the edge terms.  `ops` defaults to the
     operators of `p` on the states' mesh.
     """
-    it_prev, it_cur = last_two_iterates
-    mesh = it_cur.mesh
-    if prev.mesh is not mesh or it_prev.mesh is not mesh:
-        raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, ops)
-    rule = ops.rule6
-
-    up_q = ops.field_at(prev.u, rule)
-    wp_q = ops.field_at(prev.w, rule)
-    u2_q, w2_q, lin_f, lin_g = _linearized_reaction(ops, last_two_iterates,
-                                                    p, rule)
-
-    res_pde = -(u2_q - up_q) / tau - lin_f
-    res_ode = -(w2_q - wp_q) / tau - lin_g
-
-    element_terms = (mesh.diameters ** 2
-                     * _elementwise_l2sq(ops, res_pde ** 2, rule))
-    edge_terms = _edge_jump_terms(ops, it_cur.u)
-    ode_term = float(_elementwise_l2sq(ops, res_ode ** 2, rule).sum())
-    eta = float(np.sqrt(element_terms.sum() + edge_terms.sum() + ode_term))
-    return eta, element_terms, edge_terms, ode_term
+    pen, acc = last_two_iterates
+    ops = _operators(ops, p, prev, pen, acc)
+    return _space_terms(ops, p, tau, acc.u, _at(ops, prev), _at(ops, pen),
+                        _at(ops, acc))
 
 
 def time_indicator(prev, accepted, tau, p, ops=None):
@@ -163,56 +208,17 @@ def time_indicator(prev, accepted, tau, p, ops=None):
     (theta, (gradient_part, p1_part, p2_part)) with squared parts.  `ops`
     defaults to the operators of `p` on the states' mesh.
     """
-    mesh = accepted.mesh
-    if prev.mesh is not mesh:
-        raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, ops)
-    rule = ops.rule6
-
-    du = accepted.u - prev.u
-    grad_part = float(du @ (ops.stiffness @ du)) / 3.0
-
-    up_q = ops.field_at(prev.u, rule)
-    wp_q = ops.field_at(prev.w, rule)
-    ua_q = ops.field_at(accepted.u, rule)
-    wa_q = ops.field_at(accepted.w, rule)
-    f_acc = ionic.f_value(ua_q, wa_q, p)
-    g_acc = ionic.g_value(ua_q, wa_q, p)
-    p1_part = 0.0
-    p2_part = 0.0
-    for s, ws in zip(_TIME_GAUSS_X, _TIME_GAUSS_W):
-        u_s = up_q + s * (ua_q - up_q)
-        w_s = wp_q + s * (wa_q - wp_q)
-        df = ionic.f_value(u_s, w_s, p) - f_acc
-        dg = ionic.g_value(u_s, w_s, p) - g_acc
-        p1_part += ws * float(_elementwise_l2sq(ops, df ** 2, rule).sum())
-        p2_part += ws * float(_elementwise_l2sq(ops, dg ** 2, rule).sum())
-
-    theta = float(np.sqrt(grad_part + p1_part + p2_part))
-    return theta, (grad_part, p1_part, p2_part)
+    ops = _operators(ops, p, prev, accepted)
+    return _time_terms(ops, p, accepted.u - prev.u, _at(ops, prev),
+                       _at(ops, accepted))
 
 
 def linearization_indicator(last_two_iterates, p, ops=None):
     """L2 norm of the Taylor remainder of (f, g) between two Newton
     iterates."""
-    it_prev, it_cur = last_two_iterates
-    mesh = it_cur.mesh
-    if it_prev.mesh is not mesh:
-        raise ValueError("states live on different meshes")
-    ops = _ops_for(mesh, p, ops)
-    rule = ops.rule6
-
-    u1_q = ops.field_at(it_prev.u, rule)
-    w1_q = ops.field_at(it_prev.w, rule)
-    u2_q = ops.field_at(it_cur.u, rule)
-    w2_q = ops.field_at(it_cur.w, rule)
-    r = ionic.react(u1_q, w1_q, p)
-    du, dw = u2_q - u1_q, w2_q - w1_q
-    q1 = ionic.f_value(u2_q, w2_q, p) - r.f - r.f_u * du - r.f_w * dw
-    q2 = ionic.g_value(u2_q, w2_q, p) - r.g - r.g_u * du - r.g_w * dw
-    q1_sq = float(_elementwise_l2sq(ops, q1 ** 2, rule).sum())
-    q2_sq = float(_elementwise_l2sq(ops, q2 ** 2, rule).sum())
-    return float(np.sqrt(q1_sq + q2_sq))
+    pen, acc = last_two_iterates
+    ops = _operators(ops, p, pen, acc)
+    return _gamma(ops, p, _at(ops, pen), _at(ops, acc))
 
 
 def simplified_indicators(prev, accepted, tau, p, ops=None):
@@ -225,9 +231,10 @@ def simplified_indicators(prev, accepted, tau, p, ops=None):
     (theta, parts)).  `ops` defaults to the operators of `p` on the
     states' mesh.
     """
-    ops = _ops_for(accepted.mesh, p, ops)
-    space = space_indicator(prev, (accepted, accepted), tau, p, ops=ops)
-    return space, time_indicator(prev, accepted, tau, p, ops=ops)
+    ops = _operators(ops, p, prev, accepted)
+    prev_q, acc_q = _at(ops, prev), _at(ops, accepted)
+    return (_space_terms(ops, p, tau, accepted.u, prev_q, acc_q, acc_q),
+            _time_terms(ops, p, accepted.u - prev.u, prev_q, acc_q))
 
 
 def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
@@ -238,17 +245,14 @@ def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
     residual because the Newton system enforces exactly this orthogonality.
     `ops` defaults to the operators of `p` on the states' mesh.
     """
-    it_cur = last_two_iterates[1]
-    ops = _ops_for(it_cur.mesh, p, ops)
-    rule = ops.rule6
-    _, _, lin_f, lin_g = _linearized_reaction(ops, last_two_iterates, p,
-                                              rule)
-
-    r1 = -(ops.mass @ ((it_cur.u - prev.u) / tau)
-           + ops.stiffness @ it_cur.u
-           + ops.load(lin_f, rule))
-    r2 = -(ops.mass @ ((it_cur.w - prev.w) / tau)
-           + ops.load(lin_g, rule))
+    pen, acc = last_two_iterates
+    ops = _operators(ops, p, prev, pen, acc)
+    lin_f, lin_g = _linearized_reaction(p, _at(ops, pen), _at(ops, acc))
+    r1 = -(ops.mass @ ((acc.u - prev.u) / tau)
+           + ops.stiffness @ acc.u
+           + ops.load(lin_f, ops.rule6))
+    r2 = -(ops.mass @ ((acc.w - prev.w) / tau)
+           + ops.load(lin_g, ops.rule6))
     return r1, r2
 
 
@@ -262,16 +266,14 @@ def initial_projection_terms(state, initial=None, ops=None):
     Only the quadrature of `ops` is used, so any operators on the state's
     mesh give the same result.
     """
-    mesh = state.mesh
-    ops = ops if ops is not None else DiscreteOperators(mesh)
-    rule = ops.rule6
-    xy = quadrature_coords(mesh, rule)
+    ops = _operators(ops if ops is not None else DiscreteOperators(
+        state.mesh), None, state)
+    xy = quadrature_coords(state.mesh, ops.rule6)
     out = []
-    for f, vec in zip(ionic.initial_pair(initial), (state.u, state.w)):
+    for f, vals in zip(ionic.initial_pair(initial), _at(ops, state)):
         exact = np.broadcast_to(np.asarray(f(xy[:, :, 0], xy[:, :, 1]),
                                            dtype=float), xy.shape[:2])
-        out.append(float(_elementwise_l2sq(
-            ops, (exact - ops.field_at(vec, rule)) ** 2, rule).sum()))
+        out.append(_l2sq(ops, exact - vals))
     return out[0], out[1]
 
 
@@ -311,33 +313,26 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
                          "use simplified=True")
 
     reports = []
+    prev = traj.state(0)
+    prev_q = _at(ops, prev)
     for n in range(1, traj.num_steps + 1):
         tau = float(traj.times[n] - traj.times[n - 1])
-        prev = traj.state(n - 1)
         acc = traj.state(n)
-        if simplified:
-            (eta, el, ed, ode), (theta, parts) = simplified_indicators(
-                prev, acc, tau, p, ops=ops)
-            gamma = 0.0
-        else:
-            pen_u, pen_w = traj.penultimate[n]
-            pen = type(acc)(traj.mesh, pen_u, pen_w, acc.time)
-            eta, el, ed, ode = space_indicator(prev, (pen, acc), tau, p,
-                                               ops=ops)
-            theta, parts = time_indicator(prev, acc, tau, p, ops=ops)
-            gamma = linearization_indicator((pen, acc), p, ops=ops)
-        reports.append(EstimatorReport(step=n, time=float(traj.times[n]),
-                                       eta=eta, theta=theta, gamma=gamma,
-                                       element_terms=el, edge_terms=ed,
-                                       ode_term=ode, time_parts=parts))
+        acc_q = _at(ops, acc)
+        pen_q = acc_q if simplified else _at(ops, type(acc)(
+            traj.mesh, *traj.penultimate[n], acc.time))
+        eta, el, ed, ode = _space_terms(ops, p, tau, acc.u, prev_q, pen_q,
+                                        acc_q)
+        theta, parts = _time_terms(ops, p, acc.u - prev.u, prev_q, acc_q)
+        gamma = 0.0 if pen_q is acc_q else _gamma(ops, p, pen_q, acc_q)
+        reports.append(EstimatorReport(n, float(traj.times[n]), eta, theta,
+                                       gamma, el, ed, ode, parts))
+        prev, prev_q = acc, acc_q
 
     init_u2, init_w2 = initial_projection_terms(traj.state(0),
                                                 initial=initial, ops=ops)
-    cum = cumulative_bound(
-        np.diff(traj.times),
-        [r.eta for r in reports],
-        [r.theta for r in reports],
-        [r.gamma for r in reports],
-        (init_u2, init_w2))
+    cum = cumulative_bound(np.diff(traj.times), [r.eta for r in reports],
+                           [r.theta for r in reports],
+                           [r.gamma for r in reports], (init_u2, init_w2))
     return TrajectoryEstimate(reports, init_u2, init_w2, cum)
 

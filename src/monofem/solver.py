@@ -282,7 +282,8 @@ class FrozenLUSolver:
 def _rhs_norm(b):
     """|b|; SolverError when it is not finite, because every x meets the
     relative-residual contract of such a b."""
-    bnorm = np.linalg.norm(b)
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        bnorm = np.linalg.norm(b)
     if not np.isfinite(bnorm):
         raise SolverError("the norm of the linear system's right-hand "
                           "side is not finite (overflow in the Newton "

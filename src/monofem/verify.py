@@ -25,6 +25,7 @@ from .solver import (NewtonConfig, SolverError, _march_steps, initial_state,
                      step_count, time_march)
 
 __all__ = [
+    "REFERENCE_TOL",
     "ErrorNorms",
     "UpperBoundRow",
     "ConvergenceRow",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _TIME_ATOL = 1e-9
+#: Newton tolerance of reference-grade marches: rounding level
+REFERENCE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class NewtonStudyRow:
     error_combined: float
 
 
-def build_reference(mesh, tau, t_end, p, levels=0, tol=1e-15,
+def build_reference(mesh, tau, t_end, p, levels=0, tol=REFERENCE_TOL,
                     initial=None):
     """High-fidelity trajectory on `mesh` refined `levels` more times.
 
@@ -248,7 +251,7 @@ def _fit_order(hs, values):
 
 
 def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
-                      ref_tol=1e-15, newton_cfg=None):
+                      ref_tol=REFERENCE_TOL, newton_cfg=None):
     """Halving ladder of (n, tau) runs against one fixed reference.
 
     `rungs` is a list of (n, tau) with each n doubling the previous one.
@@ -287,7 +290,7 @@ def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
                            hs, [r.estimator for r in rows]))
 
 
-def newton_study(mesh, tau, instants, p, tol=1e-15):
+def newton_study(mesh, tau, instants, p, tol=REFERENCE_TOL):
     """Per-iterate linearization indicator against the true linearization
     error at selected instants.
 

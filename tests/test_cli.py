@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from monofem import cli
 from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
-                         ConfigError, main, parse_config, read_csv,
-                         run_command, write_csv)
+                         ConfigError, RunConfig, main, parse_config,
+                         read_csv, run_command, write_csv)
+from monofem.ionic import AlievPanfilovParams
+from monofem.solver import NewtonConfig
+from monofem.verify import REFERENCE_TOL
 
 
 def test_empty_config_gives_desk_defaults():
@@ -20,6 +23,12 @@ def test_empty_config_gives_desk_defaults():
     assert cfg.tol == 1e-14
     assert cfg.sigma == 0.1
     assert cfg.probe == (0.5, 0.5)
+
+
+def test_run_config_defaults_are_the_model_and_newton_defaults():
+    assert RunConfig().params() == AlievPanfilovParams()
+    assert RunConfig().newton_config() == NewtonConfig()
+    assert RunConfig().reference_tol == REFERENCE_TOL
 
 
 def test_paper_preset():

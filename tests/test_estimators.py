@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from monofem.assembly import DiscreteOperators
-from monofem.estimators import (cumulative_bound, estimate_trajectory,
+from monofem.estimators import (EstimatorReport, cumulative_bound,
+                                estimate_trajectory,
                                 initial_projection_terms,
                                 linearization_indicator,
                                 simplified_indicators, space_indicator,
@@ -373,3 +374,73 @@ def test_mesh_mismatch_raises(params):
         time_indicator(sb, sa, 0.1, AlievPanfilovParams())
     with pytest.raises(ValueError):
         linearization_indicator((sb, sa), AlievPanfilovParams())
+    with pytest.raises(ValueError):
+        simplified_indicators(sb, sa, 0.1, AlievPanfilovParams())
+    with pytest.raises(ValueError):
+        space_residual_functional(sb, (sa, sa), 0.1, AlievPanfilovParams())
+
+
+def test_operators_on_another_mesh_raise(params):
+    # b has the vertex count of a, so only the mesh check can tell
+    a = unit_square_mesh(2)
+    ops_b = DiscreteOperators(unit_square_mesh(2))
+    s = StateField(a, np.zeros(a.num_vertices), np.zeros(a.num_vertices))
+    calls = [
+        lambda: space_indicator(s, (s, s), 0.1, params, ops=ops_b),
+        lambda: time_indicator(s, s, 0.1, params, ops=ops_b),
+        lambda: linearization_indicator((s, s), params, ops=ops_b),
+        lambda: simplified_indicators(s, s, 0.1, params, ops=ops_b),
+        lambda: space_residual_functional(s, (s, s), 0.1, params,
+                                          ops=ops_b),
+        lambda: initial_projection_terms(s, ops=ops_b),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def _assert_reports_equal(r, other):
+    assert r.eta == other.eta and r.theta == other.theta
+    assert r.gamma == other.gamma and r.ode_term == other.ode_term
+    assert np.array_equal(r.element_terms, other.element_terms)
+    assert np.array_equal(r.edge_terms, other.edge_terms)
+    assert r.time_parts == other.time_parts
+
+
+def test_trajectory_reports_equal_the_public_indicators(params):
+    # the step loop carries each accepted state's values forward; every
+    # report must be bit for bit what the public wrappers give that step
+    traj = _marched(params, n=8, tau=0.1, t_end=0.5)
+    ops = DiscreteOperators.for_params(traj.mesh, params)
+    simp = estimate_trajectory(traj, simplified=True).reports
+    full = estimate_trajectory(traj, simplified=False).reports
+    for n in range(1, traj.num_steps + 1):
+        prev, acc = traj.state(n - 1), traj.state(n)
+        pen = StateField(traj.mesh, *traj.penultimate[n], acc.time)
+        tau = float(traj.times[n] - traj.times[n - 1])
+        (eta, el, ed, ode), (theta, parts) = simplified_indicators(
+            prev, acc, tau, params, ops=ops)
+        _assert_reports_equal(simp[n - 1], EstimatorReport(
+            n, acc.time, eta, theta, 0.0, el, ed, ode, parts))
+        eta, el, ed, ode = space_indicator(prev, (pen, acc), tau, params,
+                                           ops=ops)
+        theta, parts = time_indicator(prev, acc, tau, params, ops=ops)
+        gamma = linearization_indicator((pen, acc), params, ops=ops)
+        _assert_reports_equal(full[n - 1], EstimatorReport(
+            n, acc.time, eta, theta, gamma, el, ed, ode, parts))
+
+
+def test_trajectory_evaluates_each_state_once(params, monkeypatch):
+    # 2 (N+1) accepted-state fields, 2 for the initial projection defects,
+    # and on the full path 2 N penultimate fields
+    traj = _marched(params, n=4, tau=0.1, t_end=0.5)
+    N = traj.num_steps
+    calls = []
+    field_at = DiscreteOperators.field_at
+    monkeypatch.setattr(DiscreteOperators, "field_at",
+                        lambda self, *a: calls.append(1) or field_at(self, *a))
+    estimate_trajectory(traj, simplified=True)
+    assert len(calls) == 2 * (N + 1) + 2
+    calls.clear()
+    estimate_trajectory(traj, simplified=False)
+    assert len(calls) == 2 * (N + 1) + 2 * N + 2
