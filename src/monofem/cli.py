@@ -381,11 +381,12 @@ def _cmd_solve(cfg):
                       title=f"t={traj.times[n]:.6g}")
 
     counts = traj.newton_counts()
+    krylov = sum(rec.krylov_vectors for rec in traj.newton)
     print(f"solve: n={cfg.mesh_n} (h_cell={1.0 / cfg.mesh_n:.6g}, "
           f"h_max={mesh.max_diameter:.6g}), tau={cfg.tau:.6g}, "
           f"{traj.num_steps} steps, Newton iterations "
           f"min/mean/max = {counts.min()}/{counts.mean():.2f}/"
-          f"{counts.max()}")
+          f"{counts.max()}, total {counts.sum()}, Krylov vectors {krylov}")
     print(f"solve: wrote {cfg.checkpoint} and probe.csv to {out}")
     return EXIT_OK
 

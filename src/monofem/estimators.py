@@ -16,11 +16,15 @@ Gauss on each time interval.
 
 Each indicator is a private kernel (`_space_terms`, `_time_terms`,
 `_gamma`) on the values at the degree-6 points (`_at`) of the previous
-state, the penultimate iterate and the accepted state; the public
-indicators evaluate their states and call it.  :func:`estimate_trajectory`
-evaluates each accepted state once and carries its values forward as the
-next step's previous state.  Its simplified bound passes the accepted
-values as the penultimate ones, and gamma is then 0.0 without a call.
+state, the penultimate iterate and the accepted state, and on the
+reaction there: :func:`ionic.react` at the penultimate values and (f, g)
+at the accepted ones, which the caller evaluates once and hands to every
+kernel that needs them.  The public indicators evaluate their states and
+call the kernels.  :func:`estimate_trajectory` evaluates each accepted
+state once and carries its values forward as the next step's previous
+state.  Its simplified bound takes the accepted state as the penultimate
+iterate: the space residual's reaction is then (f, g) at the accepted
+state, and gamma is 0.0, so that bound calls no `react`.
 """
 
 import numpy as np
@@ -131,20 +135,27 @@ def _l2sq(ops, values):
     return float(_elementwise_l2sq(ops, values).sum())
 
 
-def _linearized_reaction(p, pen, acc):
-    """(f, g) linearized at the values `pen` and taken at the values
-    `acc`."""
+def _reaction(p, values):
+    """(f, g) at the values (u, w)."""
+    u, w = values
+    return ionic.f_value(u, w, p), ionic.g_value(u, w, p)
+
+
+def _linearized_reaction(r, pen, acc):
+    """(f, g) linearized at the values `pen`, where `r` is their
+    :func:`ionic.react`, and taken at the values `acc`."""
     (u1, w1), (u2, w2) = pen, acc
-    r = ionic.react(u1, w1, p)
     return (r.f + r.f_u * (u2 - u1) + r.f_w * (w2 - w1),
             r.g + r.g_u * (u2 - u1) + r.g_w * (w2 - w1))
 
 
-def _space_terms(ops, p, tau, acc_u, prev, pen, acc):
+def _space_terms(ops, tau, acc_u, prev, acc, lin):
     """(eta, element_terms, edge_terms, ode_term) from the values of the
-    previous state and of the last two iterates, and the nodal u of the
-    last one."""
-    lin_f, lin_g = _linearized_reaction(p, pen, acc)
+    previous and the accepted state, the nodal u of the accepted state,
+    and the reaction `lin` (f, g) of the space residual: linearized at
+    the penultimate iterate, or at the accepted state itself, where it is
+    (f, g) there."""
+    lin_f, lin_g = lin
     res_pde = -(acc[0] - prev[0]) / tau - lin_f
     res_ode = -(acc[1] - prev[1]) / tau - lin_g
     element_terms = ops.mesh.diameters ** 2 * _elementwise_l2sq(ops, res_pde)
@@ -154,13 +165,13 @@ def _space_terms(ops, p, tau, acc_u, prev, pen, acc):
     return eta, element_terms, edge_terms, ode_term
 
 
-def _time_terms(ops, p, du, prev, acc):
-    """(theta, parts) from the nodal increment of u and the values of the
-    two accepted states; the reaction mismatch is integrated along the
-    linear-in-time interpolant by 4-point Gauss."""
+def _time_terms(ops, p, du, prev, acc, fg_acc):
+    """(theta, parts) from the nodal increment of u, the values of the
+    two accepted states and (f, g) at the second; the reaction mismatch is
+    integrated along the linear-in-time interpolant by 4-point Gauss."""
     grad_part = float(du @ (ops.stiffness @ du)) / 3.0
     (up, wp), (ua, wa) = prev, acc
-    f_acc, g_acc = ionic.f_value(ua, wa, p), ionic.g_value(ua, wa, p)
+    f_acc, g_acc = fg_acc
     p1_part = p2_part = 0.0
     for s, ws in zip(_TIME_GAUSS_X, _TIME_GAUSS_W):
         u_s = up + s * (ua - up)
@@ -171,16 +182,16 @@ def _time_terms(ops, p, du, prev, acc):
     return theta, (grad_part, p1_part, p2_part)
 
 
-def _gamma(ops, p, pen, acc):
-    """L2 norm of the Taylor remainder of (f, g) from the values `pen` to
-    the values `acc`, summed left to right.  As f(acc) minus
+def _gamma(ops, r, pen, acc, fg_acc):
+    """L2 norm of the Taylor remainder of (f, g) from the values `pen`,
+    whose :func:`ionic.react` is `r`, to the values `acc`, where (f, g) is
+    `fg_acc`, summed left to right.  As f(acc) minus
     :func:`_linearized_reaction` it would round otherwise, which moves the
     gammas near 4e-17 and changes newton_study.csv."""
     (u1, w1), (u2, w2) = pen, acc
-    r = ionic.react(u1, w1, p)
     du, dw = u2 - u1, w2 - w1
-    q1 = ionic.f_value(u2, w2, p) - r.f - r.f_u * du - r.f_w * dw
-    q2 = ionic.g_value(u2, w2, p) - r.g - r.g_u * du - r.g_w * dw
+    q1 = fg_acc[0] - r.f - r.f_u * du - r.f_w * dw
+    q2 = fg_acc[1] - r.g - r.g_u * du - r.g_w * dw
     return float(np.sqrt(_l2sq(ops, q1) + _l2sq(ops, q2)))
 
 
@@ -196,8 +207,9 @@ def space_indicator(prev, last_two_iterates, tau, p, ops=None):
     """
     pen, acc = last_two_iterates
     ops = _operators(ops, p, prev, pen, acc)
-    return _space_terms(ops, p, tau, acc.u, _at(ops, prev), _at(ops, pen),
-                        _at(ops, acc))
+    pen_q, acc_q = _at(ops, pen), _at(ops, acc)
+    lin = _linearized_reaction(ionic.react(*pen_q, p), pen_q, acc_q)
+    return _space_terms(ops, tau, acc.u, _at(ops, prev), acc_q, lin)
 
 
 def time_indicator(prev, accepted, tau, p, ops=None):
@@ -209,8 +221,9 @@ def time_indicator(prev, accepted, tau, p, ops=None):
     defaults to the operators of `p` on the states' mesh.
     """
     ops = _operators(ops, p, prev, accepted)
-    return _time_terms(ops, p, accepted.u - prev.u, _at(ops, prev),
-                       _at(ops, accepted))
+    acc_q = _at(ops, accepted)
+    return _time_terms(ops, p, accepted.u - prev.u, _at(ops, prev), acc_q,
+                       _reaction(p, acc_q))
 
 
 def linearization_indicator(last_two_iterates, p, ops=None):
@@ -218,7 +231,9 @@ def linearization_indicator(last_two_iterates, p, ops=None):
     iterates."""
     pen, acc = last_two_iterates
     ops = _operators(ops, p, pen, acc)
-    return _gamma(ops, p, _at(ops, pen), _at(ops, acc))
+    pen_q, acc_q = _at(ops, pen), _at(ops, acc)
+    return _gamma(ops, ionic.react(*pen_q, p), pen_q, acc_q,
+                  _reaction(p, acc_q))
 
 
 def simplified_indicators(prev, accepted, tau, p, ops=None):
@@ -233,8 +248,9 @@ def simplified_indicators(prev, accepted, tau, p, ops=None):
     """
     ops = _operators(ops, p, prev, accepted)
     prev_q, acc_q = _at(ops, prev), _at(ops, accepted)
-    return (_space_terms(ops, p, tau, accepted.u, prev_q, acc_q, acc_q),
-            _time_terms(ops, p, accepted.u - prev.u, prev_q, acc_q))
+    fg_acc = _reaction(p, acc_q)
+    return (_space_terms(ops, tau, accepted.u, prev_q, acc_q, fg_acc),
+            _time_terms(ops, p, accepted.u - prev.u, prev_q, acc_q, fg_acc))
 
 
 def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
@@ -247,7 +263,9 @@ def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
     """
     pen, acc = last_two_iterates
     ops = _operators(ops, p, prev, pen, acc)
-    lin_f, lin_g = _linearized_reaction(p, _at(ops, pen), _at(ops, acc))
+    pen_q, acc_q = _at(ops, pen), _at(ops, acc)
+    lin_f, lin_g = _linearized_reaction(ionic.react(*pen_q, p), pen_q,
+                                        acc_q)
     r1 = -(ops.mass @ ((acc.u - prev.u) / tau)
            + ops.stiffness @ acc.u
            + ops.load(lin_f, ops.rule6))
@@ -319,12 +337,18 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
         tau = float(traj.times[n] - traj.times[n - 1])
         acc = traj.state(n)
         acc_q = _at(ops, acc)
-        pen_q = acc_q if simplified else _at(ops, type(acc)(
-            traj.mesh, *traj.penultimate[n], acc.time))
-        eta, el, ed, ode = _space_terms(ops, p, tau, acc.u, prev_q, pen_q,
-                                        acc_q)
-        theta, parts = _time_terms(ops, p, acc.u - prev.u, prev_q, acc_q)
-        gamma = 0.0 if pen_q is acc_q else _gamma(ops, p, pen_q, acc_q)
+        fg_acc = _reaction(p, acc_q)
+        if simplified:
+            lin, gamma = fg_acc, 0.0
+        else:
+            pen_q = _at(ops, type(acc)(traj.mesh, *traj.penultimate[n],
+                                       acc.time))
+            r_pen = ionic.react(*pen_q, p)
+            lin = _linearized_reaction(r_pen, pen_q, acc_q)
+            gamma = _gamma(ops, r_pen, pen_q, acc_q, fg_acc)
+        eta, el, ed, ode = _space_terms(ops, tau, acc.u, prev_q, acc_q, lin)
+        theta, parts = _time_terms(ops, p, acc.u - prev.u, prev_q, acc_q,
+                                   fg_acc)
         reports.append(EstimatorReport(n, float(traj.times[n]), eta, theta,
                                        gamma, el, ed, ode, parts))
         prev, prev_q = acc, acc_q

@@ -27,12 +27,18 @@ tests compare the march against.  The unknowns are u, then w, each in
 the mesh numbering, the order in which the LU fills least (see
 :mod:`monofem.mesh`).
 
-Each step after a march's first starts Newton from the linear
-extrapolation of the two states before it.  In increment mode a step
-stops as soon as the quadratic rate predicts its next increment below the
-tolerance, so it does not spend an iterate confirming a converged one;
-its last increment is still below 1e-8 (`_LOOSEST_INCREMENT`).
+Each step after a march's first starts Newton from a polynomial
+extrapolation of the last accepted states, of the degree (at most 5)
+that best predicted the newest of them from the ones before it; steps 2
+and 3 start from the linear 2 x^(n-1) - x^(n-2).  Each step's
+`NewtonRecord` counts its Newton iterates and the Krylov vectors of its
+linear solves.  In increment mode a step stops as soon as the quadratic
+rate predicts its next increment below the tolerance, so it does not
+spend an iterate confirming a converged one; its last increment is still
+below 1e-8 (`_LOOSEST_INCREMENT`).
 """
+
+from math import comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -82,6 +88,14 @@ _KRYLOV_RTOL = 1e-12
 
 #: Chebyshev steps of the preconditioner's mass-matrix solve
 _PRECONDITIONER_STEPS = 6
+
+#: highest degree of the extrapolated Newton start of a march step
+_MAX_PREDICTOR_DEGREE = 5
+
+#: accepted states a march keeps for that start: choosing the degree k
+#: checks how well degree k predicted the newest state from the k + 1
+#: states before it
+_HISTORY = _MAX_PREDICTOR_DEGREE + 2
 
 #: key layout of TrajectorySolution.save
 _CHECKPOINT_VERSION = 2
@@ -142,10 +156,12 @@ class NewtonConfig:
 
 @dataclass
 class NewtonRecord:
-    """History of one timestep: iterate count, per-iterate increment norms,
-    and per-iterate (linearization, space) indicators in balance mode."""
+    """History of one timestep: iterate count, the Krylov vectors of its
+    linear solves, per-iterate increment norms, and per-iterate
+    (linearization, space) indicators in balance mode."""
 
     iterations: int = 0
+    krylov_vectors: int = 0
     increments: list = field(default_factory=list)
     gammas: list = field(default_factory=list)
     etas: list = field(default_factory=list)
@@ -156,8 +172,11 @@ class DirectSolver:
 
     No march uses it: it is the reference the tests check
     `FrozenLUSolver` and the march against, assembling a NewtonMatrix
-    with `tocsc`.  `solve` ignores the starting guess `x0`.
+    with `tocsc`.  `solve` ignores the starting guess `x0` and makes no
+    Krylov vectors.
     """
+
+    krylov_iterations = 0
 
     def solve(self, A, b, x0=None):
         _rhs_norm(b)
@@ -345,7 +364,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
 
     Returns (state, record, [iterate_0, ..., iterate_K]): iterate_0 is a
     copy of the start, the point the first system is linearized at, and
-    iterate_K the accepted state.
+    iterate_K the accepted state.  `record.krylov_vectors` is the growth
+    of `linear.krylov_iterations` over the step.
     """
     if not tau > 0:
         raise SolverError("tau must be positive")
@@ -360,9 +380,11 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     rec = NewtonRecord()
     states = [StateField(prev.mesh, cur.u.copy(), cur.w.copy(), cur.time)]
     inc_prev = np.inf
+    krylov_before = linear.krylov_iterations
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = ops.newton_system(p, prev.u, prev.w, cur.u, cur.w, tau)
         x = linear.solve(A, rhs, np.concatenate([cur.u, cur.w]))
+        rec.krylov_vectors = linear.krylov_iterations - krylov_before
         last = cur
         cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)
         inc = ops.h1_norm(cur.u - last.u) + ops.l2_norm(cur.w - last.w)
@@ -395,6 +417,49 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     return cur, rec, states
 
 
+def _extrapolate(history, degree):
+    """(u, w) one step past history[0] by the polynomial of `degree`
+    through history[0..degree], newest first: the coefficients are
+    (-1)^j C(degree+1, j+1), so degree 1 gives 2 x_0 - x_1."""
+    coeffs = [(-1) ** j * comb(degree + 1, j + 1) for j in range(degree + 1)]
+    u = coeffs[0] * history[0].u
+    w = coeffs[0] * history[0].w
+    for c, s in zip(coeffs[1:], history[1:]):
+        u += c * s.u
+        w += c * s.w
+    return u, w
+
+
+def _predictor_degree(history):
+    """The degree k in 1..min(_MAX_PREDICTOR_DEGREE, len(history) - 2)
+    whose extrapolation from history[1..k+1] lands nearest history[0] in
+    the Euclidean norm of the stacked (u, w), the lowest on a tie; 1 when
+    history holds two states.  That miss is the (k+1)-th backward
+    difference at history[0], so the candidates cost one differencing
+    each."""
+    if len(history) < 3:
+        return 1
+    diff = np.diff([np.concatenate([s.u, s.w]) for s in history], axis=0)
+    best, best_miss = 1, np.inf
+    for k in range(1, min(_MAX_PREDICTOR_DEGREE, len(history) - 2) + 1):
+        diff = np.diff(diff, axis=0)
+        miss = np.linalg.norm(diff[0])
+        if miss < best_miss:
+            best, best_miss = k, miss
+    return best
+
+
+def _newton_start(history):
+    """Newton's starting (u, w) for the step after history[0], from the
+    accepted states `history`, newest first: their extrapolation of the
+    degree :func:`_predictor_degree` picks, or None, which starts
+    :func:`newton_solve` at history[0] itself, when history holds one
+    state."""
+    if len(history) == 1:
+        return None
+    return _extrapolate(history, _predictor_degree(history))
+
+
 def _march_steps(state, tau, num_steps, p, cfg, ops):
     """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
     one FrozenLUSolver, which freezes its preconditioner on the march's
@@ -402,16 +467,22 @@ def _march_steps(state, tau, num_steps, p, cfg, ops):
     only on that backend's fallback); yields (record, iterates) of each
     step, the last iterate being the accepted state.
 
-    Step 1 starts Newton from `state`; every later step n starts from the
-    linear extrapolation 2 x^(n-1) - x^(n-2) of the two states before it
-    (Hairer and Wanner, Solving ODEs II, IV.8), O(tau^2) from x^n where
-    x^(n-1) is O(tau) from it.  A SolverError, a NewtonError among them, is re-raised
-    with its step number."""
+    Newton starts each step from :func:`_newton_start` of the last
+    _HISTORY accepted states (Hairer and Wanner, Solving ODEs II, IV.8;
+    Shampine and Reichelt, SIAM J. Sci. Comput. 18, 1997): step 1 from
+    `state` itself, steps 2 and 3 from the linear extrapolation
+    2 x^(n-1) - x^(n-2), and every later step from the extrapolation of
+    degree k <= 5 that best predicted x^(n-1) from the states before it.
+    On a smooth stretch of the march the degree-k start is
+    O(tau^(k+1)) from x^n; where the states stop looking polynomial (an
+    upstroke at large tau) the rule falls back to a lower degree.  The
+    right-hand side of step n is built from x^(n-1) alone.  A
+    SolverError, a NewtonError among them, is re-raised with its step
+    number."""
     linear = FrozenLUSolver()
-    before = None
+    history = [state]
     for n in range(1, num_steps + 1):
-        start = None if before is None else (2.0 * state.u - before.u,
-                                             2.0 * state.w - before.w)
+        start = _newton_start(history)
         try:
             accepted, rec, iterates = newton_solve(
                 state, tau, p, cfg, ops=ops, linear=linear, start=start)
@@ -421,7 +492,8 @@ def _march_steps(state, tau, num_steps, p, cfg, ops):
         except SolverError as exc:
             raise SolverError(f"step {n} (t={state.time + tau:.6g}): "
                               f"{exc}") from exc
-        before, state = state, accepted
+        state = accepted
+        history = [accepted] + history[:_HISTORY - 1]
         yield rec, iterates
 
 

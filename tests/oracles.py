@@ -12,9 +12,12 @@ blocks filled through its slot map, derives the other two from the
 linear recovery equation, and loads reduced reaction weights.  The march
 oracle solves every Newton system with its own LU
 (`DirectSolver`, which assembles the blocks with `tocsc`), where the
-package's march reuses one factorization of the u-block.  The Chebyshev
-mass solve is checked against the dense matrix of its polynomial, built
-from the generalized eigenvectors of the mass matrix and its diagonal.
+package's march reuses one factorization of the u-block; it starts each
+step's Newton iteration where the march does, by calling the package's
+`solver._newton_start`, so the two differ only in their linear algebra.
+The Chebyshev mass solve is checked against the dense matrix of its
+polynomial, built from the generalized eigenvectors of the mass matrix
+and its diagonal.
 """
 
 import numpy as np
@@ -24,8 +27,8 @@ from math import factorial
 
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import react
-from monofem.solver import (DirectSolver, initial_state, newton_solve,
-                            step_count)
+from monofem.solver import (_HISTORY, DirectSolver, _newton_start,
+                            initial_state, newton_solve, step_count)
 
 
 def duffy_points(order=12):
@@ -146,17 +149,19 @@ def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
 def direct_march(mesh, p, tau, t_end, cfg, initial=None):
     """The implicit Euler march of `time_march`, one LU per linear solve:
     (U, W, newton_counts) with U and W of shape (N+1, nv).  Like the
-    march, every step after the first starts Newton from the linear
-    extrapolation of the two states before it."""
+    march, every step starts Newton from the package's
+    `solver._newton_start` of the last `solver._HISTORY` accepted
+    states, so the two marches linearize each step's first system at the
+    same point."""
     ops = DiscreteOperators.for_params(mesh, p)
     state = initial_state(ops, initial)
-    U, W, counts = [state.u], [state.w], []
+    history, counts = [state], []
     for n in range(step_count(tau, t_end)):
-        start = None if n == 0 else (2.0 * U[-1] - U[-2],
-                                     2.0 * W[-1] - W[-2])
         state, rec, _ = newton_solve(state, tau, p, cfg, ops=ops,
-                                     linear=DirectSolver(), start=start)
-        U.append(state.u)
-        W.append(state.w)
+                                     linear=DirectSolver(),
+                                     start=_newton_start(history[:_HISTORY]))
+        history.insert(0, state)
         counts.append(rec.iterations)
+    U = [s.u for s in reversed(history)]
+    W = [s.w for s in reversed(history)]
     return np.array(U), np.array(W), np.array(counts)

@@ -10,7 +10,8 @@ from monofem.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER,
                          ConfigError, RunConfig, main, parse_config,
                          read_csv, run_command, write_csv)
 from monofem.ionic import AlievPanfilovParams
-from monofem.solver import NewtonConfig
+from monofem.mesh import unit_square_mesh
+from monofem.solver import NewtonConfig, time_march
 from monofem.verify import REFERENCE_TOL
 
 
@@ -152,6 +153,16 @@ def test_solve_command_artifacts(out_env):
     assert header == ["t", "u_probe", "w_probe"]
     assert len(rows) == 3
     assert rows[0][0] == 0.0 and rows[-1][0] == 0.25
+
+
+def test_solve_reports_the_march_totals(out_env, capsys):
+    assert main(["solve"] + _mini()) == EXIT_OK
+    traj = time_march(unit_square_mesh(8), AlievPanfilovParams(), 0.125,
+                      0.25)
+    krylov = sum(rec.krylov_vectors for rec in traj.newton)
+    assert krylov > 0
+    assert (f"total {traj.newton_counts().sum()}, Krylov vectors {krylov}"
+            in capsys.readouterr().out)
 
 
 def test_solve_default_step_count(out_env):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monofem import ionic
 from monofem.assembly import DiscreteOperators
 from monofem.estimators import (EstimatorReport, cumulative_bound,
                                 estimate_trajectory,
@@ -444,3 +445,24 @@ def test_trajectory_evaluates_each_state_once(params, monkeypatch):
     calls.clear()
     estimate_trajectory(traj, simplified=False)
     assert len(calls) == 2 * (N + 1) + 2 * N + 2
+
+
+def test_trajectory_evaluates_the_reaction_once_per_state(params,
+                                                         monkeypatch):
+    # per step, f and g at the accepted state and at the four Gauss times
+    # of the time indicator, and on the full path one react (which
+    # evaluates f itself) at the penultimate iterate, shared by the space
+    # residual and gamma
+    traj = _marched(params, n=8, tau=0.1, t_end=0.5)
+    N = traj.num_steps
+    calls = {"react": 0, "f_value": 0}
+    for name in calls:
+        def counting(*args, _name=name, _func=getattr(ionic, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(ionic, name, counting)
+    estimate_trajectory(traj, simplified=True)
+    assert calls == {"react": 0, "f_value": 5 * N}
+    calls.update(react=0, f_value=0)
+    estimate_trajectory(traj, simplified=False)
+    assert calls == {"react": N, "f_value": 6 * N}

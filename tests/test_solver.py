@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monofem import assembly, solver
 from monofem.assembly import DiscreteOperators
@@ -643,12 +645,13 @@ def test_every_accepted_step_ends_below_the_loosest_increment(params, tau,
 
 def test_march_starts_newton_from_the_extrapolated_state(params):
     # step 1 starts from the previous state, bit for bit as newton_solve
-    # alone does; step 2 from 2 x^1 - x^0, its iterate 0
+    # alone does; step 2 from 2 x^1 - x^0, its iterate 0; step 6 from the
+    # extrapolation of the six states before it
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     state = initial_state(ops)
     cfg = NewtonConfig()
-    steps = solver._march_steps(state, 0.1, 2, params, cfg, ops)
-    (rec1, first), (_, second) = steps
+    steps = list(solver._march_steps(state, 0.1, 6, params, cfg, ops))
+    (rec1, first), (_, second) = steps[:2]
     _, alone_rec, alone = newton_solve(state, 0.1, params, cfg, ops=ops)
     assert rec1.increments == alone_rec.increments
     assert len(first) == len(alone)
@@ -657,6 +660,106 @@ def test_march_starts_newton_from_the_extrapolated_state(params):
     x1 = first[-1]
     assert np.array_equal(second[0].u, 2.0 * x1.u - state.u)
     assert np.array_equal(second[0].w, 2.0 * x1.w - state.w)
+    history = [iterates[-1] for _, iterates in reversed(steps[:5])]
+    u, w = solver._newton_start(history + [state])
+    sixth = steps[5][1][0]
+    assert np.array_equal(sixth.u, u) and np.array_equal(sixth.w, w)
+
+
+def _polynomial_history(coeffs, length, h=1.0):
+    """States at t = 0, -h, ..., -(length-1) h, newest first, whose u and
+    w are the polynomials with the coefficient rows `coeffs` (lowest
+    degree first), and the exact values at t = h."""
+    def at(t):
+        x = sum(c * t ** i for i, c in enumerate(coeffs))
+        return SimpleNamespace(u=x[0], w=x[1])
+    return [at(-j * h) for j in range(length)], at(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, solver._MAX_PREDICTOR_DEGREE),
+       data=st.data())
+def test_extrapolation_reproduces_polynomials_to_its_degree(degree, data):
+    # every sequence of degree <= k is extrapolated exactly by degree k;
+    # the monomial of degree k + 1 is not
+    poly = data.draw(st.integers(0, degree))
+    h = data.draw(st.floats(1e-3, 1.0))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    coeffs = np.array(data.draw(st.lists(st.lists(values, min_size=6,
+                                                  max_size=6),
+                                         min_size=poly + 1,
+                                         max_size=poly + 1)))
+    coeffs = coeffs.reshape(poly + 1, 2, 3)
+    history, exact = _polynomial_history(coeffs, degree + 1, h)
+    u, w = solver._extrapolate(history, degree)
+    scale = max(np.abs(np.concatenate([s.u, s.w])).max()
+                for s in history + [exact])
+    assert np.abs(u - exact.u).max() <= 1e-12 * scale
+    assert np.abs(w - exact.w).max() <= 1e-12 * scale
+
+    monomial = np.zeros((degree + 2, 2, 3))
+    monomial[-1] = 1.0
+    history, exact = _polynomial_history(monomial, degree + 1)
+    u, _ = solver._extrapolate(history, degree)
+    assert np.abs(u - exact.u).max() >= 1.0
+
+
+def test_predictor_degree_is_the_best_predictor_of_the_newest_state():
+    rng = np.random.default_rng(7)
+    quintic, _ = _polynomial_history(rng.uniform(-1.0, 1.0, (6, 2, 50)),
+                                     solver._HISTORY, h=0.1)
+    assert solver._predictor_degree(quintic) == 5
+    # a line with an alternating perturbation: every higher difference
+    # doubles the perturbation, so degree 1 predicts best
+    line, _ = _polynomial_history(rng.uniform(-1.0, 1.0, (2, 2, 50)),
+                                  solver._HISTORY, h=0.1)
+    wiggle = [SimpleNamespace(u=s.u + 1e-3 * (-1) ** j,
+                              w=s.w - 1e-3 * (-1) ** j)
+              for j, s in enumerate(line)]
+    assert solver._predictor_degree(wiggle) == 1
+    # with two or three states only the linear start is possible, and
+    # with one newton_solve starts from it
+    assert solver._predictor_degree(quintic[:3]) == 1
+    assert solver._predictor_degree(quintic[:2]) == 1
+    assert solver._newton_start(quintic[:1]) is None
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
+def test_chosen_start_costs_no_more_than_the_linear_one(params, tau,
+                                                         monkeypatch):
+    # over a whole march to t = 32 the chosen degree takes no more Newton
+    # iterates and no more Krylov vectors than the linear start of every
+    # step after the first.  Not at every instant: at tau = 1 its iterate
+    # total trails the linear start's by one from t = 9 and by two from
+    # t = 13, and has caught up by t = 20
+    def totals():
+        traj = time_march(unit_square_mesh(16), params, tau, 32.0,
+                          store_penultimate=False)
+        return (traj.newton_counts().sum(),
+                sum(r.krylov_vectors for r in traj.newton))
+
+    chosen = totals()
+    monkeypatch.setattr(solver, "_predictor_degree", lambda history: 1)
+    linear = totals()
+    assert chosen[0] <= linear[0]
+    assert chosen[1] <= linear[1]
+
+
+def test_step_records_sum_to_the_krylov_vectors_of_the_march(params,
+                                                              monkeypatch):
+    backends = []
+
+    class Counted(FrozenLUSolver):
+        def __init__(self):
+            super().__init__()
+            backends.append(self)
+
+    monkeypatch.setattr(solver, "FrozenLUSolver", Counted)
+    traj = time_march(unit_square_mesh(16), params, 0.05, 1.0)
+    assert len(backends) == 1
+    per_step = [r.krylov_vectors for r in traj.newton]
+    assert all(k > 0 for k in per_step)
+    assert sum(per_step) == backends[0].krylov_iterations
 
 
 def test_newton_solve_copies_its_start(params):
