@@ -23,12 +23,17 @@ as its blocks (:class:`NewtonMatrix`); the recovery equation is linear
 (see :mod:`monofem.ionic`), so only two N x N blocks need quadrature at
 each iterate.
 
-The mass matrix is never factored.  On every triangle mesh the spectrum
+No matrix of a march is factored.  On every triangle mesh the spectrum
 of D^-1 M, D = diag M, lies in [1/2, 2] (Wathen, IMA J. Numer. Anal. 7,
 1987), so a fixed number of Chebyshev steps on D^-1 M applies M^-1 to
-any accuracy (Wathen and Rees, ETNA 34, 2009): :func:`mass_solver`.  The
-sparse LUs of the package (the solver's u-block, the error pass's H1
-Gram matrix) factor their matrices in the mesh numbering, which
+any accuracy (Wathen and Rees, ETNA 34, 2009): :func:`mass_solver`.  On
+the structured grid of :func:`mesh.unit_square_mesh` and its
+refinements the stiffness matrix is a sum of Kronecker products of 1-D
+matrices, so shift M_T + K, with the tensor-product lumped mass M_T, is
+inverted exactly by two 2-D DCT-I passes (:func:`grid_solver`), the
+u-block preconditioner of the solver.  The only sparse LUs of the
+package are the solver's `DirectSolver` oracle and the error pass's H1
+Gram matrix; they factor in the mesh numbering, which
 :mod:`monofem.mesh` makes the order of least fill, with the column
 ordering `_PERMC_SPEC`.
 """
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import ionic
+from .mesh import grid_cells
 
 __all__ = [
     "AssemblyError",
@@ -48,6 +54,7 @@ __all__ = [
     "stiffness_matrix",
     "load_vector",
     "mass_solver",
+    "grid_solver",
     "l2_project",
     "evaluate_p1",
     "NewtonMatrix",
@@ -55,7 +62,8 @@ __all__ = [
 ]
 
 
-#: column ordering of every sparse LU factorization
+#: column ordering of the sparse LUs: the DirectSolver oracle's and the
+#: error pass's H1 Gram matrix's
 _PERMC_SPEC = "MMD_AT_PLUS_A"
 
 #: interval that holds the spectrum of D^-1 M, D = diag M, for the P1 mass
@@ -243,6 +251,47 @@ def mass_solver(mass, steps):
     return solve
 
 
+def _dct1_rows(a):
+    """The DCT-I of each row of `a`, of length n + 1: entry k is
+    a_0 + (-1)^k a_n + 2 sum_{0<j<n} a_j cos(pi j k / n), the real part of
+    the rfft of the row's even extension, of length 2 n."""
+    n = a.shape[1] - 1
+    even = np.empty((a.shape[0], 2 * n))
+    even[:, :n + 1] = a
+    even[:, n + 1:] = a[:, n - 1:0:-1]
+    return np.fft.rfft(even).real
+
+
+def grid_solver(n, shift, conductivity=1.0):
+    """The map r -> (shift M_T + conductivity K)^-1 r on the (n+1)^2
+    vertices of unit_square_mesh(n), numbered row by row, for a positive
+    shift: the fast diagonalization method (Lynch, Rice and Thomas,
+    Numer. Math. 6, 1964).
+
+    Every cell of that mesh is cut along the same diagonal, whose edges
+    carry no stiffness, so K = K_1 (x) M_1 + M_1 (x) K_1 with the 1-D
+    stiffness K_1 and lumped mass M_1 = h diag(1/2, 1, ..., 1, 1/2) of a
+    side, h = 1/n, and M_T = M_1 (x) M_1.  The cosines cos(pi j k / n)
+    diagonalize M_1^-1 K_1 with the eigenvalues (2/h^2)(1 - cos(pi k / n)),
+    so the solve is two 2-D DCT-I passes (:func:`_dct1_rows`) around a
+    division by the eigenvalues, O(N log N) with nothing to factor.  Each
+    pass leaves its result transposed; the table it is divided by is
+    symmetric, so the second pass undoes the first's transposition.
+    """
+    lam = 2.0 * n * n * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+    scale = 0.25 / (shift + conductivity * (lam[:, None] + lam[None, :]))
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 2.0
+    weight = np.outer(ends, ends)             # 1 / (M_1 (x) M_1) times h^2
+
+    def solve(r):
+        y = _dct1_rows(_dct1_rows(r.reshape(n + 1, n + 1) * weight).T)
+        y *= scale
+        return _dct1_rows(_dct1_rows(y).T).ravel()
+
+    return solve
+
+
 def l2_project(mesh, functions, mass=None):
     """L2-orthogonal projections of pointwise functions onto the P1 space.
 
@@ -330,8 +379,10 @@ def _on_pattern(pattern, data):
 class NewtonMatrix:
     """The 2N x 2N Newton matrix [[a11, a12], [s a12 + c M, d M]] as its
     blocks: `a11` and `a12` are CSR matrices that share the index arrays
-    of the mass matrix `mass` (M).  `A @ x` multiplies by the whole
-    matrix; :meth:`tocsc` assembles it for a direct solve."""
+    of the mass matrix `mass` (M).  `u_solve` is the map
+    r -> (M_T/tau + K)^-1 r of :meth:`DiscreteOperators.u_block_solver`,
+    which preconditions a11 = M/tau + K + M(f_u).  `A @ x` multiplies by
+    the whole matrix; :meth:`tocsc` assembles it for a direct solve."""
 
     a11: sp.csr_matrix
     a12: sp.csr_matrix
@@ -339,6 +390,7 @@ class NewtonMatrix:
     c: float
     d: float
     mass: sp.csr_matrix
+    u_solve: object
 
     @property
     def shape(self):
@@ -395,9 +447,25 @@ class DiscreteOperators:
         self.h1_gram = (self.mass + self.stiffness_identity).tocsr()
         self.rule4 = quadrature_rule(4)
         self.rule6 = quadrature_rule(6)
+        self._u_block_solvers = {}
 
     def field_at(self, vec, rule):
         return field_at_quadrature(self.mesh, vec, rule)
+
+    def u_block_solver(self, tau):
+        """:func:`grid_solver` of the mesh for the shift 1/tau and the
+        conductivity, made once per tau; AssemblyError unless the mesh is
+        a structured grid (:func:`mesh.grid_cells`)."""
+        solve = self._u_block_solvers.get(tau)
+        if solve is None:
+            n = grid_cells(self.mesh)
+            if n is None:
+                raise AssemblyError("the u-block solve needs the structured "
+                                    "grid of unit_square_mesh or its "
+                                    "refinements")
+            solve = self._u_block_solvers[tau] = grid_solver(
+                n, 1.0 / tau, self.conductivity)
+        return solve
 
     @cached_property
     def _slots(self):
@@ -421,12 +489,13 @@ class DiscreteOperators:
         iterate (u_it, w_it).
 
         A is the :class:`NewtonMatrix` [[M/tau + K + M(f_u), M(u)],
-        [s M(u) + c M, d M]].  M and K are :attr:`mass` and
-        :attr:`stiffness`; M(v) is :meth:`weighted_mass` at the points of
-        :attr:`rule4`, of the partial f_u and of the iterate u (f_w = u)
-        there.  The lower blocks are those of g_u = s u + c and the
-        constant g_w of :func:`ionic.recovery_jacobian`, d = 1/tau + g_w,
-        so they need no quadrature: an iterate makes two weighted masses.
+        [s M(u) + c M, d M]], with the :meth:`u_block_solver` of tau.
+        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is
+        :meth:`weighted_mass` at the points of :attr:`rule4`, of the
+        partial f_u and of the iterate u (f_w = u) there.  The lower
+        blocks are those of g_u = s u + c and the constant g_w of
+        :func:`ionic.recovery_jacobian`, d = 1/tau + g_w, so they need no
+        quadrature: an iterate makes two weighted masses.
         The stiffness matrix is scattered from the same triangles as the
         mass matrix, explicit zeros kept, so its data lies on the same
         pattern.  rhs stacks M u_prev / tau and M w_prev / tau, each plus
@@ -448,7 +517,7 @@ class DiscreteOperators:
         a11 = self.weighted_mass(ionic.f_du(u_q, w_q, p))
         a11.data += self.mass.data * (1.0 / tau) + self.stiffness.data
         A = NewtonMatrix(a11, self.weighted_mass(u_q), s, c,
-                         1.0 / tau + g_w, self.mass)
+                         1.0 / tau + g_w, self.mass, self.u_block_solver(tau))
         load_f, load_g = ionic.newton_load(u_q, w_q, p)
         rhs1 += self.load(load_f, rule)
         rhs2 += self.load(load_g, rule)

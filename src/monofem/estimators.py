@@ -24,7 +24,9 @@ call the kernels.  :func:`estimate_trajectory` evaluates each accepted
 state once and carries its values forward as the next step's previous
 state.  Its simplified bound takes the accepted state as the penultimate
 iterate: the space residual's reaction is then (f, g) at the accepted
-state, and gamma is 0.0, so that bound calls no `react`.
+state, and gamma is 0.0, so that bound calls no `react`.  The Newton
+loop's balance mode gets both indicators of each iterate from one call
+of `_iterate_indicators`, on values it evaluates once per state.
 """
 
 import numpy as np
@@ -193,6 +195,19 @@ def _gamma(ops, r, pen, acc, fg_acc):
     q1 = fg_acc[0] - r.f - r.f_u * du - r.f_w * dw
     q2 = fg_acc[1] - r.g - r.g_u * du - r.g_w * dw
     return float(np.sqrt(_l2sq(ops, q1) + _l2sq(ops, q2)))
+
+
+def _iterate_indicators(ops, p, tau, prev_q, pen_q, acc_q, acc_u):
+    """(gamma, eta) of one Newton iterate of a step: the linearization
+    indicator from the values `pen_q` of the iterate before it to its own
+    values `acc_q`, and the space indicator of the step from the values
+    `prev_q` of the previous state with the iterate, whose nodal u is
+    `acc_u`, as the accepted state.  One :func:`ionic.react`, at `pen_q`,
+    serves both."""
+    r = ionic.react(*pen_q, p)
+    gamma = _gamma(ops, r, pen_q, acc_q, _reaction(p, acc_q))
+    lin = _linearized_reaction(r, pen_q, acc_q)
+    return gamma, _space_terms(ops, tau, acc_u, prev_q, acc_q, lin)[0]
 
 
 def space_indicator(prev, last_two_iterates, tau, p, ops=None):

@@ -5,14 +5,17 @@ red refinement with parent links, P1 prolongation between nested meshes,
 and a legacy ASCII VTK dump for visualization.
 
 The meshes built here number their vertices row by row: rows of
-increasing y, each row by increasing x.  Every sparse LU of the package
-factors its matrices in the mesh numbering, and this sweep order is the
-one in which they fill least (George & Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981, ch. 4-5): the first Newton factor
-on mesh_chain(16, 2)[-1] stores 0.79M entries in L and U, against 16.3M
-when the midpoints of a refinement are numbered after the coarse
-vertices.  A refined mesh therefore has exactly the vertex numbering of
-the structured mesh of the same width.
+increasing y, each row by increasing x.  A refined mesh has exactly the
+vertex numbering of the structured mesh of the same width, so the
+solver's u-block preconditioner, a tensor-product solve on that grid,
+applies to every mesh of a chain (:func:`grid_cells`).  The sparse LUs
+that remain (the DirectSolver oracle, the error pass's Gram matrix)
+factor in the mesh numbering, and this sweep order is the one in which
+they fill least (George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981, ch. 4-5): an LU of the whole Newton
+matrix on mesh_chain(16, 2)[-1] stores 0.79M entries in L and U, against
+16.3M when the midpoints of a refinement are numbered after the coarse
+vertices.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ __all__ = [
     "unit_square_mesh",
     "refine_uniform",
     "mesh_chain",
+    "grid_cells",
     "prolongation",
     "write_vtk",
 ]
@@ -246,6 +250,26 @@ def mesh_chain(base_n, levels):
     for _ in range(levels):
         chain.append(refine_uniform(chain[-1]))
     return chain
+
+
+def grid_cells(mesh):
+    """n when `mesh` is unit_square_mesh(n) or a refinement of a
+    structured mesh to that width, else None.
+
+    The mesh must carry its provenance (`base_n` is set), and its
+    vertices must sit row by row on the (n+1)^2 grid, n = base_n 2^levels,
+    as those builders number them; one O(N) comparison checks that.
+    """
+    if mesh.base_n is None:
+        return None
+    n = mesh.base_n * 2 ** mesh.levels
+    if mesh.num_vertices != (n + 1) ** 2:
+        return None
+    xy = mesh.vertices.reshape(n + 1, n + 1, 2)
+    xs = np.arange(n + 1) / n
+    off = max(np.abs(xy[:, :, 0] - xs).max(),
+              np.abs(xy[:, :, 1] - xs[:, None]).max())
+    return n if off <= 1e-9 / n else None
 
 
 def _one_level_prolongation(fine):

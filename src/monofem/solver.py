@@ -7,25 +7,27 @@ right-hand side, is built by `DiscreteOperators.newton_system` (see
 :mod:`monofem.assembly`), with exact (degree-4) quadrature; this module
 holds the Newton loop and the linear algebra.
 
-Every march has one linear backend, a `FrozenLUSolver`, and makes one
-sparse LU.  Only the u-block of the Newton matrix carries the Laplacian;
-the w-block is (1/tau + eps) M at every iterate, because g_w = eps.  So
-the backend factors only the u-block of the march's first Newton system,
-keeps that system's lower-left block and w-block scale, and
-preconditions a restarted, right-preconditioned GMRES (Saad and Schultz
-1986) with the block lower triangular matrix they make (Murphy, Golub
-and Wathen 2000).  It takes nothing but the matrices it is handed, so it
-cannot disagree with them about tau or eps.  The mass matrix of the
-w-block is applied inverse by a fixed Chebyshev polynomial
-(`assembly.mass_solver`), not by a factorization.  GMRES starts from the
-current Newton iterate, which differs from the solution by the Newton
-increment.  The backend factors again only when GMRES stalls or misses
-the relative-residual contract |Ax - b| <= 1e-10 |b|, which every solve
-checks, and refuses a right-hand side whose norm is not finite.
-`DirectSolver`, one LU of the whole system per solve, is the oracle the
-tests compare the march against.  The unknowns are u, then w, each in
-the mesh numbering, the order in which the LU fills least (see
-:mod:`monofem.mesh`).
+Every march has one linear backend, a `FrozenLUSolver`, and factors no
+matrix.  Only the u-block of the Newton matrix carries the Laplacian;
+the w-block is (1/tau + eps) M at every iterate, because g_w = eps.  The
+backend preconditions a restarted, right-preconditioned GMRES (Saad and
+Schultz 1986) with a block lower triangular matrix (Murphy, Golub and
+Wathen 2000): its u-block is M_T/tau + K, with the tensor-product lumped
+mass M_T, which `assembly.grid_solver` inverts exactly by DCT-I
+transforms on the structured grid; its lower-left block is that of the
+system being solved; its w-block applies the mass matrix inverse by a
+fixed Chebyshev polynomial (`assembly.mass_solver`).  It takes nothing
+but the matrices it is handed, so it cannot disagree with them about tau
+or eps.  GMRES starts from the current Newton iterate, which differs
+from the solution by the Newton increment.  Every solve checks the
+relative-residual contract |Ax - b| <= 1e-10 |b| and raises SolverError
+when GMRES misses it, and refuses a right-hand side whose norm is not
+finite.  A march runs only on the structured grids of
+`mesh.unit_square_mesh` and its refinements (`mesh.grid_cells`), and
+refuses any other mesh before it assembles anything.  `DirectSolver`,
+one LU of the whole system per solve, is the oracle the tests compare
+the march against.  The unknowns are u, then w, each in the mesh
+numbering.
 
 Each step after a march's first starts Newton from a polynomial
 extrapolation of the last accepted states, of the degree (at most 5)
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 from . import estimators, ionic
 from .assembly import (_PERMC_SPEC, DiscreteOperators, l2_project,
                        mass_solver)
-from .mesh import mesh_chain
+from .mesh import grid_cells, mesh_chain
 
 __all__ = [
     "SolverError",
@@ -77,7 +79,7 @@ _ROUNDOFF_FACTOR = 100.0 * np.finfo(float).eps
 #: quadratic-rate stop of the Newton loop accept only below it
 _LOOSEST_INCREMENT = 1e-8
 
-#: GMRES restart length of the frozen-LU backend
+#: GMRES restart length of the march's backend
 _MAX_KRYLOV = 40
 
 #: restart cycles of one GMRES run
@@ -190,47 +192,47 @@ class DirectSolver:
 
 
 class FrozenLUSolver:
-    """Right-preconditioned GMRES with a block-triangular preconditioner
-    frozen on an earlier Newton matrix; the backend of every march.
+    """Right-preconditioned GMRES with a block-triangular preconditioner;
+    the backend of every march.  It factors nothing: the name is kept
+    because `perfbench/tracer.py` wraps `FrozenLUSolver.solve`.
 
     Every Newton matrix [[A11, A12], [A21, A22]] of a march has
-    A22 = d M (`NewtonMatrix.d` = 1/tau + eps).  The solver takes no
-    arguments: it freezes what it needs from the first system it is
-    given.  It factors A11 = M/tau + K + M(f_u), keeps A21 = M(g_u), d
-    and Q^-1, `_PRECONDITIONER_STEPS` Chebyshev steps of
-    :func:`assembly.mass_solver` on that system's M, and preconditions
-    with P = [[A11, 0], [A21, d Q]]: y_u = A11^-1 r_u, then
-    y_w = Q^-1 (r_w - A21 y_u) / d.  Q^-1 is not M^-1, but it is a fixed
-    polynomial in D^-1 M, so P is one linear operator for the whole
-    march, as right-preconditioned GMRES requires.  GMRES starts from
-    `x0` when given (the Newton loop passes its current iterate).  When
-    GMRES stalls or misses the residual contract, P is frozen again from
-    the current matrix and GMRES reruns; a second miss raises
-    SolverError.  `factorizations` counts the LUs of A11,
-    `krylov_iterations` the Krylov vectors, each of which applies P once.
+    A22 = d M (`NewtonMatrix.d` = 1/tau + eps).  For each system it is
+    given, the solver preconditions with P = [[P_u, 0], [A21, d Q]]:
+    y_u = P_u^-1 r_u, then y_w = Q^-1 (r_w - A21 y_u) / d.  P_u^-1 is the
+    matrix's `u_solve`, the exact inverse of M_T/tau + K on the
+    structured grid, which leaves out the reaction M(f_u) of
+    A11 = M/tau + K + M(f_u) and replaces its mass M by M_T; A21 = M(g_u)
+    is that system's own; Q^-1 is `_PRECONDITIONER_STEPS` Chebyshev steps
+    of :func:`assembly.mass_solver`, made once per mass matrix.  Q^-1 is not
+    M^-1, but it is a fixed polynomial in D^-1 M, so P is one linear
+    operator for the whole solve, as right-preconditioned GMRES requires.
+    GMRES starts from `x0` when given (the Newton loop passes its current
+    iterate).  When it stalls or misses the residual contract, `solve`
+    raises SolverError.  `krylov_iterations` counts the Krylov vectors,
+    each of which applies P once.
     """
 
     def __init__(self):
-        self._lu = None
+        self._u_solve = None
         self._a21 = None
         self._d = None
+        self._mass = None
         self._mass_inverse = None
-        self.factorizations = 0
         self.krylov_iterations = 0
 
-    def _refactor(self, A):
-        try:
-            self._lu = spla.splu(A.a11.tocsc(), permc_spec=_PERMC_SPEC)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
+    def _set_preconditioner(self, A):
+        """Make P of the Newton matrix A."""
+        if A.mass is not self._mass:
+            self._mass = A.mass
+            self._mass_inverse = mass_solver(A.mass, _PRECONDITIONER_STEPS)
+        self._u_solve = A.u_solve
         self._a21 = A.lower_left()
         self._d = A.d
-        self._mass_inverse = mass_solver(A.mass, _PRECONDITIONER_STEPS)
-        self.factorizations += 1
 
     def _precondition(self, r):
         n = len(r) // 2
-        y_u = self._lu.solve(r[:n])
+        y_u = self._u_solve(r[:n])
         y_w = self._mass_inverse(r[n:] - self._a21 @ y_u)
         y_w /= self._d
         return np.concatenate([y_u, y_w])
@@ -288,12 +290,12 @@ class FrozenLUSolver:
             return np.zeros_like(b)
         if x0 is None:
             x0 = np.zeros_like(b)
-        if self._lu is not None:
-            x, converged = self._gmres(A, b, x0, bnorm)
-            if converged and _residual_ok(A, x, b, bnorm):
-                return x
-        self._refactor(A)
-        x, _ = self._gmres(A, b, x0, bnorm)
+        self._set_preconditioner(A)
+        x, converged = self._gmres(A, b, x0, bnorm)
+        if not converged:
+            raise SolverError(f"GMRES missed the relative residual "
+                              f"{_KRYLOV_RTOL:g} in {_KRYLOV_CYCLES} cycles "
+                              f"of {_MAX_KRYLOV} Krylov vectors")
         _check_residual(A, x, b)
         return x
 
@@ -310,20 +312,25 @@ def _rhs_norm(b):
     return bnorm
 
 
-def _residual_ok(A, x, b, bnorm=None):
-    if bnorm is None:
-        bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return not np.any(x)
-    return np.linalg.norm(A @ x - b) <= LINEAR_RESIDUAL_RTOL * bnorm
-
-
 def _check_residual(A, x, b):
     if not np.all(np.isfinite(x)):
         raise SolverError("linear solve produced non-finite values "
                           "(singular matrix?)")
-    if not _residual_ok(A, x, b):
+    bnorm = np.linalg.norm(b)
+    if (np.linalg.norm(A @ x - b) > LINEAR_RESIDUAL_RTOL * bnorm
+            or (bnorm == 0.0 and np.any(x))):
         raise SolverError("linear solve missed the residual contract")
+
+
+def _require_grid(mesh):
+    """SolverError unless `mesh` is a structured grid
+    (:func:`mesh.grid_cells`), the only meshes the u-block preconditioner
+    solves on."""
+    if grid_cells(mesh) is None:
+        raise SolverError("the march runs on the structured grids of "
+                          "unit_square_mesh and its refinements only; this "
+                          "mesh is not one (renumbered, moved or built by "
+                          "hand)")
 
 
 def _roundoff_floor(ops, u, w):
@@ -348,9 +355,10 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     `start`, a (u, w) pair of nodal vectors, or from `prev` when it is
     None.  Each iterate solves the system `ops.newton_system` builds;
     `ops` defaults to the operators of `p` on the state's mesh, `linear`
-    to a fresh FrozenLUSolver, which freezes its preconditioner on this
-    step's first system.  Each linear solve is given the current iterate
-    as its starting guess, so GMRES only has to find the Newton increment.
+    to a fresh FrozenLUSolver.  Each linear solve is given the current
+    iterate as its starting guess, so GMRES only has to find the Newton
+    increment.  A mesh that is not a structured grid is refused with
+    SolverError before anything is assembled.
 
     In increment mode the iteration stops when the increment is below
     `cfg.tol` or the rounding floor, when it stagnates below
@@ -360,7 +368,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     an accepted step is below _LOOSEST_INCREMENT.  In balance mode the
     stopping test compares the linearization indicator of the last two
     iterates with the space indicator, the current iterate standing in
-    for the accepted state.
+    for the accepted state; the previous state and each iterate are
+    evaluated at the quadrature points once.
 
     Returns (state, record, [iterate_0, ..., iterate_K]): iterate_0 is a
     copy of the start, the point the first system is linearized at, and
@@ -369,6 +378,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     """
     if not tau > 0:
         raise SolverError("tau must be positive")
+    _require_grid(prev.mesh)
     if ops is None:
         ops = DiscreteOperators.for_params(prev.mesh, p)
     if linear is None:
@@ -379,6 +389,10 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     cur = StateField(prev.mesh, u0.copy(), w0.copy(), prev.time + tau)
     rec = NewtonRecord()
     states = [StateField(prev.mesh, cur.u.copy(), cur.w.copy(), cur.time)]
+    balance = cfg.mode == "estimator_balance"
+    if balance:
+        prev_q = estimators._at(ops, prev)
+        cur_q = estimators._at(ops, cur)
     inc_prev = np.inf
     krylov_before = linear.krylov_iterations
     for k in range(1, cfg.max_iterations + 1):
@@ -394,16 +408,15 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
 
         floor = _roundoff_floor(ops, cur.u, cur.w)
         stagnated = inc < _LOOSEST_INCREMENT and inc >= inc_prev
-        if cfg.mode == "increment_tolerance":
+        if not balance:
             if (inc < cfg.tol or inc < floor or stagnated
                     or (k >= 2 and _converged_quadratically(
                         inc, inc_prev, max(cfg.tol, floor)))):
                 break
         else:
-            gamma = estimators.linearization_indicator((last, cur), p,
-                                                       ops=ops)
-            eta = estimators.space_indicator(prev, (last, cur), tau, p,
-                                             ops=ops)[0]
+            last_q, cur_q = cur_q, estimators._at(ops, cur)
+            gamma, eta = estimators._iterate_indicators(
+                ops, p, tau, prev_q, last_q, cur_q, cur.u)
             rec.gammas.append(gamma)
             rec.etas.append(eta)
             if gamma <= cfg.sigma * eta or inc < floor or stagnated:
@@ -462,10 +475,8 @@ def _newton_start(history):
 
 def _march_steps(state, tau, num_steps, p, cfg, ops):
     """Implicit Euler steps 1..num_steps from `state`, all on `ops` and
-    one FrozenLUSolver, which freezes its preconditioner on the march's
-    first Newton system, so the march factors one u-block (and another
-    only on that backend's fallback); yields (record, iterates) of each
-    step, the last iterate being the accepted state.
+    one FrozenLUSolver, so the march factors no matrix; yields (record,
+    iterates) of each step, the last iterate being the accepted state.
 
     Newton starts each step from :func:`_newton_start` of the last
     _HISTORY accepted states (Hairer and Wanner, Solving ODEs II, IV.8;
@@ -630,12 +641,13 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
                store_penultimate=True):
     """March the monodomain system from its projected initial data to t_end.
 
-    Every linear solve of the march goes through one FrozenLUSolver: one
-    sparse LU of the u-block of the first Newton system, then GMRES with
-    the block-triangular preconditioner it makes with Chebyshev steps on
-    the mass matrix, each solve checked to |Ax - b| <= 1e-10 |b|.  That
-    LU is the only factorization of the march: the initial data is
-    projected with Chebyshev steps as well.
+    Every linear solve of the march goes through one FrozenLUSolver:
+    GMRES with the block-triangular preconditioner of the DCT-I grid
+    solve of the u-block and Chebyshev steps on the mass matrix, each
+    solve checked to |Ax - b| <= 1e-10 |b|.  The march factors no matrix:
+    the initial data is projected with Chebyshev steps as well.  `mesh`
+    must be a structured grid (:func:`mesh.grid_cells`); any other mesh
+    is refused with SolverError before anything is assembled.
 
     Parameters
     ----------
@@ -656,6 +668,7 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     if cfg is None:
         cfg = NewtonConfig()
     N = step_count(tau, t_end)
+    _require_grid(mesh)
 
     ops = DiscreteOperators.for_params(mesh, p)
     initial = ionic.initial_pair(initial)

@@ -105,8 +105,8 @@ def build_reference(mesh, tau, t_end, p, levels=0, tol=REFERENCE_TOL,
     """High-fidelity trajectory on `mesh` refined `levels` more times.
 
     Newton is driven to `tol` (rounding level) so the linearization error
-    is negligible; the march is :func:`time_march`, with its one LU, and
-    the penultimate iterates are not stored.
+    is negligible; the march is :func:`time_march`, which factors no
+    matrix, and the penultimate iterates are not stored.
     """
     for _ in range(levels):
         mesh = refine_uniform(mesh)
@@ -295,7 +295,7 @@ def newton_study(mesh, tau, instants, p, tol=REFERENCE_TOL):
     error at selected instants.
 
     Marches from the default initial data at reference-grade tolerance,
-    on the march loop of :func:`time_march` with its one LU; at each
+    on the march loop of :func:`time_march`; at each
     requested instant the converged Newton iterate of the step serves as
     ground truth, and each iterate k >= 1 yields a row with its indicator
     and its (H1 for u, L2 for w) distance from the converged pair.

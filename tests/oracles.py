@@ -12,7 +12,8 @@ blocks filled through its slot map, derives the other two from the
 linear recovery equation, and loads reduced reaction weights.  The march
 oracle solves every Newton system with its own LU
 (`DirectSolver`, which assembles the blocks with `tocsc`), where the
-package's march reuses one factorization of the u-block; it starts each
+package's march runs GMRES preconditioned by a grid solve of the
+u-block and factors nothing; it starts each
 step's Newton iteration where the march does, by calling the package's
 `solver._newton_start`, so the two differ only in their linear algebra.
 The Chebyshev mass solve is checked against the dense matrix of its

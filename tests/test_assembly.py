@@ -273,6 +273,55 @@ def test_l2_project_constants_and_p1(mesh8):
     assert np.max(np.abs(p1 - nodal)) < 1e-12
 
 
+#: meshes of the grid solve: n = 1, 2, odd and even, and two refined
+#: meshes, which number their vertices as the grid of their width does
+_GRIDS = {"n1": lambda: unit_square_mesh(1),
+          "n2": lambda: unit_square_mesh(2),
+          "n7": lambda: unit_square_mesh(7),
+          "n8": lambda: unit_square_mesh(8),
+          "refined_3_2": lambda: mesh_chain(3, 2)[-1],
+          "refined_16_2": lambda: mesh_chain(16, 2)[-1]}
+
+
+@pytest.mark.parametrize("case", sorted(_GRIDS))
+def test_u_block_solver_inverts_the_tensor_product_operator(case):
+    # the DCT-I solve is the exact inverse of the sparse shift M_T + K,
+    # with the stiffness matrix assembled on the mesh and M_T the
+    # Kronecker product of the 1-D lumped masses h diag(1/2, 1, ..., 1/2)
+    mesh = _GRIDS[case]()
+    conductivity, tau = 0.37, 0.137
+    n = round(np.sqrt(mesh.num_vertices)) - 1
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    lumped = sp.diags(ends / n)
+    A = (sp.kron(lumped, lumped) / tau
+         + stiffness_matrix(mesh, conductivity)).tocsc()
+    solve = DiscreteOperators(mesh, conductivity).u_block_solver(tau)
+    r = np.random.default_rng(n).standard_normal(mesh.num_vertices)
+    x = solve(r)
+    expected = spsolve(A, r)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.linalg.norm(A @ x - r) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_u_block_solver_is_made_once_per_tau(monkeypatch):
+    made = []
+    real = assembly.grid_solver
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "grid_solver", counting)
+    ops = DiscreteOperators(unit_square_mesh(4), 0.5)
+    first = ops.u_block_solver(0.1)
+    assert ops.u_block_solver(0.1) is first
+    ops.u_block_solver(0.2)
+    assert made == [(4, 10.0, 0.5), (4, 5.0, 0.5)]
+    with pytest.raises(AssemblyError):
+        DiscreteOperators(_distorted_mesh(4, 1)).u_block_solver(0.1)
+
+
 def _distorted_mesh(n, seed):
     """unit_square_mesh(n) with each interior vertex moved by up to h/10
     in each coordinate, which keeps every triangle counterclockwise."""

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofem.assembly import evaluate_p1, mass_matrix
-from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
-                          refine_uniform, unit_square_mesh, write_vtk)
+from monofem.mesh import (MeshError, TriMesh, grid_cells, mesh_chain,
+                          prolongation, refine_uniform, unit_square_mesh,
+                          write_vtk)
 
 
 def test_smallest_mesh_counts():
@@ -13,6 +14,27 @@ def test_smallest_mesh_counts():
     assert m.num_vertices == 4
     assert m.num_triangles == 2
     assert m.total_area == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_cells_of_structured_and_other_meshes():
+    assert grid_cells(unit_square_mesh(1)) == 1
+    assert grid_cells(unit_square_mesh(7)) == 7
+    assert grid_cells(mesh_chain(3, 2)[-1]) == 12
+    mesh = unit_square_mesh(3)
+    # the same vertices, but with no provenance
+    assert grid_cells(TriMesh(mesh.vertices, mesh.triangles)) is None
+    # renumbered: the vertices leave their rows
+    perm = np.roll(np.arange(mesh.num_vertices), 1)
+    inv = np.argsort(perm)
+    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles])
+    renumbered.base_n = 3
+    assert grid_cells(renumbered) is None
+    # moved off the grid by much less than h
+    moved = mesh.vertices.copy()
+    moved[5] += 1e-6
+    distorted = TriMesh(moved, mesh.triangles)
+    distorted.base_n = 3
+    assert grid_cells(distorted) is None
 
 
 def test_n2_counts_match_euler_formula():

@@ -1,3 +1,4 @@
+import dataclasses
 import zipfile
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from monofem import assembly, solver
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import AlievPanfilovParams, react
-from monofem.mesh import mesh_chain, unit_square_mesh
+from monofem.mesh import TriMesh, grid_cells, mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
                             TrajectorySolution, initial_state, newton_solve,
@@ -153,22 +154,6 @@ def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
     assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
 
 
-def test_first_frozen_factor_on_a_refined_mesh_stays_small(params):
-    # with the midpoints numbered after the coarse vertices, an LU of the
-    # whole Newton matrix stores about 16.3M entries of L and U; numbered
-    # row by row it fills like the structured n=64 mesh (0.79M), and the
-    # u-block alone stores about 0.22M
-    mesh = mesh_chain(16, 2)[-1]
-    ops = DiscreteOperators.for_params(mesh, params)
-    prev = initial_state(ops)
-    A, rhs = ops.newton_system(params, prev.u, prev.w, prev.u, prev.w,
-                               0.025)
-    linear = FrozenLUSolver()
-    linear.solve(A, rhs)
-    assert linear.factorizations == 1
-    assert linear._lu.nnz <= 250_000
-
-
 def test_slot_map_is_built_once_per_operators(params, monkeypatch):
     built = []
     real = assembly._slot_map
@@ -307,6 +292,80 @@ def test_balance_mode_stops_earlier(params):
         assert rec.gammas[-1] <= 0.1 * rec.etas[-1]
 
 
+def test_balance_mode_evaluates_the_reaction_once_per_iterate(params,
+                                                              monkeypatch):
+    # one react per iterate, at the iterate before it, serves both
+    # indicators, and they are those of the public indicator functions,
+    # bit for bit
+    from monofem import estimators, ionic
+
+    calls = []
+    real = ionic.react
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ionic, "react", counting)
+    mesh = unit_square_mesh(8)
+    cfg = NewtonConfig(mode="estimator_balance", sigma=0.1)
+    traj = time_march(mesh, params, 0.1, 0.5, cfg)
+    assert traj.newton_counts().sum() == 7
+    assert len(calls) == 7
+
+    ops = DiscreteOperators.for_params(mesh, params)
+    prev = traj.state(0)
+    _, rec, iterates = newton_solve(prev, 0.1, params, cfg, ops=ops)
+    for k in range(1, rec.iterations + 1):
+        pair = (iterates[k - 1], iterates[k])
+        assert rec.gammas[k - 1] == estimators.linearization_indicator(
+            pair, params, ops=ops)
+        assert rec.etas[k - 1] == estimators.space_indicator(
+            prev, pair, 0.1, params, ops=ops)[0]
+
+
+def _renumbered_grid(n):
+    """unit_square_mesh(n) with its vertices in a random order, claiming
+    the provenance of the grid."""
+    mesh = unit_square_mesh(n)
+    perm = np.random.default_rng(3).permutation(mesh.num_vertices)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles])
+    renumbered.base_n = n
+    return renumbered
+
+
+def _distorted_grid(n):
+    """unit_square_mesh(n) with one interior vertex moved by h/10."""
+    mesh = unit_square_mesh(n)
+    moved = mesh.vertices.copy()
+    moved[n + 2] += 0.1 / n
+    return TriMesh(moved, mesh.triangles)
+
+
+@pytest.mark.parametrize("build", [_renumbered_grid, _distorted_grid],
+                         ids=["renumbered", "distorted"])
+def test_a_march_refuses_a_mesh_that_is_not_a_grid(params, monkeypatch,
+                                                   build):
+    # refused before the operators are assembled, by time_march and by a
+    # newton_solve that would assemble them itself
+    mesh = build(3)
+    assert grid_cells(mesh) is None
+
+    def refuse(*args):
+        raise AssertionError("assembled on a mesh that is not a grid")
+
+    monkeypatch.setattr(solver, "DiscreteOperators",
+                        SimpleNamespace(for_params=refuse))
+    with pytest.raises(SolverError, match="structured grids"):
+        time_march(mesh, params, 0.1, 0.2)
+    zeros = np.zeros(mesh.num_vertices)
+    with pytest.raises(SolverError, match="structured grids"):
+        newton_solve(StateField(mesh, zeros, zeros), 0.1, params,
+                     NewtonConfig())
+
+
 def test_newton_failure_reports_step(params):
     mesh = unit_square_mesh(8)
     with pytest.raises(NewtonError) as exc:
@@ -325,16 +384,14 @@ def test_frozen_lu_matches_direct(params):
 
 class _CountingLinalg:
     """`scipy.sparse.linalg` as one monofem module sees it, counting its
-    sparse LUs and the order of each factored matrix."""
+    sparse LUs."""
 
     def __init__(self, real):
         self._real = real
         self.factorizations = 0
-        self.orders = []
 
     def splu(self, A, *args, **kwargs):
         self.factorizations += 1
-        self.orders.append(A.shape[0])
         return self._real.splu(A, *args, **kwargs)
 
     def __getattr__(self, name):
@@ -349,25 +406,20 @@ def linalg(monkeypatch):
 
 
 def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
-    # right-preconditioned GMRES applies the preconditioner to each Krylov
-    # vector and to nothing else: not to b, not to a restart's residual
+    # right-preconditioned GMRES applies the preconditioner, and so its
+    # u-block factor, the grid solve, to each Krylov vector and to nothing
+    # else: not to b, not to a restart's residual
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
-    linear = FrozenLUSolver()
-    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
-                                    0.05))
-    factor = linear._lu
+    A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     applied = []
 
     def counted(v):
         applied.append(np.any(v))
-        return factor.solve(v)
+        return A.u_solve(v)
 
-    linear._lu = SimpleNamespace(solve=counted)
-    before = linear.krylov_iterations
-    A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
-    x = linear.solve(A, rhs)
-    krylov = linear.krylov_iterations - before
-    assert linear.factorizations == 1
+    linear = FrozenLUSolver()
+    x = linear.solve(dataclasses.replace(A, u_solve=counted), rhs)
+    krylov = linear.krylov_iterations
     assert 0 < krylov < solver._MAX_KRYLOV       # one restart cycle
     assert all(applied)
     assert len(applied) == krylov
@@ -376,11 +428,9 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
 
 def test_gmres_second_cycle_meets_the_contract(params, monkeypatch):
     # a restart length one short of what the solve needs: GMRES restarts
-    # from its first cycle's result and converges without a refactor
+    # from its first cycle's result and converges in its second cycle
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     linear = FrozenLUSolver()
-    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
-                                    0.05))
     A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     before = linear.krylov_iterations
     linear.solve(A, rhs)
@@ -390,33 +440,31 @@ def test_gmres_second_cycle_meets_the_contract(params, monkeypatch):
     before = linear.krylov_iterations
     x = linear.solve(A, rhs)
     assert needed - 1 < linear.krylov_iterations - before <= 2 * (needed - 1)
-    assert linear.factorizations == 1
     assert (np.linalg.norm(A @ x - rhs)
             <= solver.LINEAR_RESIDUAL_RTOL * np.linalg.norm(rhs))
 
 
-def test_frozen_lu_refactors_when_gmres_misses_the_contract(params):
-    # a factor frozen on one Newton matrix cannot precondition a system
-    # whose reaction is a million times stronger: the fallback factors
-    # the new matrix's u-block and GMRES then meets the contract
+def test_frozen_lu_raises_when_gmres_misses_the_contract(params):
+    # a preconditioner that leaves out the reaction cannot precondition a
+    # system whose reaction is a million times stronger: GMRES misses the
+    # contract, and with nothing to factor again the solve raises, in a
+    # march with the step it failed at
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     prev = initial_state(ops)
-    A, rhs = ops.newton_system(params, prev.u, prev.w, prev.u, prev.w,
-                               0.025)
-    linear = FrozenLUSolver()
-    linear.solve(A, rhs)
-    assert linear.factorizations == 1
     stiff = AlievPanfilovParams(A=params.A * 1e6)
     B, rhs_b = ops.newton_system(stiff, prev.u, prev.w, prev.u, prev.w,
                                  0.025)
-    x = linear.solve(B, rhs_b)
-    assert linear.factorizations == 2
-    assert np.linalg.norm(B @ x - rhs_b) <= 1e-10 * np.linalg.norm(rhs_b)
+    with pytest.raises(SolverError, match="GMRES missed"):
+        FrozenLUSolver().solve(B, rhs_b)
+    with pytest.raises(SolverError, match=r"^step 1 \(t=0.025\): GMRES"):
+        time_march(ops.mesh, stiff, 0.025, 0.05)
 
+    A, rhs = ops.newton_system(params, prev.u, prev.w, prev.u, prev.w,
+                               0.025)
     fresh = FrozenLUSolver()
     zero = fresh.solve(A, np.zeros_like(rhs))
     assert np.array_equal(zero, np.zeros_like(rhs))
-    assert fresh.factorizations == 0
+    assert fresh.krylov_iterations == 0
 
 
 #: (mesh n, tau, t_end, Newton settings) of each march the package runs;
@@ -431,7 +479,14 @@ _MARCHES = {
 
 
 @pytest.mark.parametrize("march", sorted(_MARCHES))
-def test_every_march_factors_once(params, linalg, march):
+def test_no_march_factors_a_matrix(params, linalg, monkeypatch, march):
+    # neither through the solver's view of scipy nor anywhere else: the
+    # u-block is solved on the grid, the mass matrix by Chebyshev steps,
+    # in the preconditioner and in the initial projection
+    import scipy.sparse.linalg
+
+    every = _CountingLinalg(SimpleNamespace(splu=scipy.sparse.linalg.splu))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", every.splu)
     n, tau, t_end, cfg = _MARCHES[march]
     mesh = unit_square_mesh(n)
     if march == "time_march":
@@ -441,7 +496,8 @@ def test_every_march_factors_once(params, linalg, march):
     else:
         tables = newton_study(mesh, tau, [0.25, t_end], params)
         counts = [len(tables[t]) for t in (0.25, t_end)]
-    assert linalg.factorizations == 1
+    assert linalg.factorizations == 0
+    assert every.factorizations == 0
     oracle = direct_march(mesh, params, tau, t_end, cfg)[2]
     if march == "newton_study":
         oracle = oracle[[3, 7]]               # the steps ending at 0.25, 0.5
@@ -455,8 +511,8 @@ def test_every_march_factors_once(params, linalg, march):
 @pytest.mark.parametrize("march", sorted(_MARCHES))
 def test_no_march_assembles_the_whole_newton_matrix(params, monkeypatch,
                                                     march):
-    # a march multiplies by the Newton blocks and factors the u-block;
-    # only the DirectSolver oracle assembles the 2N x 2N matrix
+    # a march multiplies by the Newton blocks; only the DirectSolver
+    # oracle assembles the 2N x 2N matrix
     def refuse(self):
         raise AssertionError("a march assembled the whole Newton matrix")
 
@@ -470,30 +526,6 @@ def test_no_march_assembles_the_whole_newton_matrix(params, monkeypatch,
     else:
         assert sorted(newton_study(mesh, tau, [0.25, t_end], params)) == [
             0.25, t_end]
-
-
-def test_a_march_makes_one_splu_of_its_u_block(params, linalg,
-                                               monkeypatch):
-    # the u-block LU, made through the solver's view of scipy, is the only
-    # factorization: the initial projection and the preconditioner's
-    # w-block solve the mass matrix by Chebyshev steps
-    import scipy.sparse.linalg
-
-    every = _CountingLinalg(SimpleNamespace(splu=scipy.sparse.linalg.splu))
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", every.splu)
-    mesh = unit_square_mesh(8)
-    nv = mesh.num_vertices
-    time_march(mesh, params, 0.1, 0.5)
-    assert linalg.orders == [nv]
-    assert every.orders == [nv]
-
-    ops = DiscreteOperators.for_params(mesh, params)
-    state = initial_state(ops)
-    assert every.orders == [nv]
-    for _ in solver._march_steps(state, 0.1, 2, params, NewtonConfig(), ops):
-        pass
-    assert linalg.orders == [nv, nv]
-    assert every.orders == [nv, nv]
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.5])
@@ -561,7 +593,7 @@ def test_block_preconditioned_march_matches_the_oracle_across_tau(
         params, linalg, n, tau, t_end):
     mesh = unit_square_mesh(n)
     traj = time_march(mesh, params, tau, t_end)
-    assert linalg.factorizations == 1
+    assert linalg.factorizations == 0
     U, W, counts = direct_march(mesh, params, tau, t_end, NewtonConfig())
     assert np.max(np.abs(traj.U - U)) <= 1e-9
     assert np.max(np.abs(traj.W - W)) <= 1e-9
@@ -584,12 +616,10 @@ def test_every_accepted_state_meets_the_residual_contract(params):
 
 
 def test_gmres_starts_from_the_current_newton_iterate(params):
-    # a factor frozen on another system, and an x0 that already solves
-    # this one to 1e-13: GMRES returns x0 without a Krylov iteration
+    # an x0 that already solves the system to 1e-13: GMRES returns x0
+    # without a Krylov iteration
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     linear = FrozenLUSolver()
-    linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
-                                    0.05))
     A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     x0 = DirectSolver().solve(A, rhs)
     assert np.linalg.norm(A @ x0 - rhs) <= 1e-13 * np.linalg.norm(rhs)
@@ -598,7 +628,6 @@ def test_gmres_starts_from_the_current_newton_iterate(params):
     assert linear.krylov_iterations == before
     linear.solve(A, rhs)
     assert linear.krylov_iterations > before
-    assert linear.factorizations == 1
 
     # and the Newton loop hands each solve its current iterate
     starts = []
