@@ -508,6 +508,29 @@ def test_no_march_factors_a_matrix(params, linalg, monkeypatch, march):
     assert np.all(np.asarray(counts) <= oracle)
 
 
+def test_a_march_makes_no_splu(params, linalg, monkeypatch):
+    # the u-block is solved on the grid and the mass matrix by Chebyshev
+    # steps, so neither a march nor the initial projection before it makes
+    # a sparse LU, through the solver's view of scipy or through scipy
+    import scipy.sparse.linalg
+
+    every = _CountingLinalg(SimpleNamespace(splu=scipy.sparse.linalg.splu))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", every.splu)
+    mesh = unit_square_mesh(8)
+    assert time_march(mesh, params, 0.1, 0.5).num_steps == 5
+    assert linalg.factorizations == 0
+    assert every.factorizations == 0
+
+    ops = DiscreteOperators.for_params(mesh, params)
+    state = initial_state(ops)
+    assert every.factorizations == 0
+    steps = list(solver._march_steps(state, 0.1, 2, params, NewtonConfig(),
+                                     ops))
+    assert len(steps) == 2
+    assert linalg.factorizations == 0
+    assert every.factorizations == 0
+
+
 @pytest.mark.parametrize("march", sorted(_MARCHES))
 def test_no_march_assembles_the_whole_newton_matrix(params, monkeypatch,
                                                     march):
