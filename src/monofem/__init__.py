@@ -1,8 +1,8 @@
 """monofem: P1 finite elements for the monodomain reaction-diffusion system
 with residual-based a posteriori error indicators.
 
-Modules: `mesh` (structured nested triangulations), `assembly` (P1
-matrices and quadrature), `ionic` (Aliev-Panfilov kinetics), `solver`
+Modules: `mesh` (structured grids, refined to twice the width), `assembly`
+(P1 matrices and quadrature), `ionic` (Aliev-Panfilov kinetics), `solver`
 (implicit Euler + Newton-Galerkin), `estimators` (space/time/linearization
 indicators and the cumulative bound), `verify` (reference solutions, X/Y
 error norms and the three studies), `cli` (experiment commands).

@@ -105,10 +105,6 @@ class QuadratureRule:
                 * B[:, None, :]).reshape(len(B), 9)
 
 
-def _orbit1():
-    return [(1 / 3, 1 / 3, 1 / 3)]
-
-
 def _orbit3(a):
     b = 1.0 - 2.0 * a
     return [(b, a, a), (a, b, a), (a, a, b)]
@@ -130,8 +126,6 @@ def _make_rule(degree, groups):
 
 # Dunavant symmetric rules; weights normalized to sum to 1.
 _RULES = {
-    1: _make_rule(1, [(1.0, _orbit1())]),
-    2: _make_rule(2, [(1 / 3, _orbit3(1 / 6))]),
     4: _make_rule(4, [
         (0.223381589678011, _orbit3(0.445948490915965)),
         (0.109951743655322, _orbit3(0.091576213509771)),

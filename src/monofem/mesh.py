@@ -1,21 +1,17 @@
 """Conforming triangular meshes of the unit square.
 
-Structured right-triangle meshes with a fixed diagonal direction, uniform
-red refinement with parent links, P1 prolongation between nested meshes,
-and a legacy ASCII VTK dump for visualization.
+Structured right-triangle meshes with a fixed diagonal direction, their
+uniform refinement, P1 prolongation between nested grids, and a legacy
+ASCII VTK dump for visualization.
 
-The meshes built here number their vertices row by row: rows of
-increasing y, each row by increasing x.  A refined mesh has exactly the
-vertex numbering of the structured mesh of the same width, so the
-solver's u-block preconditioner, a tensor-product solve on that grid,
-applies to every mesh of a chain (:func:`grid_cells`).  The sparse LUs
-that remain (the DirectSolver oracle, the error pass's Gram matrix)
-factor in the mesh numbering, and this sweep order is the one in which
-they fill least (George & Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981, ch. 4-5): an LU of the whole Newton
-matrix on mesh_chain(16, 2)[-1] stores 0.79M entries in L and U, against
-16.3M when the midpoints of a refinement are numbered after the coarse
-vertices.
+The structured mesh of width n numbers its vertices row by row: rows of
+increasing y, each row by increasing x.  Splitting each of its
+triangles into four at the edge midpoints gives the structured mesh of
+width 2n, so a refinement is built as that mesh, and every mesh of a
+chain is a grid (:func:`grid_cells`): the solver's u-block
+preconditioner, a tensor-product solve on the grid, applies to each,
+and the prolongation between two of them is read off their grid
+indices.
 """
 
 import numpy as np
@@ -56,18 +52,12 @@ def _unique_edges(pairs):
 
 
 class TriMesh:
-    """Conforming triangulation with edge topology and nesting links.
+    """Conforming triangulation with edge topology.
 
     Parameters
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise vertex triples
-    parent : TriMesh, optional
-        The coarser mesh this one refines (set by :func:`refine_uniform`).
-    parent_vertex : (nv_parent,) int array, optional
-        Vertex of this mesh sitting at each parent vertex.
-    parent_edge_vertex : (ne_parent,) int array, optional
-        Vertex of this mesh sitting at the midpoint of each parent edge.
 
     The mesh is immutable after construction, apart from the cache
     `located_points`, and safe to share between threads for reading.
@@ -76,8 +66,7 @@ class TriMesh:
     entry -1 on the boundary, lower triangle index first).
     """
 
-    def __init__(self, vertices, triangles, parent=None, parent_vertex=None,
-                 parent_edge_vertex=None):
+    def __init__(self, vertices, triangles):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -89,9 +78,6 @@ class TriMesh:
             raise MeshError("triangle vertex index out of range")
         self.vertices = vertices
         self.triangles = triangles
-        self.parent = parent
-        self.parent_vertex = parent_vertex
-        self.parent_edge_vertex = parent_edge_vertex
         # provenance of structured meshes (unit_square_mesh + refinements)
         self.base_n = None
         self.levels = 0
@@ -208,37 +194,18 @@ def unit_square_mesh(n):
 
 
 def refine_uniform(mesh):
-    """Split every triangle into 4 congruent children via edge midpoints.
+    """The structured mesh of twice the width of the grid `mesh`.
 
-    The children of coarse triangle k are fine triangles 4k..4k+3: the
-    three corner children (at the triangle's vertices 0, 1, 2), then the
-    middle one.  The fine vertices are numbered row by row like those of
-    :func:`unit_square_mesh`: coordinates rounded to 1/128 of the shortest
-    coarse edge are sorted by y, then x, so that the midpoints of a row
-    share its y exactly.  `parent_vertex` and `parent_edge_vertex` give
-    the fine index of each coarse vertex and of each coarse edge midpoint.
+    It is the mesh that splits every triangle of `mesh` into four
+    congruent children at its edge midpoints, numbered and oriented as
+    :func:`unit_square_mesh` numbers it; it keeps the provenance of
+    `mesh`, one level more.  MeshError unless `mesh` is a structured grid
+    (:func:`grid_cells`).
     """
-    nv = mesh.num_vertices
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                  + mesh.vertices[mesh.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-    key = np.round(vertices / (mesh.edge_lengths.min() / 128.0))
-    order = np.lexsort((key[:, 0], key[:, 1]))
-    rank = np.empty(len(vertices), dtype=np.int64)
-    rank[order] = np.arange(len(vertices))
-
-    a, b, c = (mesh.triangles[:, k] for k in range(3))
-    m_ab = nv + mesh.triangle_edges[:, 0]
-    m_bc = nv + mesh.triangle_edges[:, 1]
-    m_ca = nv + mesh.triangle_edges[:, 2]
-    triangles = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    triangles[0::4] = np.column_stack([a, m_ab, m_ca])
-    triangles[1::4] = np.column_stack([m_ab, b, m_bc])
-    triangles[2::4] = np.column_stack([m_ca, m_bc, c])
-    triangles[3::4] = np.column_stack([m_ab, m_bc, m_ca])
-
-    fine = TriMesh(vertices[order], rank[triangles], parent=mesh,
-                   parent_vertex=rank[:nv], parent_edge_vertex=rank[nv:])
+    n = grid_cells(mesh)
+    if n is None:
+        raise MeshError("only a structured grid can be refined")
+    fine = unit_square_mesh(2 * n)
     fine.base_n = mesh.base_n
     fine.levels = mesh.levels + 1
     return fine
@@ -258,7 +225,8 @@ def grid_cells(mesh):
 
     The mesh must carry its provenance (`base_n` is set), and its
     vertices must sit row by row on the (n+1)^2 grid, n = base_n 2^levels,
-    as those builders number them; one O(N) comparison checks that.
+    as :func:`unit_square_mesh` numbers them; one O(N) comparison checks
+    that.
     """
     if mesh.base_n is None:
         return None
@@ -272,41 +240,36 @@ def grid_cells(mesh):
     return n if off <= 1e-9 / n else None
 
 
-def _one_level_prolongation(fine):
-    coarse = fine.parent
-    nv_c = coarse.num_vertices
-    nv_f = fine.num_vertices
-    rows = np.concatenate([fine.parent_vertex, fine.parent_edge_vertex,
-                           fine.parent_edge_vertex])
-    cols = np.concatenate([np.arange(nv_c), coarse.edges[:, 0],
-                           coarse.edges[:, 1]])
-    vals = np.concatenate([np.ones(nv_c), np.full(2 * coarse.num_edges, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nv_f, nv_c))
-
-
 def prolongation(coarse, fine):
-    """Nodal interpolation matrix P from a coarse mesh to a nested fine one.
+    """Nodal interpolation matrix P from a coarse grid to a nested fine one.
 
     P v gives the fine-mesh nodal values of the P1 function with coarse
     nodal values v; exact because the coarse space is a subspace of the
-    fine one.  Each level copies a coarse value to the fine vertex at the
-    same point (`parent_vertex`) and averages the two ends of each coarse
-    edge at its midpoint (`parent_edge_vertex`).  `fine` must be obtained
-    from `coarse` by one or more applications of :func:`refine_uniform`.
+    fine one.  Each fine vertex takes the barycentric weights of the
+    coarse triangle that holds it, read off the grid indices: at local
+    coordinates (s, t) in its coarse cell, 1 - max(s, t) at the cell's
+    lower-left corner, min(s, t) at its upper-right one and |s - t| at
+    the third corner of the triangle.  Both meshes must be structured
+    grids (:func:`grid_cells`) and the coarse width must divide the fine
+    one; MeshError otherwise.
     """
-    if fine is coarse:
-        return sp.identity(coarse.num_vertices, format="csr")
-    hops = []
-    m = fine
-    while m is not coarse:
-        if m.parent is None:
-            raise MeshError("meshes are not in the same refinement chain")
-        hops.append(m)
-        m = m.parent
-    P = _one_level_prolongation(hops[-1])
-    for m in reversed(hops[:-1]):
-        P = _one_level_prolongation(m) @ P
-    return P.tocsr()
+    nc, nf = grid_cells(coarse), grid_cells(fine)
+    if nc is None or nf is None or nf % nc:
+        raise MeshError("meshes are not nested structured grids")
+    r = nf // nc
+    line = np.arange(nf + 1)
+    cell = np.minimum(line // r, nc - 1)
+    frac = (line - r * cell) / r
+    s, t = frac[None, :], frac[:, None]        # s along x, t along y
+    v00 = cell[:, None] * (nc + 1) + cell[None, :]
+    third = np.where(s >= t, v00 + 1, v00 + nc + 1)
+    cols = np.stack([v00, v00 + nc + 2, third], axis=-1).ravel()
+    vals = np.stack([1.0 - np.maximum(s, t), np.minimum(s, t),
+                     np.abs(s - t)], axis=-1).ravel()
+    rows = np.repeat(np.arange((nf + 1) ** 2), 3)
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=((nf + 1) ** 2, (nc + 1) ** 2))
 
 
 def write_vtk(mesh, path, point_data=None, title="monofem mesh"):

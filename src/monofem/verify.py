@@ -22,7 +22,7 @@ from .assembly import _PERMC_SPEC, DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
 from .mesh import mesh_chain, prolongation, refine_uniform
 from .solver import (NewtonConfig, SolverError, _march_steps, initial_state,
-                     step_count, time_march)
+                     newton_solve, step_count, time_march)
 
 __all__ = [
     "REFERENCE_TOL",
@@ -146,8 +146,11 @@ def _union_grid(a, b, t_max):
 def error_curve(coarse, ref, eval_times):
     """ErrorNorms of coarse-vs-reference on (0, t] for each requested t.
 
-    Both trajectories must start at t=0; the coarse mesh must be the
-    reference mesh or one of its refinement ancestors.  Requested times
+    Both trajectories must start at t=0, on structured grids whose
+    widths nest: the coarse width divides the reference width
+    (:func:`mesh.prolongation`), whichever way the meshes were built, so
+    a trajectory loaded from a checkpoint scores against a reference
+    built apart from it.  Requested times
     must lie on the union of the two time grids (any accepted timestep of
     either run qualifies).  Single pass over the union grid.
     """
@@ -295,12 +298,16 @@ def newton_study(mesh, tau, instants, p, tol=REFERENCE_TOL):
     error at selected instants.
 
     Marches from the default initial data at reference-grade tolerance,
-    on the march loop of :func:`time_march`; at each
-    requested instant the converged Newton iterate of the step serves as
-    ground truth, and each iterate k >= 1 yields a row with its indicator
-    and its (H1 for u, L2 for w) distance from the converged pair.
-    Instants must be positive multiples of tau, in the sense of
-    :func:`solver.step_count`; ValueError otherwise.
+    on the march loop of :func:`time_march` and its extrapolated Newton
+    starts.  The step that ends at a requested instant is solved once
+    more from the accepted state x^(n-1) before it, the start
+    :func:`solver.newton_solve` takes alone: from the march's start the
+    first iterate already lands on the solution and leaves nothing to
+    study.  Its converged Newton iterate serves as ground truth, and each
+    iterate k >= 1 yields a row with its indicator and its (H1 for u, L2
+    for w) distance from the converged pair.  Instants must be positive
+    multiples of tau, in the sense of :func:`solver.step_count`;
+    ValueError otherwise.
     """
     try:
         at_step = {step_count(tau, t): float(t) for t in instants}
@@ -310,13 +317,16 @@ def newton_study(mesh, tau, instants, p, tol=REFERENCE_TOL):
     ops = DiscreteOperators.for_params(mesh, p)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=60)
-    steps = _march_steps(initial_state(ops), tau, max(at_step), p, cfg, ops)
+    accepted = initial_state(ops)
+    steps = _march_steps(accepted, tau, max(at_step), p, cfg, ops)
 
     tables = {}
-    for n, (_, states) in enumerate(steps, start=1):
+    for n, (_, iterates) in enumerate(steps, start=1):
+        prev, accepted = accepted, iterates[-1]
         if n not in at_step:
             continue
         t_n = n * tau
+        states = newton_solve(prev, tau, p, cfg, ops=ops)[2]
         conv = states[-1]
         rows = []
         for k in range(1, len(states)):

@@ -21,7 +21,19 @@ from oracles import (barycentric_at, chebyshev_mass_inverse_reference,
                      weighted_mass_reference)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4, 6])
+def _distorted_mesh(n, seed):
+    """unit_square_mesh(n) with each interior vertex moved by up to h/10
+    in each coordinate, which keeps every triangle counterclockwise."""
+    mesh = unit_square_mesh(n)
+    xy = mesh.vertices
+    interior = np.all((xy > 1e-12) & (xy < 1.0 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    moved = xy.copy()
+    moved[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
+    return TriMesh(moved, mesh.triangles)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
 def test_quadrature_exact_for_monomials(degree):
     rule = quadrature_rule(degree)
     assert np.all(rule.weights > 0)
@@ -55,7 +67,7 @@ def test_quadrature_exact_to_its_degree_on_any_triangle(coords, scale):
     area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
     longest = np.max(np.sum((verts - np.roll(verts, 1, axis=0)) ** 2, axis=1))
     assume(area > 0.0 and area >= 0.05 * longest)
-    for degree in (1, 2, 4, 6):
+    for degree in (4, 6):
         rule = quadrature_rule(degree)
         lam = barycentric_at(verts, rule.points @ verts)
 
@@ -73,19 +85,6 @@ def test_quadrature_exact_to_its_degree_on_any_triangle(coords, scale):
                    for alpha in _barycentric_exponents(degree + 1)) > 1e-6
 
 
-def test_centroid_rule_integrates_constants():
-    rule = quadrature_rule(1)
-    assert 0.5 * rule.weights.sum() == pytest.approx(0.5)
-
-
-def test_degree2_rule_on_x_squared():
-    rule = quadrature_rule(2)
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    xy = rule.points @ verts
-    assert 0.5 * np.sum(rule.weights * xy[:, 0] ** 2) == pytest.approx(
-        1.0 / 12.0, abs=1e-15)
-
-
 def test_degree6_rule_on_x4y2():
     rule = quadrature_rule(6)
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -96,8 +95,10 @@ def test_degree6_rule_on_x4y2():
 
 
 def test_unsupported_degree_rejected():
-    with pytest.raises(AssemblyError):
-        quadrature_rule(3)
+    # the package integrates with the rules of degree 4 and 6 only
+    for degree in (1, 2, 3):
+        with pytest.raises(AssemblyError):
+            quadrature_rule(degree)
 
 
 def test_mass_matrix_reference_triangle(reference_triangle):
@@ -204,8 +205,8 @@ def test_weighted_mass_size_mismatch(mesh8):
 
 
 @pytest.mark.parametrize("degree", [4, 6])
-@pytest.mark.parametrize("mesh", [unit_square_mesh(8), mesh_chain(4, 1)[-1]],
-                         ids=["unit_square_8", "refined"])
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), _distorted_mesh(8, 2)],
+                         ids=["unit_square_8", "distorted"])
 def test_kernels_match_coo_reference(mesh, degree):
     # the weighted mass of the operators and the load vector against the
     # einsum + COO assembly of tests/oracles.py
@@ -320,18 +321,6 @@ def test_u_block_solver_is_made_once_per_tau(monkeypatch):
     assert made == [(4, 10.0, 0.5), (4, 5.0, 0.5)]
     with pytest.raises(AssemblyError):
         DiscreteOperators(_distorted_mesh(4, 1)).u_block_solver(0.1)
-
-
-def _distorted_mesh(n, seed):
-    """unit_square_mesh(n) with each interior vertex moved by up to h/10
-    in each coordinate, which keeps every triangle counterclockwise."""
-    mesh = unit_square_mesh(n)
-    xy = mesh.vertices
-    interior = np.all((xy > 1e-12) & (xy < 1.0 - 1e-12), axis=1)
-    rng = np.random.default_rng(seed)
-    moved = xy.copy()
-    moved[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
-    return TriMesh(moved, mesh.triangles)
 
 
 _PROJECTED = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),

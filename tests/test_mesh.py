@@ -9,6 +9,19 @@ from monofem.mesh import (MeshError, TriMesh, grid_cells, mesh_chain,
                           write_vtk)
 
 
+def _vertex_at(mesh, points):
+    """Index of the vertex of the grid `mesh` at each of `points`, found
+    from the coordinates alone."""
+    n = grid_cells(mesh)
+    ij = np.rint(np.asarray(points) * n).astype(int)
+    return ij[:, 1] * (n + 1) + ij[:, 0]
+
+
+def _edge_midpoints(mesh):
+    return 0.5 * (mesh.vertices[mesh.edges[:, 0]]
+                  + mesh.vertices[mesh.edges[:, 1]])
+
+
 def test_smallest_mesh_counts():
     m = unit_square_mesh(1)
     assert m.num_vertices == 4
@@ -97,28 +110,17 @@ def test_refinement_multiplies_triangles_by_four():
     assert ff.total_area == pytest.approx(1.0, abs=1e-12)
 
 
-def test_children_partition_parents_and_are_similar():
-    # refine_uniform puts the children of coarse triangle k at 4k..4k+3
-    m = unit_square_mesh(3)
-    f = refine_uniform(m)
-    for k in range(m.num_triangles):
-        children = np.arange(4 * k, 4 * k + 4)
-        assert np.sum(f.areas[children]) == pytest.approx(m.areas[k],
-                                                          rel=1e-13)
-        # similarity ratio 1/2 uniformly: rho(K', K) = 2 for all children
-        assert np.allclose(f.diameters[children], m.diameters[k] / 2,
-                           rtol=1e-13)
-        assert np.allclose(f.areas[children], m.areas[k] / 4, rtol=1e-13)
-
-
-def test_parent_links_sit_at_coarse_vertices_and_edge_midpoints():
-    m = unit_square_mesh(4)
-    f = refine_uniform(m)
-    assert np.array_equal(f.vertices[f.parent_vertex], m.vertices)
-    mid = 0.5 * (m.vertices[m.edges[:, 0]] + m.vertices[m.edges[:, 1]])
-    assert np.array_equal(f.vertices[f.parent_edge_vertex], mid)
-    links = np.concatenate([f.parent_vertex, f.parent_edge_vertex])
-    assert np.array_equal(np.sort(links), np.arange(f.num_vertices))
+def test_refine_uniform_refuses_a_non_grid_mesh():
+    mesh = unit_square_mesh(3)
+    # the same vertices, but with no provenance
+    with pytest.raises(MeshError):
+        refine_uniform(TriMesh(mesh.vertices, mesh.triangles))
+    moved = mesh.vertices.copy()
+    moved[5] += 1e-3
+    distorted = TriMesh(moved, mesh.triangles)
+    distorted.base_n = 3
+    with pytest.raises(MeshError):
+        refine_uniform(distorted)
 
 
 def test_element_geometry_reference_triangle(reference_triangle):
@@ -186,8 +188,8 @@ def test_prolongation_reproduces_constants_and_midpoints():
     fine_v = P @ v
     coarse = chain[0]
     expected_mid = 0.5 * (v[coarse.edges[:, 0]] + v[coarse.edges[:, 1]])
-    assert np.allclose(fine_v[chain[1].parent_edge_vertex], expected_mid,
-                       atol=1e-15)
+    at_mid = _vertex_at(chain[1], _edge_midpoints(coarse))
+    assert np.allclose(fine_v[at_mid], expected_mid, atol=1e-15)
 
 
 def test_prolongation_preserves_l2_norm():
@@ -231,8 +233,8 @@ def test_prolongation_is_the_nested_p1_embedding(n, levels, seed):
         vp = prolongation(coarse, parent) @ V[0]
         expected_mid = 0.5 * (vp[parent.edges[:, 0]]
                               + vp[parent.edges[:, 1]])
-        assert np.allclose((P @ vp)[child.parent_edge_vertex], expected_mid,
-                           atol=1e-15)
+        at_mid = _vertex_at(child, _edge_midpoints(parent))
+        assert np.allclose((P @ vp)[at_mid], expected_mid, atol=1e-15)
     P = prolongation(coarse, fine)
     Mc = mass_matrix(coarse)
     Mf = mass_matrix(fine)
@@ -245,11 +247,36 @@ def test_prolongation_is_the_nested_p1_embedding(n, levels, seed):
 
 
 def test_prolongation_rejects_unrelated_meshes():
+    # grids whose widths do not divide are not nested, either way round
+    for a, b in ((3, 16), (4, 2), (4, 6)):
+        with pytest.raises(MeshError):
+            prolongation(unit_square_mesh(a), unit_square_mesh(b))
     a = unit_square_mesh(2)
-    b = unit_square_mesh(4)   # same geometry class but no parent link
-    with pytest.raises(MeshError):
-        prolongation(a, b)
     assert prolongation(a, a).nnz == a.num_vertices
+
+
+def test_prolongation_rejects_non_grid_meshes():
+    mesh = unit_square_mesh(2)
+    bare = TriMesh(mesh.vertices, mesh.triangles)   # no provenance
+    with pytest.raises(MeshError):
+        prolongation(bare, unit_square_mesh(4))
+    with pytest.raises(MeshError):
+        prolongation(mesh, TriMesh(unit_square_mesh(4).vertices,
+                                   unit_square_mesh(4).triangles))
+
+
+def test_prolongation_between_grids_built_apart():
+    # nesting is read off the widths: grids built separately nest when the
+    # coarse width divides the fine one, also by a factor that is not a
+    # power of two
+    coarse, fine = unit_square_mesh(2), unit_square_mesh(6)
+    v = np.random.default_rng(5).standard_normal(coarse.num_vertices)
+    direct = np.array([evaluate_p1(coarse, v, x, y)
+                       for x, y in fine.vertices])
+    assert np.abs(prolongation(coarse, fine) @ v - direct).max() <= 1e-13
+    chain = mesh_chain(2, 2)
+    assert (prolongation(coarse, unit_square_mesh(8))
+            != prolongation(chain[0], chain[-1])).nnz == 0
 
 
 def test_write_vtk(tmp_path):
@@ -268,18 +295,24 @@ def test_write_vtk(tmp_path):
 @given(n=st.integers(1, 8), levels=st.integers(0, 2),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_refined_mesh_is_numbered_like_the_structured_mesh(n, levels, seed):
-    # every mesh of a chain numbers its vertices row by row, the order in
-    # which the package's sparse LUs fill least
+    # every mesh of a chain is the structured mesh of its width, with the
+    # provenance of the chain
     chain = mesh_chain(n, levels)
     fine = chain[-1]
     structured = unit_square_mesh(n * 2 ** levels)
-    assert np.abs(fine.vertices - structured.vertices).max() <= 1e-14
+    assert np.array_equal(fine.vertices, structured.vertices)
+    assert np.array_equal(fine.triangles, structured.triangles)
+    assert (fine.base_n, fine.levels) == (n, levels)
     for coarse, mesh in zip(chain[:-1], chain[1:]):
-        assert np.array_equal(mesh.vertices[mesh.parent_vertex],
-                              coarse.vertices)
-        mid = 0.5 * (coarse.vertices[coarse.edges[:, 0]]
-                     + coarse.vertices[coarse.edges[:, 1]])
-        assert np.array_equal(mesh.vertices[mesh.parent_edge_vertex], mid)
+        # a vertex at each coarse vertex and at each coarse edge midpoint,
+        # and no other vertex
+        at_vertex = _vertex_at(mesh, coarse.vertices)
+        at_mid = _vertex_at(mesh, _edge_midpoints(coarse))
+        assert np.array_equal(mesh.vertices[at_vertex], coarse.vertices)
+        assert np.abs(mesh.vertices[at_mid]
+                      - _edge_midpoints(coarse)).max() <= 1e-15
+        assert np.array_equal(np.sort(np.concatenate([at_vertex, at_mid])),
+                              np.arange(mesh.num_vertices))
     # prolongation reproduces random coarse P1 functions at the fine nodes
     v = np.random.default_rng(seed).standard_normal(chain[0].num_vertices)
     direct = np.array([evaluate_p1(chain[0], v, x, y)

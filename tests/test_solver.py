@@ -498,9 +498,16 @@ def test_no_march_factors_a_matrix(params, linalg, monkeypatch, march):
         counts = [len(tables[t]) for t in (0.25, t_end)]
     assert linalg.factorizations == 0
     assert every.factorizations == 0
-    oracle = direct_march(mesh, params, tau, t_end, cfg)[2]
+    U, W, oracle = direct_march(mesh, params, tau, t_end, cfg)
     if march == "newton_study":
-        oracle = oracle[[3, 7]]               # the steps ending at 0.25, 0.5
+        # the steps ending at 0.25, 0.5, which the study solves again from
+        # the state before them
+        ops = DiscreteOperators.for_params(mesh, params)
+        oracle = [newton_solve(StateField(mesh, U[n - 1], W[n - 1],
+                                          (n - 1) * tau),
+                               tau, params, cfg, ops=ops,
+                               linear=DirectSolver())[1].iterations
+                  for n in (4, 8)]
     # GMRES started from the current iterate returns an increment at
     # rounding level without adding its own noise of order 1e-12 |b|, so
     # a step may stop one iterate before the oracle's, never after it

@@ -133,12 +133,28 @@ def test_doubling_reference_changes_error_mildly(setup):
 
 
 def test_non_nested_meshes_rejected(setup):
+    # width 3 does not divide the reference width 16
     params, chain, coarse, ref = setup
-    stranger = time_march(unit_square_mesh(4), params, 0.25, 0.5,
+    stranger = time_march(unit_square_mesh(3), params, 0.25, 0.5,
                           NewtonConfig(tol=1e-12))
     from monofem.mesh import MeshError
     with pytest.raises(MeshError):
         xy_error(stranger, ref)
+
+
+def test_loaded_checkpoint_scores_against_a_reference_built_apart(
+        tmp_path, params):
+    # the reference refines a mesh of its own; the loaded trajectory's mesh
+    # is rebuilt from the checkpoint: the grid widths alone nest them
+    run = time_march(unit_square_mesh(4), params, 0.125, 0.25)
+    run.save(tmp_path / "run.npz")
+    loaded = TrajectorySolution.load(tmp_path / "run.npz")
+    ref = build_reference(unit_square_mesh(4), 1.0 / 16.0, 0.25, params,
+                          levels=1)
+    assert loaded.mesh is not run.mesh
+    expected = error_curve(run, ref, [0.125, 0.25])
+    assert error_curve(loaded, ref, [0.125, 0.25]) == expected
+    assert expected[-1].combined_xy > 0.0
 
 
 def test_requested_time_must_be_a_grid_point(setup):
@@ -211,6 +227,23 @@ def test_newton_study_tracks_linearization_error(params):
         for r in meaningful:
             assert r.gamma >= r.error_combined
         # converged iterate: both columns at rounding level
+        assert rows[-1].gamma < 1e-12
+        assert rows[-1].error_combined < 1e-12
+
+
+def test_newton_study_solves_the_studied_step_from_the_previous_state(
+        params):
+    # from the march's extrapolated start the first iterate lands on the
+    # solution; from the state before the step each instant keeps two
+    # iterates with an error to study
+    mesh = unit_square_mesh(16)
+    tables = newton_study(mesh, 1.0 / 16.0, [0.25, 0.5], params, tol=1e-15)
+    assert sorted(tables) == [0.25, 0.5]
+    for rows in tables.values():
+        meaningful = [r for r in rows if r.error_combined >= 1e-12]
+        assert len(meaningful) >= 2
+        for r in meaningful:
+            assert r.gamma >= r.error_combined
         assert rows[-1].gamma < 1e-12
         assert rows[-1].error_combined < 1e-12
 
