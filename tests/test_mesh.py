@@ -256,13 +256,12 @@ def test_prolongation_rejects_unrelated_meshes():
 
 
 def test_prolongation_rejects_non_grid_meshes():
-    mesh = unit_square_mesh(2)
-    bare = TriMesh(mesh.vertices, mesh.triangles)   # no provenance
+    coarse, fine = unit_square_mesh(2), unit_square_mesh(4)
+    # the same vertices, but with no provenance
     with pytest.raises(MeshError):
-        prolongation(bare, unit_square_mesh(4))
+        prolongation(TriMesh(coarse.vertices, coarse.triangles), fine)
     with pytest.raises(MeshError):
-        prolongation(mesh, TriMesh(unit_square_mesh(4).vertices,
-                                   unit_square_mesh(4).triangles))
+        prolongation(coarse, TriMesh(fine.vertices, fine.triangles))
 
 
 def test_prolongation_between_grids_built_apart():
