@@ -22,6 +22,18 @@ def _edge_midpoints(mesh):
                   + mesh.vertices[mesh.edges[:, 1]])
 
 
+def _assert_vertices_at_coarse_vertices_and_midpoints(coarse, fine):
+    """`fine` has a vertex at each vertex and at each edge midpoint of
+    `coarse`, and no other vertex."""
+    at_vertex = _vertex_at(fine, coarse.vertices)
+    at_mid = _vertex_at(fine, _edge_midpoints(coarse))
+    assert np.array_equal(fine.vertices[at_vertex], coarse.vertices)
+    assert np.abs(fine.vertices[at_mid]
+                  - _edge_midpoints(coarse)).max() <= 1e-15
+    assert np.array_equal(np.sort(np.concatenate([at_vertex, at_mid])),
+                          np.arange(fine.num_vertices))
+
+
 def test_smallest_mesh_counts():
     m = unit_square_mesh(1)
     assert m.num_vertices == 4
@@ -121,6 +133,11 @@ def test_refine_uniform_refuses_a_non_grid_mesh():
     distorted.base_n = 3
     with pytest.raises(MeshError):
         refine_uniform(distorted)
+
+
+def test_parent_links_sit_at_coarse_vertices_and_edge_midpoints():
+    m = unit_square_mesh(4)
+    _assert_vertices_at_coarse_vertices_and_midpoints(m, refine_uniform(m))
 
 
 def test_element_geometry_reference_triangle(reference_triangle):
@@ -303,15 +320,7 @@ def test_refined_mesh_is_numbered_like_the_structured_mesh(n, levels, seed):
     assert np.array_equal(fine.triangles, structured.triangles)
     assert (fine.base_n, fine.levels) == (n, levels)
     for coarse, mesh in zip(chain[:-1], chain[1:]):
-        # a vertex at each coarse vertex and at each coarse edge midpoint,
-        # and no other vertex
-        at_vertex = _vertex_at(mesh, coarse.vertices)
-        at_mid = _vertex_at(mesh, _edge_midpoints(coarse))
-        assert np.array_equal(mesh.vertices[at_vertex], coarse.vertices)
-        assert np.abs(mesh.vertices[at_mid]
-                      - _edge_midpoints(coarse)).max() <= 1e-15
-        assert np.array_equal(np.sort(np.concatenate([at_vertex, at_mid])),
-                              np.arange(mesh.num_vertices))
+        _assert_vertices_at_coarse_vertices_and_midpoints(coarse, mesh)
     # prolongation reproduces random coarse P1 functions at the fine nodes
     v = np.random.default_rng(seed).standard_normal(chain[0].num_vertices)
     direct = np.array([evaluate_p1(chain[0], v, x, y)
