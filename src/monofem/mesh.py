@@ -12,7 +12,14 @@ chain is a grid (:func:`grid_cells`): the solver's u-block
 preconditioner, a tensor-product solve on the grid, applies to each,
 and the prolongation between two of them is read off their grid
 indices.
+
+A mesh computes its element geometry (areas, P1 basis gradients) and
+checks its validity at construction; the edge table and the
+per-triangle edge geometry, which only the a posteriori estimators and
+the diameters read, are built on first read (:class:`TriMesh`).
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,18 +59,32 @@ def _unique_edges(pairs):
 
 
 class TriMesh:
-    """Conforming triangulation with edge topology.
+    """Conforming triangulation with lazily built edge topology.
 
     Parameters
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise vertex triples
 
+    Construction keeps what every computation reads: `vertices`,
+    `triangles`, `areas` and `basis_gradients`.  It refuses, with
+    MeshError, an index out of range, a degenerate or clockwise
+    triangle, a vertex in no triangle, and an edge that two triangles
+    traverse in the same direction: since every triangle is
+    counterclockwise, that covers an edge shared by more than two
+    triangles, and also two triangles overlapping on one side of an edge.
+
+    The edge table (`edges`, `triangle_edges`, `edge_triangles`,
+    `boundary_edge`, `edge_lengths`, `edge_normals`) and the per-triangle
+    edge geometry (`tri_edge_lengths`, `tri_edge_normals`, `diameters`)
+    are built on first read and then kept on the mesh; only the
+    estimators' edge jumps need the table, and reading `diameters` does
+    not build it.
+
     The mesh is immutable after construction, apart from the cache
-    `located_points`, and safe to share between threads for reading.
-    Edges are stored as sorted vertex pairs in lexicographic order;
-    ``edge_triangles[e]`` lists the one or two incident triangles (second
-    entry -1 on the boundary, lower triangle index first).
+    `located_points` and the attributes built on first read, and safe to
+    share between threads for reading: two threads that read a lazy
+    attribute at once may both build it, and get equal arrays.
     """
 
     def __init__(self, vertices, triangles):
@@ -73,9 +94,13 @@ class TriMesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if triangles.size and (triangles.min() < 0
-                               or triangles.max() >= len(vertices)):
+        nv = len(vertices)
+        if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise MeshError("triangle vertex index out of range")
+        uses = np.bincount(triangles.ravel(), minlength=nv)
+        if nv and uses.min() == 0:
+            raise MeshError(f"vertex {int(uses.argmin())} lies in no "
+                            "triangle")
         self.vertices = vertices
         self.triangles = triangles
         # provenance of structured meshes (unit_square_mesh + refinements)
@@ -100,26 +125,63 @@ class TriMesh:
         g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
         self.basis_gradients = np.stack([-g1 - g2, g1, g2], axis=1)
 
-        # local edge j joins vertices j and j+1 (mod 3)
-        tang = np.stack([p[:, 1] - p[:, 0],
+        # directed edges a -> b as keys a nv + b: an edge of counterclockwise
+        # triangles is traversed once in each direction at most
+        directed = np.sort((triangles * nv
+                            + np.roll(triangles, -1, axis=1)).ravel())
+        if np.any(directed[1:] == directed[:-1]):
+            raise MeshError("an edge is shared by more than two triangles "
+                            "or by two on the same side")
+
+    def _tri_edge_tangents(self):
+        """(nt, 3, 2): local edge j runs from vertex j to vertex j+1
+        (mod 3)."""
+        p = self.vertices[self.triangles]
+        return np.stack([p[:, 1] - p[:, 0],
                          p[:, 2] - p[:, 1],
-                         p[:, 0] - p[:, 2]], axis=1)   # (nt, 3, 2)
-        self.tri_edge_lengths = np.linalg.norm(tang, axis=2)
-        self.diameters = self.tri_edge_lengths.max(axis=1)
+                         p[:, 0] - p[:, 2]], axis=1)
+
+    @cached_property
+    def tri_edge_lengths(self):
+        """(nt, 3) length of each local edge."""
+        return np.linalg.norm(self._tri_edge_tangents(), axis=2)
+
+    @cached_property
+    def tri_edge_normals(self):
+        """(nt, 3, 2) outward unit normal of each local edge."""
+        tang = self._tri_edge_tangents()
         # outward normal of a CCW triangle: rotate the tangent by -90 deg
-        self.tri_edge_normals = (np.stack([tang[:, :, 1], -tang[:, :, 0]],
-                                          axis=2)
-                                 / self.tri_edge_lengths[:, :, None])
+        return (np.stack([tang[:, :, 1], -tang[:, :, 0]], axis=2)
+                / self.tri_edge_lengths[:, :, None])
 
-        # global edge table from sorted local pairs
-        raw = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        self.edges, inv = _unique_edges(np.sort(raw, axis=1))
-        self.triangle_edges = inv.reshape(-1, 3)
+    @cached_property
+    def diameters(self):
+        """(nt,) longest edge of each triangle."""
+        return self.tri_edge_lengths.max(axis=1)
 
-        ne = len(self.edges)
-        if np.bincount(inv, minlength=ne).max(initial=0) > 2:
-            raise MeshError("an edge is shared by more than two triangles")
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
+    @cached_property
+    def _edge_index(self):
+        """(edges, inverse): the global edges from the sorted local pairs,
+        and the global edge of each local edge, triangle by triangle."""
+        raw = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        return _unique_edges(np.sort(raw, axis=1))
+
+    @cached_property
+    def edges(self):
+        """(ne, 2) sorted vertex pairs in lexicographic order."""
+        return self._edge_index[0]
+
+    @cached_property
+    def triangle_edges(self):
+        """(nt, 3) global edge of each local edge."""
+        return self._edge_index[1].reshape(-1, 3)
+
+    @cached_property
+    def edge_triangles(self):
+        """(ne, 2) the one or two incident triangles, lower index first;
+        the second is -1 on the boundary."""
+        inv = self._edge_index[1]
+        edge_tris = np.full((self.num_edges, 2), -1, dtype=np.int64)
         order = np.argsort(inv, kind="stable")
         tri_of_slot = order // 3
         eid = inv[order]
@@ -127,17 +189,28 @@ class TriMesh:
         first[1:] = eid[1:] != eid[:-1]
         edge_tris[eid[first], 0] = tri_of_slot[first]
         edge_tris[eid[~first], 1] = tri_of_slot[~first]
-        self.edge_triangles = edge_tris
-        self.boundary_edge = edge_tris[:, 1] < 0
-        self.edge_lengths = np.linalg.norm(
-            vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]], axis=1)
+        return edge_tris
 
-        # fixed jump convention: normal points out of the first (lower-index)
-        # incident triangle
-        t1 = edge_tris[:, 0]
-        slot = np.argmax(self.triangle_edges[t1] == np.arange(ne)[:, None],
-                         axis=1)
-        self.edge_normals = self.tri_edge_normals[t1, slot]
+    @cached_property
+    def boundary_edge(self):
+        """(ne,) True where an edge has one incident triangle."""
+        return self.edge_triangles[:, 1] < 0
+
+    @cached_property
+    def edge_lengths(self):
+        """(ne,) length of each edge."""
+        v = self.vertices
+        return np.linalg.norm(v[self.edges[:, 1]] - v[self.edges[:, 0]],
+                              axis=1)
+
+    @cached_property
+    def edge_normals(self):
+        """(ne, 2) unit normal of each edge, pointing out of its first
+        (lower-index) incident triangle: a fixed jump convention."""
+        t1 = self.edge_triangles[:, 0]
+        slot = np.argmax(self.triangle_edges[t1]
+                         == np.arange(self.num_edges)[:, None], axis=1)
+        return self.tri_edge_normals[t1, slot]
 
     @property
     def num_vertices(self):

@@ -1,12 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monofem import mesh as mesh_module
 from monofem.assembly import evaluate_p1, mass_matrix
+from monofem.estimators import estimate_trajectory
+from monofem.ionic import initial_pair
 from monofem.mesh import (MeshError, TriMesh, grid_cells, mesh_chain,
                           prolongation, refine_uniform, unit_square_mesh,
                           write_vtk)
+from monofem.solver import TrajectorySolution, time_march
 
 
 def _vertex_at(mesh, points):
@@ -183,6 +190,75 @@ def test_degenerate_and_flipped_triangles_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
         TriMesh(verts, np.array([[0, 2, 1]]))   # clockwise
+
+
+def test_vertex_in_no_triangle_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(MeshError, match="vertex 3 lies in no triangle"):
+        TriMesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_edge_in_three_triangles_rejected():
+    # (0, v, 4) adds a third triangle at the diagonal from vertex 0 at
+    # (0, 0) to vertex 4 at (0.5, 0.5) of unit_square_mesh(2)
+    m = unit_square_mesh(2)
+    verts = np.vstack([m.vertices, [[0.9, -0.5]]])
+    tris = np.vstack([m.triangles, [[0, m.num_vertices, 4]]])
+    with pytest.raises(MeshError, match="more than two triangles"):
+        TriMesh(verts, tris)
+
+
+def test_edge_table_is_built_only_when_read(tmp_path, params, monkeypatch):
+    calls = []
+    real = mesh_module._unique_edges
+
+    def counting(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(mesh_module, "_unique_edges", counting)
+    mesh = unit_square_mesh(8)
+    traj = time_march(mesh, params, 0.25, 0.5)
+    traj.save(tmp_path / "traj.npz")
+    evaluate_p1(mesh, traj.U[-1], 0.3, 0.7)
+    assert mesh.max_diameter == pytest.approx(np.sqrt(2.0) / 8)
+    assert calls == []
+    estimate_trajectory(traj)
+    assert len(calls) == 1
+    estimate_trajectory(traj)
+    assert len(calls) == 1
+    # a loaded checkpoint builds its own mesh, and its table on first read
+    loaded = TrajectorySolution.load(tmp_path / "traj.npz")
+    assert len(calls) == 1
+    estimate_trajectory(loaded, initial=initial_pair())
+    assert len(calls) == 2
+
+
+def test_threads_reading_a_fresh_mesh_see_one_edge_table():
+    names = ("edges", "triangle_edges", "edge_triangles", "boundary_edge",
+             "edge_lengths", "edge_normals", "diameters")
+    expected = unit_square_mesh(16)
+    mesh = unit_square_mesh(16)
+    seen = []
+
+    def read():
+        seen.append([getattr(mesh, name) for name in names])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == len(threads)
+    for arrays in seen:
+        for name, a in zip(names, arrays):
+            assert np.array_equal(a, getattr(expected, name))
 
 
 def test_element_geometry_index_errors(reference_triangle):

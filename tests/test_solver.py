@@ -90,7 +90,8 @@ def test_newton_solve_rejects_nonpositive_tau(params):
 
 def _newton_case(case):
     """(operators, parameters) of one oracle case."""
-    mesh = mesh_chain(4, 1)[-1] if case == "refined" else unit_square_mesh(8)
+    mesh = (mesh_chain(3, 1)[-1] if case == "unit_square_6_levels_1"
+            else unit_square_mesh(8))
     p = (AlievPanfilovParams(A=5.0, a=0.3, eps=0.05, M_scalar=2.5)
          if case == "params" else AlievPanfilovParams())
     return DiscreteOperators.for_params(mesh, p), p
@@ -101,7 +102,8 @@ def _random_states(mesh, seed):
     return [rng.uniform(-0.1, 1.1, mesh.num_vertices) for _ in range(4)]
 
 
-@pytest.mark.parametrize("case", ["unit_square_8", "refined", "params"])
+@pytest.mark.parametrize("case", ["unit_square_8", "unit_square_6_levels_1",
+                                  "params"])
 def test_newton_system_matches_coo_reference(case):
     ops, p = _newton_case(case)
     for seed, tau in ((0, 0.05), (1, 0.3)):
@@ -138,9 +140,10 @@ def test_newton_solve_uses_the_stiffness_of_its_operators(params):
 
 
 def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
-    # on a refined mesh the first iterate must be the direct solution of
-    # the reference system assembled in the mesh's numbering
-    mesh = mesh_chain(4, 1)[-1]
+    # on a refined mesh (width 6, levels 1) the first iterate must be the
+    # direct solution of the reference system assembled in the mesh's
+    # numbering
+    mesh = mesh_chain(3, 1)[-1]
     ops = DiscreteOperators.for_params(mesh, params)
     prev = _projected_initial_state(mesh, params)
     tau = 0.05
