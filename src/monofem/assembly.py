@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import ionic
-from .mesh import grid_cells
 
 __all__ = [
     "AssemblyError",
@@ -449,10 +448,10 @@ class DiscreteOperators:
     def u_block_solver(self, tau):
         """:func:`grid_solver` of the mesh for the shift 1/tau and the
         conductivity, made once per tau; AssemblyError unless the mesh is
-        a structured grid (:func:`mesh.grid_cells`)."""
+        a structured grid (:attr:`mesh.TriMesh.grid_n`)."""
         solve = self._u_block_solvers.get(tau)
         if solve is None:
-            n = grid_cells(self.mesh)
+            n = self.mesh.grid_n
             if n is None:
                 raise AssemblyError("the u-block solve needs the structured "
                                     "grid of unit_square_mesh or its "

@@ -392,7 +392,8 @@ def _cmd_solve(cfg):
 
 
 def _reference_levels(cfg, n):
-    """Refinements from the coarse mesh size `n` up to reference_n."""
+    """Refinements from the coarse mesh size `n` up to reference_n;
+    ConfigError unless reference_n is n times a power of two, 2 or more."""
     ratio = cfg.reference_n / n
     levels = int(round(math.log2(ratio))) if ratio > 0 else -1
     if levels < 1 or n * 2 ** levels != cfg.reference_n:
@@ -403,7 +404,7 @@ def _reference_levels(cfg, n):
 
 
 def _cmd_upperbound(cfg):
-    levels = _reference_levels(cfg, cfg.mesh_n)
+    _reference_levels(cfg, cfg.mesh_n)
     _check_marches(cfg, [
         ("run.tau", cfg.mesh_n, cfg.tau, True),
         ("study.reference_tau", cfg.reference_n, cfg.reference_tau, False)])
@@ -411,8 +412,9 @@ def _cmd_upperbound(cfg):
     p = cfg.params()
     mesh = unit_square_mesh(cfg.mesh_n)
     traj = time_march(mesh, p, cfg.tau, cfg.t_end, cfg=cfg.newton_config())
-    ref = build_reference(mesh, cfg.reference_tau, cfg.t_end, p,
-                          levels=levels, tol=cfg.reference_tol)
+    ref = build_reference(unit_square_mesh(cfg.reference_n),
+                          cfg.reference_tau, cfg.t_end, p,
+                          tol=cfg.reference_tol)
     rows = upper_bound_study(traj, ref, p)
     write_csv(["t", "error", "estimator", "effectivity"],
               [(r.time, r.error, r.estimator, r.effectivity) for r in rows],

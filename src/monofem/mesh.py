@@ -7,11 +7,11 @@ ASCII VTK dump for visualization.
 The structured mesh of width n numbers its vertices row by row: rows of
 increasing y, each row by increasing x.  Splitting each of its
 triangles into four at the edge midpoints gives the structured mesh of
-width 2n, so a refinement is built as that mesh, and every mesh of a
-chain is a grid (:func:`grid_cells`): the solver's u-block
-preconditioner, a tensor-product solve on the grid, applies to each,
-and the prolongation between two of them is read off their grid
-indices.
+width 2n, so a refinement is built as that mesh.  A mesh is the grid of
+width n (:attr:`TriMesh.grid_n`) when its arrays are those of
+:func:`unit_square_mesh`, however it was built: the solver's u-block
+preconditioner, a tensor-product solve on the grid, applies to it, and
+the prolongation between two grids is read off their grid indices.
 
 A mesh computes its element geometry (areas, P1 basis gradients) and
 checks its validity at construction; the edge table and the
@@ -20,6 +20,7 @@ the diameters read, are built on first read (:class:`TriMesh`).
 """
 
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,6 @@ __all__ = [
     "unit_square_mesh",
     "refine_uniform",
     "mesh_chain",
-    "grid_cells",
     "prolongation",
     "write_vtk",
 ]
@@ -75,11 +75,11 @@ class TriMesh:
     triangles, and also two triangles overlapping on one side of an edge.
 
     The edge table (`edges`, `triangle_edges`, `edge_triangles`,
-    `boundary_edge`, `edge_lengths`, `edge_normals`) and the per-triangle
-    edge geometry (`tri_edge_lengths`, `tri_edge_normals`, `diameters`)
-    are built on first read and then kept on the mesh; only the
-    estimators' edge jumps need the table, and reading `diameters` does
-    not build it.
+    `edge_lengths`, `edge_normals`), the per-triangle edge geometry
+    (`tri_edge_lengths`, `tri_edge_normals`, `diameters`) and the grid
+    width `grid_n` are built on first read and then kept on the mesh;
+    only the estimators' edge jumps need the table, and reading
+    `diameters` does not build it.
 
     The mesh is immutable after construction, apart from the cache
     `located_points` and the attributes built on first read, and safe to
@@ -103,9 +103,6 @@ class TriMesh:
                             "triangle")
         self.vertices = vertices
         self.triangles = triangles
-        # provenance of structured meshes (unit_square_mesh + refinements)
-        self.base_n = None
-        self.levels = 0
         # (x, y) -> (triangle, barycentric coordinates) of each point
         # assembly.evaluate_p1 has located; a cache, so it lives and dies
         # with the mesh
@@ -181,7 +178,7 @@ class TriMesh:
         """(ne, 2) the one or two incident triangles, lower index first;
         the second is -1 on the boundary."""
         inv = self._edge_index[1]
-        edge_tris = np.full((self.num_edges, 2), -1, dtype=np.int64)
+        edge_tris = np.full((len(self.edges), 2), -1, dtype=np.int64)
         order = np.argsort(inv, kind="stable")
         tri_of_slot = order // 3
         eid = inv[order]
@@ -190,11 +187,6 @@ class TriMesh:
         edge_tris[eid[first], 0] = tri_of_slot[first]
         edge_tris[eid[~first], 1] = tri_of_slot[~first]
         return edge_tris
-
-    @cached_property
-    def boundary_edge(self):
-        """(ne,) True where an edge has one incident triangle."""
-        return self.edge_triangles[:, 1] < 0
 
     @cached_property
     def edge_lengths(self):
@@ -209,7 +201,7 @@ class TriMesh:
         (lower-index) incident triangle: a fixed jump convention."""
         t1 = self.edge_triangles[:, 0]
         slot = np.argmax(self.triangle_edges[t1]
-                         == np.arange(self.num_edges)[:, None], axis=1)
+                         == np.arange(len(self.edges))[:, None], axis=1)
         return self.tri_edge_normals[t1, slot]
 
     @property
@@ -221,31 +213,35 @@ class TriMesh:
         return len(self.triangles)
 
     @property
-    def num_edges(self):
-        return len(self.edges)
-
-    @property
     def max_diameter(self):
         return float(self.diameters.max())
 
-    @property
-    def total_area(self):
-        return float(self.areas.sum())
+    @cached_property
+    def grid_n(self):
+        """n when this mesh is unit_square_mesh(n), else None.
+
+        The triangles must be those of the grid, index for index, and
+        each vertex within 1e-9/n of its grid point; a renumbered mesh,
+        one cut along other diagonals, or one with a vertex moved is not
+        a grid.
+        """
+        n = isqrt(self.num_vertices) - 1
+        if n < 1:
+            return None
+        vertices, triangles = _grid_arrays(n)
+        # equal triangles use every grid vertex, and construction refused
+        # a vertex in no triangle: the vertex arrays have equal shapes
+        if (not np.array_equal(self.triangles, triangles)
+                or np.abs(self.vertices - vertices).max() > 1e-9 / n):
+            return None
+        return n
 
     def __repr__(self):
-        return (f"TriMesh(nv={self.num_vertices}, nt={self.num_triangles}, "
-                f"ne={self.num_edges})")
+        return f"TriMesh(nv={self.num_vertices}, nt={self.num_triangles})"
 
 
-def unit_square_mesh(n):
-    """Structured mesh of (0,1)^2 with n x n cells split along one diagonal.
-
-    (n+1)^2 vertices, 2 n^2 triangles; every square cell is cut from its
-    lower-left to its upper-right corner, so all triangles are congruent
-    right triangles of diameter sqrt(2)/n.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise MeshError(f"n must be a positive integer, got {n!r}")
+def _grid_arrays(n):
+    """The (vertices, triangles) arrays of unit_square_mesh(n)."""
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
@@ -260,10 +256,19 @@ def unit_square_mesh(n):
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
     triangles[0::2] = lower
     triangles[1::2] = upper
-    mesh = TriMesh(vertices, triangles)
-    mesh.base_n = int(n)
-    mesh.levels = 0
-    return mesh
+    return vertices, triangles
+
+
+def unit_square_mesh(n):
+    """Structured mesh of (0,1)^2 with n x n cells split along one diagonal.
+
+    (n+1)^2 vertices, 2 n^2 triangles; every square cell is cut from its
+    lower-left to its upper-right corner, so all triangles are congruent
+    right triangles of diameter sqrt(2)/n.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise MeshError(f"n must be a positive integer, got {n!r}")
+    return TriMesh(*_grid_arrays(n))
 
 
 def refine_uniform(mesh):
@@ -271,46 +276,18 @@ def refine_uniform(mesh):
 
     It is the mesh that splits every triangle of `mesh` into four
     congruent children at its edge midpoints, numbered and oriented as
-    :func:`unit_square_mesh` numbers it; it keeps the provenance of
-    `mesh`, one level more.  MeshError unless `mesh` is a structured grid
-    (:func:`grid_cells`).
+    :func:`unit_square_mesh` numbers it.  MeshError unless `mesh` is a
+    grid (:attr:`TriMesh.grid_n`).
     """
-    n = grid_cells(mesh)
-    if n is None:
+    if mesh.grid_n is None:
         raise MeshError("only a structured grid can be refined")
-    fine = unit_square_mesh(2 * n)
-    fine.base_n = mesh.base_n
-    fine.levels = mesh.levels + 1
-    return fine
+    return unit_square_mesh(2 * mesh.grid_n)
 
 
-def mesh_chain(base_n, levels):
-    """base mesh plus `levels` uniform refinements: [m0, m1, ..., m_levels]."""
-    chain = [unit_square_mesh(base_n)]
-    for _ in range(levels):
-        chain.append(refine_uniform(chain[-1]))
-    return chain
-
-
-def grid_cells(mesh):
-    """n when `mesh` is unit_square_mesh(n) or a refinement of a
-    structured mesh to that width, else None.
-
-    The mesh must carry its provenance (`base_n` is set), and its
-    vertices must sit row by row on the (n+1)^2 grid, n = base_n 2^levels,
-    as :func:`unit_square_mesh` numbers them; one O(N) comparison checks
-    that.
-    """
-    if mesh.base_n is None:
-        return None
-    n = mesh.base_n * 2 ** mesh.levels
-    if mesh.num_vertices != (n + 1) ** 2:
-        return None
-    xy = mesh.vertices.reshape(n + 1, n + 1, 2)
-    xs = np.arange(n + 1) / n
-    off = max(np.abs(xy[:, :, 0] - xs).max(),
-              np.abs(xy[:, :, 1] - xs[:, None]).max())
-    return n if off <= 1e-9 / n else None
+def mesh_chain(n, refinements):
+    """unit_square_mesh(n) and its `refinements` uniform refinements:
+    [m_0, ..., m_refinements] with m_k = unit_square_mesh(n 2^k)."""
+    return [unit_square_mesh(n * 2 ** k) for k in range(refinements + 1)]
 
 
 def prolongation(coarse, fine):
@@ -323,10 +300,10 @@ def prolongation(coarse, fine):
     coordinates (s, t) in its coarse cell, 1 - max(s, t) at the cell's
     lower-left corner, min(s, t) at its upper-right one and |s - t| at
     the third corner of the triangle.  Both meshes must be structured
-    grids (:func:`grid_cells`) and the coarse width must divide the fine
-    one; MeshError otherwise.
+    grids (:attr:`TriMesh.grid_n`) and the coarse width must divide the
+    fine one; MeshError otherwise.
     """
-    nc, nf = grid_cells(coarse), grid_cells(fine)
+    nc, nf = coarse.grid_n, fine.grid_n
     if nc is None or nf is None or nf % nc:
         raise MeshError("meshes are not nested structured grids")
     r = nf // nc

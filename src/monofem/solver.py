@@ -23,11 +23,10 @@ from the solution by the Newton increment.  Every solve checks the
 relative-residual contract |Ax - b| <= 1e-10 |b| and raises SolverError
 when GMRES misses it, and refuses a right-hand side whose norm is not
 finite.  A march runs only on the structured grids of
-`mesh.unit_square_mesh` and its refinements (`mesh.grid_cells`), and
-refuses any other mesh before it assembles anything.  `DirectSolver`,
-one LU of the whole system per solve, is the oracle the tests compare
-the march against.  The unknowns are u, then w, each in the mesh
-numbering.
+`mesh.unit_square_mesh` (`TriMesh.grid_n`), and refuses any other mesh
+before it assembles anything.  `DirectSolver`, one LU of the whole
+system per solve, is the oracle the tests compare the march against.
+The unknowns are u, then w, each in the mesh numbering.
 
 Each step after a march's first starts Newton from a polynomial
 extrapolation of the last accepted states, of the degree (at most 5)
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 from . import estimators, ionic
 from .assembly import (_PERMC_SPEC, DiscreteOperators, l2_project,
                        mass_solver)
-from .mesh import grid_cells, mesh_chain
+from .mesh import unit_square_mesh
 
 __all__ = [
     "SolverError",
@@ -324,13 +323,13 @@ def _check_residual(A, x, b):
 
 def _require_grid(mesh):
     """SolverError unless `mesh` is a structured grid
-    (:func:`mesh.grid_cells`), the only meshes the u-block preconditioner
-    solves on."""
-    if grid_cells(mesh) is None:
+    (:attr:`mesh.TriMesh.grid_n`), the only meshes the u-block
+    preconditioner solves on."""
+    if mesh.grid_n is None:
         raise SolverError("the march runs on the structured grids of "
-                          "unit_square_mesh and its refinements only; this "
-                          "mesh is not one (renumbered, moved or built by "
-                          "hand)")
+                          "unit_square_mesh only; this mesh is not one "
+                          "(renumbered, moved or cut along other "
+                          "diagonals)")
 
 
 def _roundoff_floor(ops, u, w):
@@ -549,25 +548,26 @@ class TrajectorySolution:
         """Checkpoint to an uncompressed .npz archive with the keys
 
         format_version (2), base_n and levels (the mesh is
-        mesh_chain(base_n, levels)[-1]), times, U, W, tau (NaN when
-        unknown), params ([A, a, eps, M_scalar]) and newton_iterations
-        (one count per step).  The columns of U and W follow the vertex
-        numbering of that mesh, row by row also on refined meshes; format
-        1 numbered the midpoints of a refinement after the coarse
-        vertices.  The initial data and the penultimate iterates are not
-        saved.  Compressing took over ten times as long as writing,
-        for a file about 1.6 times smaller; :meth:`load` reads both
-        kinds.
+        unit_square_mesh(base_n 2^levels); base_n is written as the grid
+        width and levels as 0), times, U, W, tau (NaN when unknown),
+        params ([A, a, eps, M_scalar]) and newton_iterations (one count
+        per step).  The columns of U and W follow the vertex numbering of
+        that mesh, row by row; format 1 numbered the midpoints of a
+        refinement after the coarse vertices.  SolverError unless the
+        mesh is a structured grid (:attr:`mesh.TriMesh.grid_n`).  The
+        initial data and the penultimate iterates are not saved.
+        Compressing took over ten times as long as writing, for a file
+        about 1.6 times smaller; :meth:`load` reads both kinds.
         """
-        if self.mesh.base_n is None:
-            raise SolverError("only structured meshes (unit_square_mesh + "
-                              "refinements) can be checkpointed")
+        if self.mesh.grid_n is None:
+            raise SolverError("only the structured grids of "
+                              "unit_square_mesh can be checkpointed")
         p = self.params
         np.savez(
             path,
             format_version=_CHECKPOINT_VERSION,
-            base_n=self.mesh.base_n,
-            levels=self.mesh.levels,
+            base_n=self.mesh.grid_n,
+            levels=0,
             times=self.times,
             U=self.U,
             W=self.W,
@@ -592,9 +592,8 @@ class TrajectorySolution:
                 raise SolverError(f"checkpoint format version {version} is "
                                   f"not supported (expected "
                                   f"{_CHECKPOINT_VERSION})")
-            base_n = int(data["base_n"])
-            levels = int(data["levels"])
-            mesh = mesh_chain(base_n, levels)[-1]
+            mesh = unit_square_mesh(int(data["base_n"])
+                                    * 2 ** int(data["levels"]))
             A, a, eps, M = data["params"]
             params = ionic.AlievPanfilovParams(A=float(A), a=float(a),
                                                eps=float(eps),
@@ -646,8 +645,8 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     solve of the u-block and Chebyshev steps on the mass matrix, each
     solve checked to |Ax - b| <= 1e-10 |b|.  The march factors no matrix:
     the initial data is projected with Chebyshev steps as well.  `mesh`
-    must be a structured grid (:func:`mesh.grid_cells`); any other mesh
-    is refused with SolverError before anything is assembled.
+    must be a structured grid (:attr:`mesh.TriMesh.grid_n`); any other
+    mesh is refused with SolverError before anything is assembled.
 
     Parameters
     ----------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .assembly import _PERMC_SPEC, DiscreteOperators
 from .estimators import estimate_trajectory, linearization_indicator
-from .mesh import mesh_chain, prolongation, refine_uniform
+from .mesh import prolongation, unit_square_mesh
 from .solver import (NewtonConfig, SolverError, _march_steps, initial_state,
                      newton_solve, step_count, time_march)
 
@@ -100,16 +100,13 @@ class NewtonStudyRow:
     error_combined: float
 
 
-def build_reference(mesh, tau, t_end, p, levels=0, tol=REFERENCE_TOL,
-                    initial=None):
-    """High-fidelity trajectory on `mesh` refined `levels` more times.
+def build_reference(mesh, tau, t_end, p, tol=REFERENCE_TOL, initial=None):
+    """High-fidelity trajectory on `mesh`.
 
     Newton is driven to `tol` (rounding level) so the linearization error
     is negligible; the march is :func:`time_march`, which factors no
     matrix, and the penultimate iterates are not stored.
     """
-    for _ in range(levels):
-        mesh = refine_uniform(mesh)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=40)
     return time_march(mesh, p, tau, t_end, cfg=cfg, initial=initial,
@@ -258,27 +255,27 @@ def convergence_study(rungs, t_end, p, ref_levels=2, ref_tau=None,
     """Halving ladder of (n, tau) runs against one fixed reference.
 
     `rungs` is a list of (n, tau) with each n doubling the previous one.
-    The reference is built ref_levels refinements above the finest rung,
-    on the refinement chain of the coarsest one, with timestep ref_tau
-    (default: a quarter of the finest rung's tau).  Each rung is scored
+    Each rung marches on unit_square_mesh(n).  The reference is built on
+    the grid ref_levels refinements above the finest rung,
+    unit_square_mesh(n 2^ref_levels), with timestep ref_tau (default: a
+    quarter of the finest rung's tau).  Each rung is scored
     at t_end by :func:`upper_bound_study`, with the simplified-indicator
     bound.
     """
     ns = [n for n, _ in rungs]
-    base_n = ns[0]
     for i, n in enumerate(ns):
-        if n != base_n * 2 ** i:
+        if n != ns[0] * 2 ** i:
             raise ValueError("ladder mesh sizes must double at each rung")
 
-    chain = mesh_chain(base_n, len(ns) - 1 + ref_levels)
-    meshes = chain[:len(ns)]
     if ref_tau is None:
         ref_tau = rungs[-1][1] / 4.0
-    reference = build_reference(chain[-1], ref_tau, t_end, p, tol=ref_tol)
+    reference = build_reference(unit_square_mesh(ns[-1] * 2 ** ref_levels),
+                                ref_tau, t_end, p, tol=ref_tol)
 
     newton_cfg = newton_cfg or NewtonConfig()
     rows = []
-    for (n, tau), mesh in zip(rungs, meshes):
+    for n, tau in rungs:
+        mesh = unit_square_mesh(n)
         traj = time_march(mesh, p, tau, t_end, cfg=newton_cfg)
         last = upper_bound_study(traj, reference, p)[-1]
         rows.append(ConvergenceRow(n=n, h=1.0 / n,

@@ -18,7 +18,9 @@ step's Newton iteration where the march does, by calling the package's
 `solver._newton_start`, so the two differ only in their linear algebra.
 The Chebyshev mass solve is checked against the dense matrix of its
 polynomial, built from the generalized eigenvectors of the mass matrix
-and its diagonal.
+and its diagonal.  `other_diagonals` cuts the cells of a structured grid
+along the diagonal the package does not use, which makes a mesh on the
+grid's vertices that is not the grid.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ from math import factorial
 
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import react
+from monofem.mesh import TriMesh, unit_square_mesh
 from monofem.solver import (_HISTORY, DirectSolver, _newton_start,
                             initial_state, newton_solve, step_count)
 
@@ -166,3 +169,18 @@ def direct_march(mesh, p, tau, t_end, cfg, initial=None):
     U = [s.u for s in reversed(history)]
     W = [s.w for s in reversed(history)]
     return np.array(U), np.array(W), np.array(counts)
+
+
+def other_diagonals(n, flipped=None):
+    """The vertices of unit_square_mesh(n) with its square cells cut from
+    lower-right to upper-left: every cell, or only the cell `flipped`
+    (its index in the row-by-row order of the cells)."""
+    mesh = unit_square_mesh(n)
+    cells = mesh.triangles.reshape(-1, 6)
+    v00, v10, v11, v01 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 5]
+    other = np.stack([v00, v10, v01, v10, v11, v01], axis=1)
+    if flipped is not None:
+        cells = cells.copy()
+        cells[flipped] = other[flipped]
+        other = cells
+    return TriMesh(mesh.vertices, other.reshape(-1, 3))

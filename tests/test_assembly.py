@@ -275,13 +275,13 @@ def test_l2_project_constants_and_p1(mesh8):
 
 
 #: meshes of the grid solve: n = 1, 2, odd and even, and two refined
-#: meshes, whose width the solve reads from base_n and levels
+#: meshes, whose width the solve reads from the mesh's arrays
 _GRIDS = {"n1": lambda: unit_square_mesh(1),
           "n2": lambda: unit_square_mesh(2),
           "n7": lambda: unit_square_mesh(7),
           "n8": lambda: unit_square_mesh(8),
-          "n12_levels_2": lambda: mesh_chain(3, 2)[-1],
-          "n64_levels_2": lambda: mesh_chain(16, 2)[-1]}
+          "n12": lambda: mesh_chain(3, 2)[-1],
+          "n64": lambda: mesh_chain(16, 2)[-1]}
 
 
 @pytest.mark.parametrize("case", sorted(_GRIDS))

@@ -10,16 +10,17 @@ from monofem import mesh as mesh_module
 from monofem.assembly import evaluate_p1, mass_matrix
 from monofem.estimators import estimate_trajectory
 from monofem.ionic import initial_pair
-from monofem.mesh import (MeshError, TriMesh, grid_cells, mesh_chain,
-                          prolongation, refine_uniform, unit_square_mesh,
-                          write_vtk)
-from monofem.solver import TrajectorySolution, time_march
+from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
+                          refine_uniform, unit_square_mesh, write_vtk)
+from monofem.solver import SolverError, TrajectorySolution, time_march
+
+from oracles import other_diagonals
 
 
 def _vertex_at(mesh, points):
     """Index of the vertex of the grid `mesh` at each of `points`, found
     from the coordinates alone."""
-    n = grid_cells(mesh)
+    n = mesh.grid_n
     ij = np.rint(np.asarray(points) * n).astype(int)
     return ij[:, 1] * (n + 1) + ij[:, 0]
 
@@ -41,32 +42,38 @@ def _assert_vertices_at_coarse_vertices_and_midpoints(coarse, fine):
                           np.arange(fine.num_vertices))
 
 
+#: meshes on the vertices of unit_square_mesh(3) that are not that grid
+_NOT_GRIDS = {"other_diagonal": lambda: other_diagonals(3),
+              "one_cell_flipped": lambda: other_diagonals(3, flipped=4)}
+
+
 def test_smallest_mesh_counts():
     m = unit_square_mesh(1)
     assert m.num_vertices == 4
     assert m.num_triangles == 2
-    assert m.total_area == pytest.approx(1.0, abs=1e-12)
+    assert m.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_cells_of_structured_and_other_meshes():
-    assert grid_cells(unit_square_mesh(1)) == 1
-    assert grid_cells(unit_square_mesh(7)) == 7
-    assert grid_cells(mesh_chain(3, 2)[-1]) == 12
+    assert unit_square_mesh(1).grid_n == 1
+    assert unit_square_mesh(7).grid_n == 7
+    assert mesh_chain(3, 2)[-1].grid_n == 12
     mesh = unit_square_mesh(3)
-    # the same vertices, but with no provenance
-    assert grid_cells(TriMesh(mesh.vertices, mesh.triangles)) is None
+    # the grid's own arrays make the grid, however the mesh was built
+    assert TriMesh(mesh.vertices, mesh.triangles).grid_n == 3
+    # the same vertices, cut along other diagonals
+    for build in _NOT_GRIDS.values():
+        assert build().grid_n is None
     # renumbered: the vertices leave their rows
     perm = np.roll(np.arange(mesh.num_vertices), 1)
     inv = np.argsort(perm)
     renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles])
-    renumbered.base_n = 3
-    assert grid_cells(renumbered) is None
+    assert renumbered.grid_n is None
     # moved off the grid by much less than h
     moved = mesh.vertices.copy()
     moved[5] += 1e-6
     distorted = TriMesh(moved, mesh.triangles)
-    distorted.base_n = 3
-    assert grid_cells(distorted) is None
+    assert distorted.grid_n is None
 
 
 def test_n2_counts_match_euler_formula():
@@ -74,8 +81,8 @@ def test_n2_counts_match_euler_formula():
     m = unit_square_mesh(2)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    assert m.num_edges == 16
-    assert m.num_vertices - m.num_edges + m.num_triangles == 1
+    assert len(m.edges) == 16
+    assert m.num_vertices - len(m.edges) + m.num_triangles == 1
 
 
 def test_rejects_nonpositive_n():
@@ -90,13 +97,14 @@ def test_structured_mesh_invariants(n):
     m = unit_square_mesh(n)
     assert m.num_vertices == (n + 1) ** 2
     assert m.num_triangles == 2 * n * n
-    assert m.total_area == pytest.approx(1.0, abs=1e-12)
+    assert m.areas.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.max_diameter == pytest.approx(np.sqrt(2.0) / n, rel=1e-13)
     # each interior edge has two incident triangles, boundary edges one
     incidences = (m.edge_triangles >= 0).sum(axis=1)
-    assert np.all(incidences[m.boundary_edge] == 1)
-    assert np.all(incidences[~m.boundary_edge] == 2)
-    assert m.boundary_edge.sum() == 4 * n
+    boundary = m.edge_triangles[:, 1] < 0
+    assert np.all(incidences[boundary] == 1)
+    assert np.all(incidences[~boundary] == 2)
+    assert boundary.sum() == 4 * n
 
 
 def test_paper_grid_cell_width_vs_diameter():
@@ -113,7 +121,7 @@ def test_interior_edges_appear_with_opposite_orientations():
         for u, v in ((a, b), (b, c), (c, a)):
             directed.setdefault((u, v), []).append(t)
     for e, (a, b) in enumerate(m.edges):
-        if m.boundary_edge[e]:
+        if m.edge_triangles[e, 1] < 0:
             continue
         assert len(directed.get((a, b), [])) == 1
         assert len(directed.get((b, a), [])) == 1
@@ -126,18 +134,18 @@ def test_refinement_multiplies_triangles_by_four():
     ff = refine_uniform(f)
     assert ff.num_triangles == 32
     assert ff.max_diameter == pytest.approx(m.max_diameter / 4, rel=1e-13)
-    assert ff.total_area == pytest.approx(1.0, abs=1e-12)
+    assert ff.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_refine_uniform_refuses_a_non_grid_mesh():
     mesh = unit_square_mesh(3)
-    # the same vertices, but with no provenance
-    with pytest.raises(MeshError):
-        refine_uniform(TriMesh(mesh.vertices, mesh.triangles))
+    # the same vertices, cut along other diagonals
+    for build in _NOT_GRIDS.values():
+        with pytest.raises(MeshError):
+            refine_uniform(build())
     moved = mesh.vertices.copy()
     moved[5] += 1e-3
     distorted = TriMesh(moved, mesh.triangles)
-    distorted.base_n = 3
     with pytest.raises(MeshError):
         refine_uniform(distorted)
 
@@ -217,6 +225,8 @@ def test_edge_table_is_built_only_when_read(tmp_path, params, monkeypatch):
         return real(pairs)
 
     monkeypatch.setattr(mesh_module, "_unique_edges", counting)
+    assert repr(unit_square_mesh(2)) == "TriMesh(nv=9, nt=8)"
+    assert calls == []
     mesh = unit_square_mesh(8)
     traj = time_march(mesh, params, 0.25, 0.5)
     traj.save(tmp_path / "traj.npz")
@@ -235,8 +245,8 @@ def test_edge_table_is_built_only_when_read(tmp_path, params, monkeypatch):
 
 
 def test_threads_reading_a_fresh_mesh_see_one_edge_table():
-    names = ("edges", "triangle_edges", "edge_triangles", "boundary_edge",
-             "edge_lengths", "edge_normals", "diameters")
+    names = ("edges", "triangle_edges", "edge_triangles", "edge_lengths",
+             "edge_normals", "diameters", "grid_n")
     expected = unit_square_mesh(16)
     mesh = unit_square_mesh(16)
     seen = []
@@ -349,12 +359,44 @@ def test_prolongation_rejects_unrelated_meshes():
 
 
 def test_prolongation_rejects_non_grid_meshes():
-    coarse, fine = unit_square_mesh(2), unit_square_mesh(4)
-    # the same vertices, but with no provenance
-    with pytest.raises(MeshError):
-        prolongation(TriMesh(coarse.vertices, coarse.triangles), fine)
-    with pytest.raises(MeshError):
-        prolongation(coarse, TriMesh(fine.vertices, fine.triangles))
+    coarse, fine = unit_square_mesh(1), unit_square_mesh(6)
+    # the same vertices, cut along other diagonals
+    for build in _NOT_GRIDS.values():
+        with pytest.raises(MeshError):
+            prolongation(coarse, build())
+        with pytest.raises(MeshError):
+            prolongation(build(), fine)
+
+
+def test_a_mesh_of_the_grid_arrays_is_the_grid(tmp_path, params):
+    # a mesh built by hand from the arrays of unit_square_mesh(4) marches,
+    # is checkpointed and prolongs as the grid does
+    grid = unit_square_mesh(4)
+    mesh = TriMesh(grid.vertices, grid.triangles)
+    traj = time_march(mesh, params, 0.25, 0.5)
+    expected = time_march(grid, params, 0.25, 0.5)
+    assert np.array_equal(traj.U, expected.U)
+    assert np.array_equal(traj.W, expected.W)
+    traj.save(tmp_path / "traj.npz")
+    loaded = TrajectorySolution.load(tmp_path / "traj.npz")
+    assert np.array_equal(loaded.mesh.triangles, grid.triangles)
+    assert np.array_equal(loaded.U, traj.U)
+    assert np.array_equal(loaded.W, traj.W)
+    fine = unit_square_mesh(8)
+    assert (prolongation(mesh, fine) != prolongation(grid, fine)).nnz == 0
+    assert (prolongation(unit_square_mesh(2), mesh)
+            != prolongation(unit_square_mesh(2), grid)).nnz == 0
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_GRIDS))
+def test_a_trajectory_on_other_diagonals_is_not_saved(tmp_path, params,
+                                                      case):
+    mesh = _NOT_GRIDS[case]()
+    zeros = np.zeros((2, mesh.num_vertices))
+    traj = TrajectorySolution(mesh, [0.0, 0.5], zeros, zeros, params)
+    with pytest.raises(SolverError, match="structured grids"):
+        traj.save(tmp_path / "traj.npz")
+    assert not (tmp_path / "traj.npz").exists()
 
 
 def test_prolongation_between_grids_built_apart():
@@ -387,14 +429,12 @@ def test_write_vtk(tmp_path):
 @given(n=st.integers(1, 8), levels=st.integers(0, 2),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_refined_mesh_is_numbered_like_the_structured_mesh(n, levels, seed):
-    # every mesh of a chain is the structured mesh of its width, with the
-    # provenance of the chain
+    # every mesh of a chain is the structured mesh of its width
     chain = mesh_chain(n, levels)
     fine = chain[-1]
     structured = unit_square_mesh(n * 2 ** levels)
     assert np.array_equal(fine.vertices, structured.vertices)
     assert np.array_equal(fine.triangles, structured.triangles)
-    assert (fine.base_n, fine.levels) == (n, levels)
     for coarse, mesh in zip(chain[:-1], chain[1:]):
         _assert_vertices_at_coarse_vertices_and_midpoints(coarse, mesh)
     # prolongation reproduces random coarse P1 functions at the fine nodes

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from monofem import assembly, solver
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import AlievPanfilovParams, react
-from monofem.mesh import TriMesh, grid_cells, mesh_chain, unit_square_mesh
+from monofem.mesh import TriMesh, mesh_chain, unit_square_mesh
 from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
                             NewtonError, SolverError, StateField,
                             TrajectorySolution, initial_state, newton_solve,
@@ -19,7 +19,7 @@ from monofem.solver import (DirectSolver, FrozenLUSolver, NewtonConfig,
 from monofem.verify import build_reference, newton_study
 
 from oracles import (chebyshev_mass_inverse_reference, direct_march,
-                     newton_system_reference)
+                     newton_system_reference, other_diagonals)
 
 
 def test_sparse_solve_identity():
@@ -90,7 +90,7 @@ def test_newton_solve_rejects_nonpositive_tau(params):
 
 def _newton_case(case):
     """(operators, parameters) of one oracle case."""
-    mesh = (mesh_chain(3, 1)[-1] if case == "unit_square_6_levels_1"
+    mesh = (mesh_chain(3, 1)[-1] if case == "unit_square_6"
             else unit_square_mesh(8))
     p = (AlievPanfilovParams(A=5.0, a=0.3, eps=0.05, M_scalar=2.5)
          if case == "params" else AlievPanfilovParams())
@@ -102,8 +102,7 @@ def _random_states(mesh, seed):
     return [rng.uniform(-0.1, 1.1, mesh.num_vertices) for _ in range(4)]
 
 
-@pytest.mark.parametrize("case", ["unit_square_8", "unit_square_6_levels_1",
-                                  "params"])
+@pytest.mark.parametrize("case", ["unit_square_8", "unit_square_6", "params"])
 def test_newton_system_matches_coo_reference(case):
     ops, p = _newton_case(case)
     for seed, tau in ((0, 0.05), (1, 0.3)):
@@ -140,7 +139,7 @@ def test_newton_solve_uses_the_stiffness_of_its_operators(params):
 
 
 def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
-    # on a refined mesh (width 6, levels 1) the first iterate must be the
+    # on a refined mesh (width 6, from width 3) the first iterate must be the
     # direct solution of the reference system assembled in the mesh's
     # numbering
     mesh = mesh_chain(3, 1)[-1]
@@ -328,15 +327,12 @@ def test_balance_mode_evaluates_the_reaction_once_per_iterate(params,
 
 
 def _renumbered_grid(n):
-    """unit_square_mesh(n) with its vertices in a random order, claiming
-    the provenance of the grid."""
+    """unit_square_mesh(n) with its vertices in a random order."""
     mesh = unit_square_mesh(n)
     perm = np.random.default_rng(3).permutation(mesh.num_vertices)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
-    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles])
-    renumbered.base_n = n
-    return renumbered
+    return TriMesh(mesh.vertices[perm], inv[mesh.triangles])
 
 
 def _distorted_grid(n):
@@ -347,14 +343,16 @@ def _distorted_grid(n):
     return TriMesh(moved, mesh.triangles)
 
 
-@pytest.mark.parametrize("build", [_renumbered_grid, _distorted_grid],
-                         ids=["renumbered", "distorted"])
+@pytest.mark.parametrize(
+    "build", [_renumbered_grid, _distorted_grid, other_diagonals,
+              lambda n: other_diagonals(n, flipped=4)],
+    ids=["renumbered", "distorted", "other_diagonal", "one_cell_flipped"])
 def test_a_march_refuses_a_mesh_that_is_not_a_grid(params, monkeypatch,
                                                    build):
     # refused before the operators are assembled, by time_march and by a
     # newton_solve that would assemble them itself
     mesh = build(3)
-    assert grid_cells(mesh) is None
+    assert mesh.grid_n is None
 
     def refuse(*args):
         raise AssertionError("assembled on a mesh that is not a grid")
@@ -853,16 +851,40 @@ def test_checkpoint_roundtrip(tmp_path, params):
 
 
 def test_checkpoint_roundtrip_on_a_refined_mesh(tmp_path, params):
-    # load rebuilds the mesh with mesh_chain: the columns of U and W must
-    # come back in the numbering they were marched in
+    # load rebuilds the mesh as the grid of the saved width: the columns
+    # of U and W must come back in the numbering they were marched in
     mesh = mesh_chain(4, 1)[-1]
     traj = time_march(mesh, params, 0.25, 0.5)
     path = tmp_path / "traj.npz"
     traj.save(path)
+    with np.load(path) as data:
+        assert (int(data["base_n"]), int(data["levels"])) == (8, 0)
     loaded = TrajectorySolution.load(path)
     assert np.array_equal(loaded.mesh.vertices, mesh.vertices)
     assert np.array_equal(loaded.U, traj.U)
     assert np.array_equal(loaded.W, traj.W)
+
+
+def test_checkpoint_of_a_refinement_by_its_levels_still_loads(tmp_path,
+                                                              params):
+    # a refined run was once saved as its base width and its levels: a
+    # format-2 file with base_n=4 and levels=1 holds a march on the grid
+    # of width 8, and loads to that grid with U and W unchanged
+    traj = time_march(unit_square_mesh(8), params, 0.25, 0.5)
+    path = tmp_path / "traj.npz"
+    traj.save(path)
+    with np.load(path) as data:
+        keys = dict(data)
+    keys.update(base_n=np.array(4), levels=np.array(1))
+    refined = tmp_path / "refined.npz"
+    np.savez(refined, **keys)
+    loaded = TrajectorySolution.load(refined)
+    grid = unit_square_mesh(8)
+    assert np.array_equal(loaded.mesh.vertices, grid.vertices)
+    assert np.array_equal(loaded.mesh.triangles, grid.triangles)
+    assert np.array_equal(loaded.U, traj.U)
+    assert np.array_equal(loaded.W, traj.W)
+    assert np.array_equal(loaded.times, traj.times)
 
 
 def test_compressed_checkpoint_still_loads(tmp_path, params):

@@ -144,13 +144,12 @@ def test_non_nested_meshes_rejected(setup):
 
 def test_loaded_checkpoint_scores_against_a_reference_built_apart(
         tmp_path, params):
-    # the reference refines a mesh of its own; the loaded trajectory's mesh
-    # is rebuilt from the checkpoint: the grid widths alone nest them
+    # the reference marches on a grid of its own; the loaded trajectory's
+    # mesh is rebuilt from the checkpoint: the grid widths alone nest them
     run = time_march(unit_square_mesh(4), params, 0.125, 0.25)
     run.save(tmp_path / "run.npz")
     loaded = TrajectorySolution.load(tmp_path / "run.npz")
-    ref = build_reference(unit_square_mesh(4), 1.0 / 16.0, 0.25, params,
-                          levels=1)
+    ref = build_reference(unit_square_mesh(8), 1.0 / 16.0, 0.25, params)
     assert loaded.mesh is not run.mesh
     expected = error_curve(run, ref, [0.125, 0.25])
     assert error_curve(loaded, ref, [0.125, 0.25]) == expected
