@@ -9,13 +9,18 @@ share.
 
 Every integral of a field given at quadrature points against P1 basis
 functions goes through one kernel, `_element_integrals`: a product
-`(nt, nq) @ (nq, k)` with a precomputed table of weighted basis products
+`(b, nq) @ (nq, k)` with a precomputed table of weighted basis products
 (`w_q l_i(x_q)` for load vectors, `w_q l_i(x_q) l_j(x_q)` for weighted
-masses), scaled by the element areas.  The mass and stiffness matrices
-are scattered once through COO into CSR.  A weighted mass, assembled
-again at every Newton iterate, is instead filled into the pattern of the
-mass matrix: each element entry (i, j) has a precomputed slot there, so a
-weighted mass is one `bincount`, with no COO stage or sort.
+masses), scaled by the areas of the b elements.  The mass and stiffness
+matrices are scattered once through COO into CSR.  A weighted mass,
+assembled again at every Newton iterate, is instead filled into the
+pattern of the mass matrix: each element entry (i, j) has a precomputed
+slot there.  The Newton system, the weighted masses and the initial
+projection run over blocks of `_BLOCK` consecutive triangles: each block
+evaluates its fields at the quadrature points, integrates them and adds
+them by one `bincount` into the range of slots or vertices its triangles
+touch, so no temporary is larger than a block and a mesh of at most
+`_BLOCK` triangles is one block.
 
 The linear system of a Newton step, matrix and right-hand side, is built
 in one place, :meth:`DiscreteOperators.newton_system`.  Its matrix stays
@@ -72,6 +77,13 @@ _MASS_SPECTRUM = (0.5, 2.0)
 #: Chebyshev steps of the L2 projection: the error bound 2 3^-k reaches
 #: rounding level at k = 35
 _PROJECTION_STEPS = 40
+
+#: triangles of one block of the Newton assembly, the weighted masses and
+#: the initial projection.  Blocks of 2,048 to 16,384 assemble a Newton
+#: system in the same time within noise at n = 64 to 250, but the call's
+#: transient grows with the block (183-330 against 216-609 B per vertex)
+#: and the projection slows at 16,384 (block-size table in CHANGES.md)
+_BLOCK = 2048
 
 
 class AssemblyError(ValueError):
@@ -149,7 +161,7 @@ def quadrature_rule(degree):
 def _scatter(mesh, local):
     """Assemble (nt, 3, 3) local blocks into a CSR matrix."""
     nv = mesh.num_vertices
-    tri = mesh.triangles
+    tri = mesh.triangles.astype(np.int32)        # the CSR's index type
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
@@ -191,21 +203,46 @@ def quadrature_coords(mesh, rule):
     return rule.points @ mesh.vertices[mesh.triangles]
 
 
-def _element_integrals(mesh, values, products):
-    """The one basis-product kernel: area_e * sum_q values[..., e, q]
-    products[q, k], for values at a rule's points (shape (..., nt, nq))
-    and one of the rule's product tables (shape (nq, k))."""
+def _element_integrals(areas, values, products):
+    """The one basis-product kernel: area_e * sum_q values[e, q]
+    products[q, k], for values at a rule's points on elements of the
+    given areas (shape (b, nq)) and one of the rule's product tables
+    (shape (nq, k))."""
     local = values @ products
-    local *= mesh.areas[:, None]
+    local *= areas[:, None]
     return local
 
 
 def load_vector(mesh, values, rule):
     """Load vector b_i = integral of f l_i from values of f at the rule's
     points (shape (nt, nq))."""
-    local = _element_integrals(mesh, values, rule.load_products)
+    local = _element_integrals(mesh.areas, values, rule.load_products)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.num_vertices)
+
+
+def _block_ranges(index):
+    """[(t0, t1, lo, hi), ...]: the blocks of `_BLOCK` consecutive rows
+    t0:t1 of the integer array `index` (one row per triangle), with the
+    range lo:hi that holds the block's entries."""
+    starts = np.arange(0, len(index), _BLOCK)
+    lo = np.minimum.reduceat(index.min(axis=1), starts)
+    hi = np.maximum.reduceat(index.max(axis=1), starts) + 1
+    stops = np.append(starts[1:], len(index))
+    return list(zip(starts.tolist(), stops.tolist(), lo.tolist(),
+                    hi.tolist()))
+
+
+def _add_at(out, lo, hi, index, local, scratch):
+    """out[lo:hi] += the sums of the entries of `local` over equal entries
+    of `index`, all of them in lo:hi.  `scratch` is an intp buffer of at
+    least index.size entries that takes index - lo: a buffer kept from
+    call to call spares bincount a fresh conversion of `index` each time,
+    which measured a fifth of a Newton system at n = 32."""
+    idx = scratch[:index.size].reshape(index.shape)
+    np.subtract(index, lo, out=idx)
+    out[lo:hi] += np.bincount(idx.ravel(), weights=local.ravel(),
+                              minlength=hi - lo)
 
 
 def mass_solver(mass, steps):
@@ -289,22 +326,34 @@ def l2_project(mesh, functions, mass=None):
     """L2-orthogonal projections of pointwise functions onto the P1 space.
 
     Each `f(x, y)` in `functions` must accept coordinate arrays.  The load
-    vectors are integrated with the degree-6 rule and solved one by one
-    with `_PROJECTION_STEPS` steps of :func:`mass_solver` on `mass`, the
-    mass matrix of the mesh (assembled when not given), which reach
-    rounding level; a load vector that is exactly zero projects to zero
-    without them.  Returns an array of shape (len(functions), nv), one
-    nodal vector per function.
+    vectors are integrated with the degree-6 rule over blocks of `_BLOCK`
+    triangles, each block's point coordinates two (b, 3) @ (3, 12)
+    products, and each function is called once per block.  The loads are
+    solved one by one with `_PROJECTION_STEPS` steps of
+    :func:`mass_solver` on `mass`, the mass matrix of the mesh (assembled
+    when not given), which reach rounding level; a load vector that is
+    exactly zero projects to zero without them.  Returns an array of
+    shape (len(functions), nv), one nodal vector per function.
     """
     if mass is None:
         mass = mass_matrix(mesh)
-    solve = mass_solver(mass, _PROJECTION_STEPS)
     rule = quadrature_rule(6)
-    xy = quadrature_coords(mesh, rule)
-    x = np.zeros((len(functions), mesh.num_vertices))
-    for k, f in enumerate(functions):
-        values = np.asarray(f(xy[:, :, 0], xy[:, :, 1]), dtype=float)
-        b = load_vector(mesh, np.broadcast_to(values, xy.shape[:2]), rule)
+    tri = mesh.triangles
+    xs, ys = mesh.vertices.T
+    loads = np.zeros((len(functions), mesh.num_vertices))
+    scratch = np.empty(3 * _BLOCK, dtype=np.intp)
+    for t0, t1, v0, v1 in _block_ranges(tri):
+        cells = tri[t0:t1]
+        qx = xs[cells] @ rule.points.T
+        qy = ys[cells] @ rule.points.T
+        for b, f in zip(loads, functions):
+            values = np.broadcast_to(np.asarray(f(qx, qy), dtype=float),
+                                     qx.shape)
+            _add_at(b, v0, v1, cells, _element_integrals(
+                mesh.areas[t0:t1], values, rule.load_products), scratch)
+    solve = mass_solver(mass, _PROJECTION_STEPS)
+    x = np.zeros_like(loads)
+    for k, b in enumerate(loads):
         if np.any(b):
             x[k] = solve(b)
     if not np.all(np.isfinite(x)):
@@ -348,15 +397,16 @@ def evaluate_p1(mesh, vec, x, y):
 
 
 def _slot_map(mesh, pattern):
-    """(nt, 9) read-only map whose entry [e, 3 i + j] is the position of
-    entry (tri[e, i], tri[e, j]) in the data of `pattern`, a canonical CSR
-    matrix with the P1 sparsity of `mesh`."""
+    """(nt, 9) read-only int32 map whose entry [e, 3 i + j] is the
+    position of entry (tri[e, i], tri[e, j]) in the data of `pattern`, a
+    canonical CSR matrix with the P1 sparsity of `mesh`."""
     nv = mesh.num_vertices
     rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
     keys = rows * nv + pattern.indices            # sorted: CSR is canonical
     tri = mesh.triangles
     slots = np.searchsorted(keys, (tri[:, :, None] * nv
                                    + tri[:, None, :]).reshape(-1, 9))
+    slots = slots.astype(np.int32)      # 2^31 slots would be 16 GB of data
     slots.setflags(write=False)
     return slots
 
@@ -437,7 +487,8 @@ class DiscreteOperators:
         self.stiffness = stiffness_matrix(mesh, conductivity)
         self.stiffness_identity = (self.stiffness if conductivity == 1.0
                                    else stiffness_matrix(mesh))
-        self.h1_gram = (self.mass + self.stiffness_identity).tocsr()
+        self.h1_gram = _on_pattern(self.mass, self.mass.data
+                                   + self.stiffness_identity.data)
         self.rule4 = quadrature_rule(4)
         self.rule6 = quadrature_rule(6)
         self._u_block_solvers = {}
@@ -464,16 +515,45 @@ class DiscreteOperators:
     def _slots(self):
         return _slot_map(self.mesh, self.mass)
 
+    @cached_property
+    def _blocks(self):
+        """[(t0, t1, s0, s1, v0, v1), ...]: the blocks of `_BLOCK`
+        triangles t0:t1, whose slots lie in s0:s1 and whose vertices lie
+        in v0:v1, found once per operators."""
+        return [(t0, t1, s0, s1, v0, v1) for (t0, t1, s0, s1), (_, _, v0, v1)
+                in zip(_block_ranges(self._slots),
+                       _block_ranges(self.mesh.triangles))]
+
+    @cached_property
+    def _scratch(self):
+        """The intp buffer of :func:`_add_at`, one block's slots long."""
+        return np.empty(9 * _BLOCK, dtype=np.intp)
+
+    def _add_mass(self, data, block, values, products):
+        """Add the weighted mass of one block's `values` at the points of
+        the rule of `products` into `data`, on the pattern of :attr:`mass`."""
+        t0, t1, s0, s1 = block[:4]
+        _add_at(data, s0, s1, self._slots[t0:t1], _element_integrals(
+            self.mesh.areas[t0:t1], values, products), self._scratch)
+
+    def _add_load(self, rhs, block, values, products):
+        """Add the load of one block's `values` into the nodal vector
+        `rhs`."""
+        t0, t1, _, _, v0, v1 = block
+        _add_at(rhs, v0, v1, self.mesh.triangles[t0:t1], _element_integrals(
+            self.mesh.areas[t0:t1], values, products), self._scratch)
+
     def weighted_mass(self, values_at_quad, rule=None):
         """Mass matrix weighted by pointwise values at the points of
         `rule` (default :attr:`rule4`), shape (nt, nq), on the pattern of
-        :attr:`mass`: one call of the basis-product kernel and one
-        bincount through the slot map."""
-        local = _element_integrals(self.mesh, values_at_quad,
-                                   (rule or self.rule4).mass_products)
-        return _on_pattern(self.mass, np.bincount(
-            self._slots.ravel(), weights=local.ravel(),
-            minlength=self.mass.nnz))
+        :attr:`mass`: per block of `_BLOCK` triangles, one call of the
+        basis-product kernel and one bincount through the slot map."""
+        products = (rule or self.rule4).mass_products
+        data = np.zeros(self.mass.nnz)
+        for block in self._blocks:
+            self._add_mass(data, block, values_at_quad[block[0]:block[1]],
+                           products)
+        return _on_pattern(self.mass, data)
 
     def newton_system(self, p, u_prev, w_prev, u_it, w_it, tau):
         """The linear system (A, rhs) of one Newton step of implicit
@@ -483,17 +563,22 @@ class DiscreteOperators:
 
         A is the :class:`NewtonMatrix` [[M/tau + K + M(f_u), M(u)],
         [s M(u) + c M, d M]], with the :meth:`u_block_solver` of tau.
-        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is
-        :meth:`weighted_mass` at the points of :attr:`rule4`, of the
-        partial f_u and of the iterate u (f_w = u) there.  The lower
-        blocks are those of g_u = s u + c and the constant g_w of
-        :func:`ionic.recovery_jacobian`, d = 1/tau + g_w, so they need no
-        quadrature: an iterate makes two weighted masses.
+        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is the
+        weighted mass (:meth:`weighted_mass`) at the points of
+        :attr:`rule4`, of the partial f_u and of the iterate u (f_w = u)
+        there.  The lower blocks are those of g_u = s u + c and the
+        constant g_w of :func:`ionic.recovery_jacobian`, d = 1/tau + g_w,
+        so they need no quadrature: an iterate makes two weighted masses.
         The stiffness matrix is scattered from the same triangles as the
         mass matrix, explicit zeros kept, so its data lies on the same
         pattern.  rhs stacks M u_prev / tau and M w_prev / tau, each plus
-        the :meth:`load` of its reduced weight from
-        :func:`ionic.newton_load`.
+        the load of its reduced weight from :func:`ionic.newton_load`.
+
+        The quadrature runs over the blocks of `_BLOCK` triangles: each
+        block gathers u and w at its points, evaluates :func:`ionic.f_du`
+        and :func:`ionic.newton_load` there and adds its two weighted
+        masses and two loads into the slot and vertex ranges it touches,
+        so the only mesh-sized arrays are the ones returned.
 
         All reaction integrals are evaluated pointwise at degree-4
         quadrature, which is exact here (cubic f times a linear test
@@ -501,20 +586,32 @@ class DiscreteOperators:
         implicit-Euler P1 solution and the convergence is genuinely
         quadratic.
         """
-        rhs1 = self.mass @ (u_prev / tau)
-        rhs2 = self.mass @ (w_prev / tau)
+        nv = self.mesh.num_vertices
+        rhs = np.empty(2 * nv)
+        rhs1, rhs2 = rhs[:nv], rhs[nv:]
+        rhs1[:] = self.mass @ (u_prev / tau)
+        rhs2[:] = self.mass @ (w_prev / tau)
         rule = self.rule4
-        u_q = self.field_at(u_it, rule)
-        w_q = self.field_at(w_it, rule)
+        at_points = rule.points.T
+        tri = self.mesh.triangles
         s, c, g_w = ionic.recovery_jacobian(p)
-        a11 = self.weighted_mass(ionic.f_du(u_q, w_q, p))
-        a11.data += self.mass.data * (1.0 / tau) + self.stiffness.data
-        A = NewtonMatrix(a11, self.weighted_mass(u_q), s, c,
-                         1.0 / tau + g_w, self.mass, self.u_block_solver(tau))
-        load_f, load_g = ionic.newton_load(u_q, w_q, p)
-        rhs1 += self.load(load_f, rule)
-        rhs2 += self.load(load_g, rule)
-        return A, np.concatenate([rhs1, rhs2])
+        a11 = np.zeros(self.mass.nnz)
+        a12 = np.zeros(self.mass.nnz)
+        for block in self._blocks:
+            cells = tri[block[0]:block[1]]
+            u_q = u_it[cells] @ at_points
+            w_q = w_it[cells] @ at_points
+            self._add_mass(a11, block, ionic.f_du(u_q, w_q, p),
+                           rule.mass_products)
+            self._add_mass(a12, block, u_q, rule.mass_products)
+            load_f, load_g = ionic.newton_load(u_q, w_q, p)
+            self._add_load(rhs1, block, load_f, rule.load_products)
+            self._add_load(rhs2, block, load_g, rule.load_products)
+        a11 += self.mass.data * (1.0 / tau) + self.stiffness.data
+        A = NewtonMatrix(_on_pattern(self.mass, a11),
+                         _on_pattern(self.mass, a12), s, c, 1.0 / tau + g_w,
+                         self.mass, self.u_block_solver(tau))
+        return A, rhs
 
     def load(self, values_at_quad, rule=None):
         return load_vector(self.mesh, values_at_quad, rule or self.rule4)

@@ -206,6 +206,12 @@ def _validate(cfg):
         raise ConfigError("vtk_every must be >= 0")
     if not all(0.0 <= c <= 1.0 for c in cfg.probe):
         raise ConfigError(f"probe {cfg.probe} lies outside the unit square")
+    name = cfg.checkpoint
+    if (os.path.basename(name) != name or not name.endswith(".npz")
+            or name == ".npz"):
+        raise ConfigError(f"checkpoint {name!r} must be a file name ending "
+                          "in .npz, with no directory part: it is written "
+                          "into the output directory")
     ns = [n for n, _ in cfg.ladder]
     for i, (n, tau) in enumerate(cfg.ladder):
         if n < 1 or tau <= 0:
@@ -324,6 +330,14 @@ def read_csv(path):
         return header, [tuple(cell(c) for c in row) for row in reader]
 
 
+#: bytes per mesh vertex that a command holds besides its trajectory
+#: arrays: the peak RSS (ru_maxrss) of a one-step `monofem solve` grows by
+#: 1,170 B per vertex from n = 128 to n = 250 and on to n = 400 (see
+#: CHANGES.md), taken with a margin of about 1.5 for what one step does
+#: not hold, the estimators and the error pass's LU of the H1 Gram matrix
+_WORKING_SET_PER_VERTEX = 1800
+
+
 def _physical_memory():
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -337,19 +351,26 @@ def _check_marches(cfg, marches):
     command makes: on a mesh of n cells per side ((n + 1)^2 vertices),
     with step tau read from config key `key`, up to t_end.  Raises
     ConfigError when a tau does not divide t_end, or when the trajectory
-    arrays of all the marches together exceed physical memory.
+    arrays of all the marches together, plus a working set of
+    `_WORKING_SET_PER_VERTEX` bytes per vertex of each of their meshes,
+    counted as if all were held at once, exceed physical memory.
     """
-    total = 0
+    trajectories = working = 0
     for key, n, tau, store_penultimate in marches:
         try:
             steps = step_count(tau, cfg.t_end)
         except SolverError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        total += trajectory_nbytes((n + 1) ** 2, steps, store_penultimate)
+        trajectories += trajectory_nbytes((n + 1) ** 2, steps,
+                                          store_penultimate)
+        working += _WORKING_SET_PER_VERTEX * (n + 1) ** 2
     memory = _physical_memory()
-    if total > memory:
-        raise ConfigError(f"the trajectories of this run need "
-                          f"{total / 2 ** 30:.1f} GiB, more than the "
+    if trajectories + working > memory:
+        raise ConfigError(f"this run needs "
+                          f"{(trajectories + working) / 2 ** 30:.1f} GiB "
+                          f"({trajectories / 2 ** 30:.1f} GiB of "
+                          f"trajectories, {working / 2 ** 30:.1f} GiB of "
+                          f"working set), more than the "
                           f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 

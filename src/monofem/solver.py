@@ -278,7 +278,9 @@ class FrozenLUSolver:
                 V.append(w / w_norm)
             k = j + 1
             y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
-            x = x + y @ np.array(Z)
+            x = x.copy()                         # not the caller's start
+            for y_i, z in zip(y, Z):             # no (k, 2N) stack of Z
+                x += y_i * z
             if abs(g[k]) <= target:
                 return x, True
         return x, False
@@ -397,6 +399,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
     for k in range(1, cfg.max_iterations + 1):
         A, rhs = ops.newton_system(p, prev.u, prev.w, cur.u, cur.w, tau)
         x = linear.solve(A, rhs, np.concatenate([cur.u, cur.w]))
+        del A, rhs           # dead before the next iterate's assembly
         rec.krylov_vectors = linear.krylov_iterations - krylov_before
         last = cur
         cur = StateField(prev.mesh, x[:nv], x[nv:], prev.time + tau)

@@ -513,3 +513,58 @@ def test_discrete_operators_norms(mesh8):
     assert ops.l2_norm(nodal) == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
     assert ops.h1_norm(nodal) == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0),
                                                rel=1e-12)
+
+
+def _blocked_assembly(mesh, states):
+    """(a11, a12, rhs, projections) of one Newton system and one initial
+    projection on `mesh`, with the grid check of the u-block solve left
+    out so that a distorted mesh assembles too."""
+    from monofem.ionic import AlievPanfilovParams
+
+    p = AlievPanfilovParams()
+    ops = DiscreteOperators.for_params(mesh, p)
+    ops.u_block_solver = lambda tau: None
+    A, rhs = ops.newton_system(p, *states, 0.05)
+    return (len(ops._blocks), A.a11.data, A.a12.data, rhs,
+            l2_project(mesh, _PROJECTED))
+
+
+@pytest.mark.parametrize("mesh", [unit_square_mesh(1), unit_square_mesh(2),
+                                  unit_square_mesh(5), unit_square_mesh(16),
+                                  _distorted_mesh(8, 2)],
+                         ids=["n1", "n2", "n5", "n16", "distorted"])
+def test_blocks_agree_with_one_block(mesh, monkeypatch):
+    # every mesh here is one block of _BLOCK triangles; cut into blocks of
+    # 3, the last one partial, the Newton system and the projection of
+    # each block add up to the one-block result
+    rng = np.random.default_rng(11)
+    states = [rng.uniform(-0.1, 1.1, mesh.num_vertices) for _ in range(4)]
+    one = _blocked_assembly(mesh, states)
+    monkeypatch.setattr(assembly, "_BLOCK", 3)
+    cut = _blocked_assembly(mesh, states)
+    assert one[0] == 1
+    assert cut[0] == -(-mesh.num_triangles // 3)
+    for whole, blocks in zip(one[1:], cut[1:]):
+        assert np.abs(blocks - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_newton_system_transient_is_a_few_mesh_vectors(params):
+    # the blocks keep one Newton system's allocations near the arrays it
+    # returns (a11 and a12 data and rhs, about 130 B per vertex on this
+    # grid); whole-mesh quadrature arrays read 640 B per vertex
+    import tracemalloc
+
+    ops = DiscreteOperators.for_params(unit_square_mesh(128), params)
+    rng = np.random.default_rng(5)
+    states = [rng.uniform(-0.1, 1.1, ops.mesh.num_vertices)
+              for _ in range(4)]
+    ops.newton_system(params, *states, 0.05)     # slot map, blocks, grid
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        A, rhs = ops.newton_system(params, *states, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / ops.mesh.num_vertices < 500

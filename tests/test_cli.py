@@ -324,11 +324,53 @@ def test_runs_larger_than_memory_are_refused(out_env, no_marching,
 
 
 def test_trajectory_bytes_fit_just_inside_memory(out_env, monkeypatch):
-    # n=8, tau=0.125, t_end=0.25: 2 steps, (4 * 2 + 2) states of 81 values
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 81 * 8)
+    # n=8, tau=0.125, t_end=0.25: 2 steps, (4 * 2 + 2) states of 81
+    # values, plus the working set of the 81 vertices
+    need = 10 * 81 * 8 + cli._WORKING_SET_PER_VERTEX * 81
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert main(["solve"] + _mini()) == EXIT_OK
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 10 * 81 * 8 - 1)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert main(["solve"] + _mini()) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, overrides, vertices", [
+    ("solve", _mini(), 81),
+    # the run on 9^2 vertices and the reference on 17^2 both count
+    ("upperbound", _mini("--set", "study.reference_n=16"), 81 + 289),
+], ids=["solve", "upperbound"])
+def test_working_set_is_counted_against_memory(out_env, no_marching,
+                                               monkeypatch, capsys, command,
+                                               overrides, vertices):
+    # trajectories that fit many times over are refused when the working
+    # set of every mesh of the command does not fit beside them
+    working = cli._WORKING_SET_PER_VERTEX * vertices
+    assert working > 10 * 1024
+    monkeypatch.setattr(cli, "_physical_memory", lambda: working)
+    assert main([command] + overrides) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "working set" in err and "physical memory" in err
+    assert not out_env.exists()
+
+
+@pytest.mark.parametrize("name", ["", "nodir/x.npz", "/abs/x.npz", "x",
+                                  ".npz"],
+                         ids=["empty", "subdir", "absolute", "no_suffix",
+                              "suffix_only"])
+def test_checkpoint_name_is_checked_before_marching(out_env, no_marching,
+                                                    capsys, name):
+    # an empty name wrote a hidden ".npz", a missing directory failed
+    # only after the whole march; both are configuration errors now
+    argv = ["solve"] + _mini("--set", f"output.checkpoint={name}")
+    assert main(argv) == EXIT_CONFIG
+    assert "checkpoint" in capsys.readouterr().err
+    assert not out_env.exists()
+
+
+def test_checkpoint_is_written_under_its_name(out_env):
+    assert main(["solve"] + _mini("--set",
+                                  "output.checkpoint=run.npz")) == EXIT_OK
+    assert (out_env / "run.npz").is_file()
+    assert not (out_env / "trajectory.npz").exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path):

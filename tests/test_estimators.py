@@ -467,3 +467,27 @@ def test_trajectory_evaluates_the_reaction_once_per_state(params,
     calls.update(react=0, f_value=0)
     estimate_trajectory(traj, simplified=False)
     assert calls == {"react": N, "f_value": 6 * N}
+
+
+def test_cumulative_bound_adds_the_initial_defects():
+    # sqrt(0.75 + 0.25 + 0.5 (1 + 0 + 0.25)) and then
+    # sqrt(1.625 + 0.25 (4 + 1 + 0)), written out
+    got = cumulative_bound([0.5, 0.25], [1.0, 2.0], [0.0, 1.0], [0.5, 0.0],
+                           initial_terms=(0.75, 0.25))
+    assert got == pytest.approx([np.sqrt(1.625), np.sqrt(2.875)], rel=1e-15)
+
+
+def test_estimate_trajectory_adds_the_initial_defects_to_every_step(params):
+    # a run from data that its mesh does not represent: the initial
+    # defects are nonzero and enter every entry of the bound
+    initial = (lambda x, y: np.exp(-((x - 0.7) ** 2 + y ** 2) / 0.05),
+               lambda x, y: 0.3 * np.cos(5.0 * x) * y)
+    traj = time_march(unit_square_mesh(4), params, 0.1, 0.3,
+                      initial=initial)
+    est = estimate_trajectory(traj)
+    u2, w2 = initial_projection_terms(traj.state(0), initial=initial)
+    assert (est.initial_u2, est.initial_w2) == (u2, w2)
+    assert u2 > 1e-4 and w2 > 1e-5
+    body = np.cumsum([0.1 * (r.eta ** 2 + r.theta ** 2 + r.gamma ** 2)
+                      for r in est.reports])
+    assert est.cumulative ** 2 == pytest.approx(u2 + w2 + body, rel=1e-12)

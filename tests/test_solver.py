@@ -957,3 +957,11 @@ def test_newton_config_validation():
         NewtonConfig(mode="estimator_balance", sigma=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("theta, accepted", [(0.499, True), (0.501, False)])
+def test_quadratic_stop_needs_a_contraction_below_one_half(theta, accepted):
+    # tiny increments whose predicted next increment is far below the
+    # bound: only the contraction Theta = inc / inc_prev < 1/2 decides
+    inc = 1e-10
+    assert solver._converged_quadratically(inc, inc / theta, 1.0) is accepted

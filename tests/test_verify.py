@@ -249,3 +249,50 @@ def test_newton_study_validates_instants(params):
     for instants in ([0.3], [0.0], [-0.125, 0.25]):
         with pytest.raises(ValueError):
             newton_study(mesh, 0.125, instants, params)
+
+
+def test_rising_then_falling_defect_hand_computed(setup):
+    # coarse = reference + c(t) phi in u and + d(t) psi in w at the grid
+    # times, linear in between; every ErrorNorms field against its closed
+    # form.  c peaks at t = 0.25 and falls after it, so the running maximum
+    # of |e_u|_L2 is not its last value
+    from monofem.assembly import DiscreteOperators
+
+    params, _, ref, _ = setup
+    ops = DiscreteOperators(ref.mesh)
+    M, K = ops.mass.toarray(), ops.stiffness_identity.toarray()
+    x, y = ref.mesh.vertices.T
+    phi, psi = x * x + y, np.cos(2.0 * x) * (1.0 - y)
+    c = np.array([0.1, 0.3, 0.5, 0.2, 0.1])
+    d = np.array([0.0, 0.4, 0.1, -0.2, 0.3])
+    coarse = TrajectorySolution(ref.mesh, ref.times,
+                                ref.U + c[:, None] * phi,
+                                ref.W + d[:, None] * psi, params,
+                                tau=ref.tau)
+    dt = np.diff(ref.times)
+    dc, dd = np.diff(c), np.diff(d)
+    phi_m, phi_h, psi_m = phi @ M @ phi, phi @ (M + K) @ phi, psi @ M @ psi
+    phi_dual = (M @ phi) @ np.linalg.solve(M + K, M @ phi)
+    times = ref.times[1:]
+    got = error_curve(coarse, ref, times)
+    for n, row in enumerate(got, start=1):
+        cells = slice(0, n)
+        l2h1 = np.sum(dt[cells] / 3.0 * (c[:n] ** 2 + c[:n] * c[1:n + 1]
+                                         + c[1:n + 1] ** 2)) * phi_h
+        linf_u = np.max(c[:n + 1] ** 2) * phi_m
+        linf_w = np.max(d[:n + 1] ** 2) * psi_m
+        dual = np.sum(dc[cells] ** 2 / dt[cells]) * phi_dual
+        dtu = np.sum(dc[cells] ** 2 / dt[cells]) * phi_m
+        dtw = np.sum(dd[cells] ** 2 / dt[cells]) * psi_m
+        assert row.time == times[n - 1]
+        assert row.l2h1 == pytest.approx(np.sqrt(l2h1), rel=1e-12)
+        assert row.linf_l2_u == pytest.approx(np.sqrt(linf_u), rel=1e-12)
+        assert row.linf_l2_w == pytest.approx(np.sqrt(linf_w), rel=1e-12)
+        assert row.dual_dt_u == pytest.approx(np.sqrt(dual), rel=1e-12)
+        assert row.l2_dt_u == pytest.approx(np.sqrt(dtu), rel=1e-12)
+        assert row.l2_dt_w == pytest.approx(np.sqrt(dtw), rel=1e-12)
+        assert row.combined_xy == pytest.approx(
+            np.sqrt(l2h1 + linf_u + dual + linf_w + dtw), rel=1e-12)
+    # at the end the maximum of c is 0.5, its last value 0.1
+    assert got[-1].linf_l2_u == pytest.approx(0.5 * np.sqrt(phi_m),
+                                              rel=1e-12)
