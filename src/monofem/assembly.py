@@ -526,7 +526,8 @@ class DiscreteOperators:
 
     @cached_property
     def _scratch(self):
-        """The intp buffer of :func:`_add_at`, one block's slots long."""
+        """The intp buffer of :func:`_add_at`, one block's slots long;
+        it makes one operators object serve one thread at a time."""
         return np.empty(9 * _BLOCK, dtype=np.intp)
 
     def _add_mass(self, data, block, values, products):
@@ -587,6 +588,9 @@ class DiscreteOperators:
         quadratic.
         """
         nv = self.mesh.num_vertices
+        if np.shape(u_it) != (nv,) or np.shape(w_it) != (nv,):
+            raise AssemblyError("nodal vector length does not match the "
+                                "mesh")
         rhs = np.empty(2 * nv)
         rhs1, rhs2 = rhs[:nv], rhs[nv:]
         rhs1[:] = self.mass @ (u_prev / tau)

@@ -965,3 +965,15 @@ def test_quadratic_stop_needs_a_contraction_below_one_half(theta, accepted):
     # bound: only the contraction Theta = inc / inc_prev < 1/2 decides
     inc = 1e-10
     assert solver._converged_quadratically(inc, inc / theta, 1.0) is accepted
+
+
+def test_newton_system_refuses_iterates_of_another_mesh(params):
+    # the blocks index the iterate by the triangles: a longer vector would
+    # be read in part without a check
+    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    good = _random_states(ops.mesh, 6)
+    for at in (2, 3):
+        states = list(good)
+        states[at] = np.append(states[at], 0.0)
+        with pytest.raises(assembly.AssemblyError, match="length"):
+            ops.newton_system(params, *states, 0.1)
