@@ -10,9 +10,8 @@ error norms and the three studies), `cli` (experiment commands).
 
 from .mesh import (TriMesh, unit_square_mesh, refine_uniform, mesh_chain,
                    prolongation, write_vtk)
-from .assembly import (QuadratureRule, quadrature_rule, mass_matrix,
-                       stiffness_matrix, l2_project, evaluate_p1,
-                       DiscreteOperators)
+from .assembly import (QuadratureRule, quadrature_rule, l2_project,
+                       evaluate_p1, DiscreteOperators)
 from .ionic import AlievPanfilovParams, ReactionEval, react, initial_data
 from .solver import (StateField, NewtonConfig, TrajectorySolution,
                      newton_solve, time_march, SolverError, NewtonError)

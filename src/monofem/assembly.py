@@ -2,25 +2,25 @@
 
 Symmetric Gauss quadrature on the reference triangle, mass / stiffness /
 weighted-mass matrices in CSR form, load vectors, and the L2-orthogonal
-projection onto the P1 space.  The diffusion term has one positive scalar
-conductivity, which scales the stiffness matrix.  All element loops are
-vectorized over the mesh; assembled matrices are immutable and safe to
-share.
+projection onto the P1 space, all owned by :class:`DiscreteOperators`.
+The diffusion term has one positive scalar conductivity, which scales
+the stiffness matrix.  All element loops are vectorized over the mesh;
+assembled matrices are immutable and safe to share.
 
-Every integral of a field given at quadrature points against P1 basis
-functions goes through one kernel, `_element_integrals`: a product
-`(b, nq) @ (nq, k)` with a precomputed table of weighted basis products
-(`w_q l_i(x_q)` for load vectors, `w_q l_i(x_q) l_j(x_q)` for weighted
-masses), scaled by the areas of the b elements.  The mass and stiffness
-matrices are scattered once through COO into CSR.  A weighted mass,
-assembled again at every Newton iterate, is instead filled into the
-pattern of the mass matrix: each element entry (i, j) has a precomputed
-slot there.  The Newton system, the weighted masses and the initial
-projection run over blocks of `_BLOCK` consecutive triangles: each block
-evaluates its fields at the quadrature points, integrates them and adds
-them by one `bincount` into the range of slots or vertices its triangles
-touch, so no temporary is larger than a block and a mesh of at most
-`_BLOCK` triangles is one block.
+Every P1 matrix lies on one pattern, sorted once per operators by
+`_p1_pattern`, which also maps each element entry (i, j) to its slot in
+the pattern's data.  Mass and stiffness are filled through that slot map
+by one whole-mesh `bincount` each, explicit zeros kept.  Every integral
+of a field given at quadrature points against P1 basis functions goes
+through one kernel, `_element_integrals`: a product `(b, nq) @ (nq, k)`
+with a precomputed table of weighted basis products (`w_q l_i(x_q)` for
+loads, `w_q l_i(x_q) l_j(x_q)` for weighted masses), scaled by the areas
+of the b elements.  The Newton system, the weighted masses, the loads
+and the initial projection run over blocks of `_BLOCK` consecutive
+triangles: each block integrates its values and adds them by one
+`bincount` into the range of slots or vertices its triangles touch, so
+no temporary is larger than a block and a mesh of at most `_BLOCK`
+triangles is one block.
 
 The linear system of a Newton step, matrix and right-hand side, is built
 in one place, :meth:`DiscreteOperators.newton_system`.  Its matrix stays
@@ -54,9 +54,6 @@ __all__ = [
     "AssemblyError",
     "QuadratureRule",
     "quadrature_rule",
-    "mass_matrix",
-    "stiffness_matrix",
-    "load_vector",
     "mass_solver",
     "grid_solver",
     "l2_project",
@@ -78,11 +75,12 @@ _MASS_SPECTRUM = (0.5, 2.0)
 #: rounding level at k = 35
 _PROJECTION_STEPS = 40
 
-#: triangles of one block of the Newton assembly, the weighted masses and
-#: the initial projection.  Blocks of 2,048 to 16,384 assemble a Newton
-#: system in the same time within noise at n = 64 to 250, but the call's
-#: transient grows with the block (183-330 against 216-609 B per vertex)
-#: and the projection slows at 16,384 (block-size table in CHANGES.md)
+#: triangles of one block of the Newton assembly, the weighted masses,
+#: the loads and the initial projection.  Blocks of 2,048 to 16,384
+#: assemble a Newton system in the same time within noise at n = 64 to
+#: 250, but the call's transient grows with the block (183-330 against
+#: 216-609 B per vertex) and the projection slows at 16,384 (block-size
+#: table in CHANGES.md)
 _BLOCK = 2048
 
 
@@ -158,46 +156,6 @@ def quadrature_rule(degree):
     return _RULES[degree]
 
 
-def _scatter(mesh, local):
-    """Assemble (nt, 3, 3) local blocks into a CSR matrix."""
-    nv = mesh.num_vertices
-    tri = mesh.triangles.astype(np.int32)        # the CSR's index type
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
-    return A.tocsr()
-
-
-def mass_matrix(mesh):
-    """Assemble the P1 mass matrix, entry (i,j) = integral of l_i l_j."""
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _scatter(mesh, mesh.areas[:, None, None] * local)
-
-
-def stiffness_matrix(mesh, conductivity=1.0):
-    """Assemble the stiffness matrix of the positive scalar conductivity.
-
-    Entry (i,j) = conductivity * integral of grad l_j . grad l_i; symmetric
-    positive semidefinite with the constants in its kernel (pure Neumann
-    problem).  A conductivity that is not positive raises AssemblyError.
-    """
-    if not conductivity > 0.0:
-        raise AssemblyError(f"conductivity must be positive, got "
-                            f"{conductivity}")
-    G = mesh.basis_gradients                       # (nt, 3, 2)
-    local = conductivity * (G @ G.transpose(0, 2, 1))
-    return _scatter(mesh, mesh.areas[:, None, None] * local)
-
-
-def field_at_quadrature(mesh, vec, rule):
-    """Values of the P1 function with nodal vector `vec` at the rule's
-    points, shape (nt, nq)."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (mesh.num_vertices,):
-        raise AssemblyError("nodal vector length does not match the mesh")
-    return vec[mesh.triangles] @ rule.points.T
-
-
 def quadrature_coords(mesh, rule):
     """Physical coordinates of the rule's points, shape (nt, nq, 2)."""
     return rule.points @ mesh.vertices[mesh.triangles]
@@ -211,14 +169,6 @@ def _element_integrals(areas, values, products):
     local = values @ products
     local *= areas[:, None]
     return local
-
-
-def load_vector(mesh, values, rule):
-    """Load vector b_i = integral of f l_i from values of f at the rule's
-    points (shape (nt, nq))."""
-    local = _element_integrals(mesh.areas, values, rule.load_products)
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.num_vertices)
 
 
 def _block_ranges(index):
@@ -243,6 +193,32 @@ def _add_at(out, lo, hi, index, local, scratch):
     np.subtract(index, lo, out=idx)
     out[lo:hi] += np.bincount(idx.ravel(), weights=local.ravel(),
                               minlength=hi - lo)
+
+
+def _p1_pattern(mesh):
+    """(indptr, indices, slots) of the P1 sparsity of `mesh`: the int32
+    index arrays of its canonical CSR pattern and the read-only int32
+    (nt, 9) map whose entry [e, 3 i + j] is the position of entry
+    (tri[e, i], tri[e, j]) in them.  One sort of the 9 nt keys i nv + j
+    gives all three; it is done by hand rather than by np.unique, whose
+    intp inverse and copies double the transient (425 against 924 B per
+    vertex at n = 128)."""
+    nv = mesh.num_vertices
+    tri = mesh.triangles
+    keys = (tri[:, :, None] * nv + tri[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")  # merges the keys' sorted runs
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rank = np.cumsum(first, dtype=np.int32)   # 2^31 slots: 16 GB of data
+    rank -= 1
+    slots = np.empty((len(tri), 9), dtype=np.int32)
+    slots.ravel()[order] = rank
+    slots.setflags(write=False)
+    keys = keys[first]
+    indptr = np.searchsorted(keys, nv * np.arange(nv + 1)).astype(np.int32)
+    return indptr, (keys % nv).astype(np.int32), slots
 
 
 def mass_solver(mass, steps):
@@ -322,36 +298,33 @@ def grid_solver(n, shift, conductivity=1.0):
     return solve
 
 
-def l2_project(mesh, functions, mass=None):
-    """L2-orthogonal projections of pointwise functions onto the P1 space.
+def l2_project(ops, functions):
+    """L2-orthogonal projections of pointwise functions onto the P1 space
+    of the operators `ops` (a :class:`DiscreteOperators`).
 
     Each `f(x, y)` in `functions` must accept coordinate arrays.  The load
-    vectors are integrated with the degree-6 rule over blocks of `_BLOCK`
-    triangles, each block's point coordinates two (b, 3) @ (3, 12)
-    products, and each function is called once per block.  The loads are
-    solved one by one with `_PROJECTION_STEPS` steps of
-    :func:`mass_solver` on `mass`, the mass matrix of the mesh (assembled
-    when not given), which reach rounding level; a load vector that is
-    exactly zero projects to zero without them.  Returns an array of
-    shape (len(functions), nv), one nodal vector per function.
+    vectors are integrated with the degree-6 rule over the operators'
+    blocks of `_BLOCK` triangles, each block's point coordinates two
+    (b, 3) @ (3, 12) products, and each function is called once per
+    block.  The loads are solved one by one with `_PROJECTION_STEPS`
+    steps of :func:`mass_solver` on the operators' mass matrix, which
+    reach rounding level; a load vector that is exactly zero projects to
+    zero without them.  Returns an array of shape (len(functions), nv),
+    one nodal vector per function.
     """
-    if mass is None:
-        mass = mass_matrix(mesh)
-    rule = quadrature_rule(6)
-    tri = mesh.triangles
-    xs, ys = mesh.vertices.T
-    loads = np.zeros((len(functions), mesh.num_vertices))
-    scratch = np.empty(3 * _BLOCK, dtype=np.intp)
-    for t0, t1, v0, v1 in _block_ranges(tri):
-        cells = tri[t0:t1]
+    rule = ops.rule6
+    tri = ops.mesh.triangles
+    xs, ys = ops.mesh.vertices.T
+    loads = np.zeros((len(functions), ops.mesh.num_vertices))
+    for block in ops._blocks:
+        cells = tri[block[0]:block[1]]
         qx = xs[cells] @ rule.points.T
         qy = ys[cells] @ rule.points.T
         for b, f in zip(loads, functions):
             values = np.broadcast_to(np.asarray(f(qx, qy), dtype=float),
                                      qx.shape)
-            _add_at(b, v0, v1, cells, _element_integrals(
-                mesh.areas[t0:t1], values, rule.load_products), scratch)
-    solve = mass_solver(mass, _PROJECTION_STEPS)
+            ops._add_load(b, block, values, rule.load_products)
+    solve = mass_solver(ops.mass, _PROJECTION_STEPS)
     x = np.zeros_like(loads)
     for k, b in enumerate(loads):
         if np.any(b):
@@ -394,21 +367,6 @@ def evaluate_p1(mesh, vec, x, y):
         found = mesh.located_points[key] = _locate(mesh, x, y)
     k, lam = found
     return float(lam @ vec[mesh.triangles[k]])
-
-
-def _slot_map(mesh, pattern):
-    """(nt, 9) read-only int32 map whose entry [e, 3 i + j] is the
-    position of entry (tri[e, i], tri[e, j]) in the data of `pattern`, a
-    canonical CSR matrix with the P1 sparsity of `mesh`."""
-    nv = mesh.num_vertices
-    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
-    keys = rows * nv + pattern.indices            # sorted: CSR is canonical
-    tri = mesh.triangles
-    slots = np.searchsorted(keys, (tri[:, :, None] * nv
-                                   + tri[:, None, :]).reshape(-1, 9))
-    slots = slots.astype(np.int32)      # 2^31 slots would be 16 GB of data
-    slots.setflags(write=False)
-    return slots
 
 
 def _on_pattern(pattern, data):
@@ -466,10 +424,12 @@ class DiscreteOperators:
     Shared by the solver and the estimators so that mass and stiffness
     are assembled once per mesh.  :attr:`stiffness` is scaled by the
     conductivity, :attr:`stiffness_identity` (the H1 norm's Gram part) is
-    not.  Every weighted mass, and so every Newton block, is filled into
-    the pattern of :attr:`mass` through a slot map built on first use and
-    kept for the life of the operators; the index arrays of :attr:`mass`
-    are shared by all of them and read-only.  No matrix is factored here.
+    not.  The pattern and its slot map (`_p1_pattern`) are built at
+    construction and kept for the life of the operators: mass,
+    stiffness, :attr:`h1_gram`, every weighted mass and so every Newton
+    block share the read-only index arrays of :attr:`mass`.  A
+    conductivity that is not positive raises AssemblyError.  No matrix
+    is factored here.
     """
 
     @classmethod
@@ -479,14 +439,33 @@ class DiscreteOperators:
         return cls(mesh, p.M_scalar)
 
     def __init__(self, mesh, conductivity=1.0):
+        if not conductivity > 0.0:
+            raise AssemblyError(f"conductivity must be positive, got "
+                                f"{conductivity}")
         self.mesh = mesh
         self.conductivity = conductivity
-        self.mass = mass_matrix(mesh)
-        self.mass.indices.setflags(write=False)
-        self.mass.indptr.setflags(write=False)
-        self.stiffness = stiffness_matrix(mesh, conductivity)
-        self.stiffness_identity = (self.stiffness if conductivity == 1.0
-                                   else stiffness_matrix(mesh))
+        indptr, indices, self._slots = _p1_pattern(mesh)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        areas = mesh.areas[:, None, None]
+
+        def assembled(local):
+            """Data on the pattern of the (nt, 3, 3) element matrices
+            `local`, which are scaled by the areas in place."""
+            local *= areas
+            return np.bincount(self._slots.ravel(), weights=local.ravel(),
+                               minlength=len(indices))
+
+        nv = mesh.num_vertices
+        self.mass = sp.csr_matrix((assembled(np.tile(
+            (np.ones((3, 3)) + np.eye(3)) / 12.0, (len(areas), 1, 1))),
+            indices, indptr), shape=(nv, nv))
+        G = mesh.basis_gradients                       # (nt, 3, 2)
+        self.stiffness = _on_pattern(self.mass, assembled(
+            conductivity * (G @ G.transpose(0, 2, 1))))
+        self.stiffness_identity = (
+            self.stiffness if conductivity == 1.0 else
+            _on_pattern(self.mass, assembled(G @ G.transpose(0, 2, 1))))
         self.h1_gram = _on_pattern(self.mass, self.mass.data
                                    + self.stiffness_identity.data)
         self.rule4 = quadrature_rule(4)
@@ -494,7 +473,13 @@ class DiscreteOperators:
         self._u_block_solvers = {}
 
     def field_at(self, vec, rule):
-        return field_at_quadrature(self.mesh, vec, rule)
+        """Values of the P1 function with nodal vector `vec` at the
+        rule's points, shape (nt, nq)."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.mesh.num_vertices,):
+            raise AssemblyError("nodal vector length does not match the "
+                                "mesh")
+        return vec[self.mesh.triangles] @ rule.points.T
 
     def u_block_solver(self, tau):
         """:func:`grid_solver` of the mesh for the shift 1/tau and the
@@ -510,10 +495,6 @@ class DiscreteOperators:
             solve = self._u_block_solvers[tau] = grid_solver(
                 n, 1.0 / tau, self.conductivity)
         return solve
-
-    @cached_property
-    def _slots(self):
-        return _slot_map(self.mesh, self.mass)
 
     @cached_property
     def _blocks(self):
@@ -570,10 +551,9 @@ class DiscreteOperators:
         there.  The lower blocks are those of g_u = s u + c and the
         constant g_w of :func:`ionic.recovery_jacobian`, d = 1/tau + g_w,
         so they need no quadrature: an iterate makes two weighted masses.
-        The stiffness matrix is scattered from the same triangles as the
-        mass matrix, explicit zeros kept, so its data lies on the same
-        pattern.  rhs stacks M u_prev / tau and M w_prev / tau, each plus
-        the load of its reduced weight from :func:`ionic.newton_load`.
+        All of them, and the stiffness matrix, lie on the one pattern of
+        the operators.  rhs stacks M u_prev / tau and M w_prev / tau, each
+        plus the load of its reduced weight from :func:`ionic.newton_load`.
 
         The quadrature runs over the blocks of `_BLOCK` triangles: each
         block gathers u and w at its points, evaluates :func:`ionic.f_du`
@@ -618,7 +598,15 @@ class DiscreteOperators:
         return A, rhs
 
     def load(self, values_at_quad, rule=None):
-        return load_vector(self.mesh, values_at_quad, rule or self.rule4)
+        """Load vector b_i = integral of f l_i from the values of f at the
+        points of `rule` (default :attr:`rule4`), shape (nt, nq), added
+        block by block."""
+        products = (rule or self.rule4).load_products
+        rhs = np.zeros(self.mesh.num_vertices)
+        for block in self._blocks:
+            self._add_load(rhs, block, values_at_quad[block[0]:block[1]],
+                           products)
+        return rhs
 
     def l2_norm(self, vec):
         return float(np.sqrt(vec @ (self.mass @ vec)))

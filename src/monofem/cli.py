@@ -343,19 +343,21 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_marches(cfg, marches):
+def _check_marches(cfg, marches, unstored=()):
     """Refuse a command whose time marches cannot run, before it writes
     anything.
 
     `marches` lists (key, n, tau, store_penultimate) for every march the
-    command makes: on a mesh of n cells per side ((n + 1)^2 vertices),
-    with step tau read from config key `key`, up to t_end.  Raises
+    command stores: on a mesh of n cells per side ((n + 1)^2 vertices),
+    with step tau read from config key `key`, up to t_end.  `unstored`
+    lists the n of every march that keeps no trajectory.  Raises
     ConfigError when a tau does not divide t_end, or when the trajectory
     arrays of all the marches together, plus a working set of
     `_WORKING_SET_PER_VERTEX` bytes per vertex of each of their meshes,
     counted as if all were held at once, exceed physical memory.
     """
-    trajectories = working = 0
+    trajectories = 0
+    ns = list(unstored)
     for key, n, tau, store_penultimate in marches:
         try:
             steps = step_count(tau, cfg.t_end)
@@ -363,7 +365,8 @@ def _check_marches(cfg, marches):
             raise ConfigError(f"{key}: {exc}") from None
         trajectories += trajectory_nbytes((n + 1) ** 2, steps,
                                           store_penultimate)
-        working += _WORKING_SET_PER_VERTEX * (n + 1) ** 2
+        ns.append(n)
+    working = sum(_WORKING_SET_PER_VERTEX * (n + 1) ** 2 for n in ns)
     memory = _physical_memory()
     if trajectories + working > memory:
         raise ConfigError(f"this run needs "
@@ -476,6 +479,7 @@ def _cmd_convergence(cfg):
 
 
 def _cmd_newton_study(cfg):
+    _check_marches(cfg, [], unstored=[cfg.newton_n])
     out = _ensure_out_dir(cfg)
     p = cfg.params()
     mesh = unit_square_mesh(cfg.newton_n)

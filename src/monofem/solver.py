@@ -612,8 +612,7 @@ def initial_state(ops, initial=None):
     """State at t=0 on ops.mesh: the L2 projections onto V_h of the pair
     of callables :func:`ionic.initial_pair` makes of `initial`, solved on
     the operators' own mass matrix with no factorization."""
-    u0, w0 = l2_project(ops.mesh, ionic.initial_pair(initial),
-                        mass=ops.mass)
+    u0, w0 = l2_project(ops, ionic.initial_pair(initial))
     return StateField(ops.mesh, u0, w0, 0.0)
 
 
@@ -622,7 +621,11 @@ def step_count(tau, t_end):
     both are positive and tau divides t_end to 1e-9 max(1, t_end)."""
     if not tau > 0 or not t_end > 0:
         raise SolverError("tau and t_end must be positive")
-    N = int(round(t_end / tau))
+    ratio = t_end / tau
+    if not np.isfinite(ratio):
+        raise SolverError(f"tau={tau} does not divide t_end={t_end} into "
+                          "a finite number of steps")
+    N = int(round(ratio))
     if N < 1 or abs(N * tau - t_end) > 1e-9 * max(1.0, t_end):
         raise SolverError(f"tau={tau} does not divide t_end={t_end}")
     return N

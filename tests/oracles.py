@@ -3,7 +3,11 @@
 The quadrature oracle uses a tensorized Gauss-Legendre rule on the
 collapsed square (Duffy transform), a construction disjoint from the
 symmetric triangle rules inside the package; barycentric evaluation and
-basis gradients are recomputed here from vertex coordinates.  The Newton
+basis gradients are recomputed here from vertex coordinates.  The mass
+and stiffness reference scatters element matrices computed from the
+vertex coordinates (the stiffness from edge vectors, not gradients)
+through COO into CSR, where the package sorts one pattern and fills it
+through a slot map.  The Newton
 system reference assembles all four blocks through COO, each from its own
 reaction partial, stacks them with sp.bmat into one 2N x 2N CSC matrix,
 and builds the right-hand side from the full reaction values; the
@@ -94,18 +98,39 @@ def integrate_p1_expression(mesh, func, order=12):
     return out
 
 
-def weighted_mass_reference(mesh, values, rule):
-    """Weighted mass matrix from pointwise weights at the rule's points,
-    by a four-operand einsum and a COO -> CSR scatter."""
-    B = rule.points.T
-    local = np.einsum("eq,iq,jq,q->eij", values, B, B, rule.weights)
-    local = mesh.areas[:, None, None] * local
+def _scatter_reference(mesh, local):
+    """CSR matrix of the (nt, 3, 3) element matrices `local`, scattered
+    through COO (duplicates summed, explicit zeros kept)."""
     tri = mesh.triangles
     nv = mesh.num_vertices
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(nv, nv)).tocsr()
+
+
+def p1_matrices_reference(mesh, conductivity=1.0):
+    """(mass, stiffness) of the P1 space of `mesh`, scattered through COO
+    from element matrices computed here from the vertex coordinates: the
+    area A from the cross product of two edges, the mass A (1 + d_ij) / 12
+    and the stiffness conductivity (e_i . e_j) / (4 A), with e_i the edge
+    opposite vertex i (grad l_i is e_i turned by a right angle, over
+    2 A)."""
+    p = mesh.vertices[mesh.triangles]                       # (nt, 3, 2)
+    e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    area = 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
+    mass = area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    stiffness = (conductivity * np.einsum("eik,ejk->eij", e, e)
+                 / (4.0 * area[:, None, None]))
+    return _scatter_reference(mesh, mass), _scatter_reference(mesh, stiffness)
+
+
+def weighted_mass_reference(mesh, values, rule):
+    """Weighted mass matrix from pointwise weights at the rule's points,
+    by a four-operand einsum and a COO -> CSR scatter."""
+    B = rule.points.T
+    local = np.einsum("eq,iq,jq,q->eij", values, B, B, rule.weights)
+    return _scatter_reference(mesh, mesh.areas[:, None, None] * local)
 
 
 def chebyshev_mass_inverse_reference(M, steps):

@@ -10,13 +10,12 @@ from scipy.sparse.linalg import spsolve
 
 from monofem import assembly
 from monofem.assembly import (AssemblyError, DiscreteOperators, evaluate_p1,
-                              field_at_quadrature, l2_project, load_vector,
-                              mass_matrix, mass_solver, quadrature_coords,
-                              quadrature_rule, stiffness_matrix)
+                              l2_project, mass_solver, quadrature_coords,
+                              quadrature_rule)
 from monofem.mesh import TriMesh, mesh_chain, refine_uniform, unit_square_mesh
 
 from oracles import (barycentric_at, chebyshev_mass_inverse_reference,
-                     load_reference, p1_gradients,
+                     load_reference, p1_gradients, p1_matrices_reference,
                      reference_monomial_integral, triangle_quadrature,
                      weighted_mass_reference)
 
@@ -102,7 +101,7 @@ def test_unsupported_degree_rejected():
 
 
 def test_mass_matrix_reference_triangle(reference_triangle):
-    M = mass_matrix(reference_triangle).toarray()
+    M = DiscreteOperators(reference_triangle).mass.toarray()
     expected = np.full((3, 3), 1.0 / 24.0)
     np.fill_diagonal(expected, 1.0 / 12.0)
     assert np.allclose(M, expected, atol=1e-15)
@@ -110,7 +109,7 @@ def test_mass_matrix_reference_triangle(reference_triangle):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_mass_matrix_total_and_row_sums(n):
-    M = mass_matrix(unit_square_mesh(n))
+    M = DiscreteOperators(unit_square_mesh(n)).mass
     assert M.sum() == pytest.approx(1.0, abs=1e-13)
     rows = np.asarray(M.sum(axis=1)).ravel()
     assert np.all(rows > 0)
@@ -118,13 +117,13 @@ def test_mass_matrix_total_and_row_sums(n):
 
 
 def test_mass_matrix_spd_dense_eigensolve():
-    M = mass_matrix(unit_square_mesh(2)).toarray()
+    M = DiscreteOperators(unit_square_mesh(2)).mass.toarray()
     eig = np.linalg.eigvalsh(M)
     assert eig.min() > 0
 
 
 def test_stiffness_reference_triangle(reference_triangle):
-    K = stiffness_matrix(reference_triangle).toarray()
+    K = DiscreteOperators(reference_triangle).stiffness.toarray()
     expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
                                [-1.0, 0.0, 1.0]])
@@ -132,22 +131,43 @@ def test_stiffness_reference_triangle(reference_triangle):
 
 
 def test_stiffness_kernel_contains_constants(mesh8):
-    K = stiffness_matrix(mesh8)
+    K = DiscreteOperators(mesh8).stiffness
     assert np.max(np.abs(K @ np.ones(mesh8.num_vertices))) < 1e-13
 
 
 def test_stiffness_scaling_in_conductivity(mesh8):
-    K1 = stiffness_matrix(mesh8, 1.0)
-    K2 = stiffness_matrix(mesh8, 2.0)
+    K1 = DiscreteOperators(mesh8, 1.0).stiffness
+    K2 = DiscreteOperators(mesh8, 2.0).stiffness
     assert np.max(np.abs((2.0 * K1 - K2).toarray())) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stiffness_has_exactly_one_zero_eigenvalue(n):
-    K = stiffness_matrix(unit_square_mesh(n)).toarray()
+    K = DiscreteOperators(unit_square_mesh(n)).stiffness.toarray()
     eig = np.linalg.eigvalsh(K)
     assert abs(eig[0]) < 1e-12
     assert eig[1] > 1e-10
+
+
+@pytest.mark.parametrize("conductivity", [1.0, 2.0])
+@pytest.mark.parametrize("mesh", [
+    TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[0, 1, 2]])),
+    unit_square_mesh(1), unit_square_mesh(5), unit_square_mesh(16),
+    _distorted_mesh(8, 2)],
+    ids=["reference_triangle", "n1", "n5", "n16", "distorted"])
+def test_operators_match_the_coo_reference(mesh, conductivity):
+    # the one sorted pattern and its slot map give the index arrays of a
+    # COO -> CSR scatter and its data to rounding level
+    ops = DiscreteOperators(mesh, conductivity)
+    M, K = p1_matrices_reference(mesh, conductivity)
+    K1 = p1_matrices_reference(mesh)[1]
+    for A, ref in ((ops.mass, M), (ops.stiffness, K),
+                   (ops.stiffness_identity, K1), (ops.h1_gram, M + K1)):
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(
+            ref.data).max()
 
 
 def test_non_spd_tensor_rejected(mesh8):
@@ -160,7 +180,7 @@ def test_assembled_matrices_are_symmetric(mesh8):
     rng = np.random.default_rng(0)
     c = rng.standard_normal(mesh8.num_vertices)
     ops = DiscreteOperators(mesh8)
-    for A in (mass_matrix(mesh8), stiffness_matrix(mesh8),
+    for A in (ops.mass, ops.stiffness,
               ops.weighted_mass(ops.field_at(c, ops.rule4))):
         x = rng.standard_normal(A.shape[0])
         y = rng.standard_normal(A.shape[0])
@@ -171,7 +191,7 @@ def test_assembled_matrices_are_symmetric(mesh8):
 def test_weighted_mass_special_coefficients(mesh8):
     nv = mesh8.num_vertices
     ops = DiscreteOperators(mesh8)
-    M = mass_matrix(mesh8)
+    M = ops.mass
 
     def wm(c):
         return ops.weighted_mass(ops.field_at(c, ops.rule4))
@@ -220,7 +240,7 @@ def test_kernels_match_coo_reference(mesh, degree):
     assert np.array_equal(W.indptr, ops.mass.indptr)
     assert np.array_equal(W.indices, ops.mass.indices)
     assert np.abs(W - ref).max() <= 1e-14 * scale
-    b = load_vector(mesh, values, rule)
+    b = ops.load(values, rule)
     b_ref = load_reference(mesh, values, rule)
     assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
 
@@ -228,9 +248,8 @@ def test_kernels_match_coo_reference(mesh, degree):
 def test_weighted_mass_matrix_matches_coo_reference(mesh8):
     rule = quadrature_rule(4)
     c = np.random.default_rng(4).standard_normal(mesh8.num_vertices)
-    ref = weighted_mass_reference(mesh8, field_at_quadrature(mesh8, c, rule),
-                                  rule)
     ops = DiscreteOperators(mesh8)
+    ref = weighted_mass_reference(mesh8, ops.field_at(c, rule), rule)
     W = ops.weighted_mass(ops.field_at(c, ops.rule4))
     assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -240,9 +259,8 @@ def test_element_matrices_against_bruteforce_quadrature():
     mesh = refine_uniform(unit_square_mesh(2))
     rng = np.random.default_rng(9)
     c = rng.standard_normal(mesh.num_vertices)
-    M = mass_matrix(mesh)
-    K = stiffness_matrix(mesh)
     ops = DiscreteOperators(mesh)
+    M, K = ops.mass, ops.stiffness
     W = ops.weighted_mass(ops.field_at(c, ops.rule4))
 
     Mo = sp.lil_matrix(M.shape)
@@ -267,8 +285,9 @@ def test_element_matrices_against_bruteforce_quadrature():
 
 
 def test_l2_project_constants_and_p1(mesh8):
-    const, p1 = l2_project(mesh8, [lambda x, y: 7.0 + 0.0 * x,
-                                   lambda x, y: 2.0 * x - 3.0 * y + 0.25])
+    const, p1 = l2_project(DiscreteOperators(mesh8),
+                           [lambda x, y: 7.0 + 0.0 * x,
+                            lambda x, y: 2.0 * x - 3.0 * y + 0.25])
     assert np.max(np.abs(const - 7.0)) < 1e-12
     nodal = 2.0 * mesh8.vertices[:, 0] - 3.0 * mesh8.vertices[:, 1] + 0.25
     assert np.max(np.abs(p1 - nodal)) < 1e-12
@@ -295,9 +314,9 @@ def test_u_block_solver_inverts_the_tensor_product_operator(case):
     ends = np.ones(n + 1)
     ends[[0, -1]] = 0.5
     lumped = sp.diags(ends / n)
-    A = (sp.kron(lumped, lumped) / tau
-         + stiffness_matrix(mesh, conductivity)).tocsc()
-    solve = DiscreteOperators(mesh, conductivity).u_block_solver(tau)
+    ops = DiscreteOperators(mesh, conductivity)
+    A = (sp.kron(lumped, lumped) / tau + ops.stiffness).tocsc()
+    solve = ops.u_block_solver(tau)
     r = np.random.default_rng(n).standard_normal(mesh.num_vertices)
     x = solve(r)
     expected = spsolve(A, r)
@@ -331,12 +350,12 @@ _PROJECTED = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
 def _projection_error(mesh):
     """Largest difference between l2_project and spsolve on the mass
     matrix, relative to the largest entry of the spsolve projections."""
-    rule = quadrature_rule(6)
-    xy = quadrature_coords(mesh, rule)
-    b = np.column_stack([load_vector(mesh, f(xy[:, :, 0], xy[:, :, 1]),
-                                     rule) for f in _PROJECTED])
-    expected = spsolve(mass_matrix(mesh).tocsc(), b)
-    got = l2_project(mesh, _PROJECTED).T
+    ops = DiscreteOperators(mesh)
+    xy = quadrature_coords(mesh, ops.rule6)
+    b = np.column_stack([ops.load(f(xy[:, :, 0], xy[:, :, 1]), ops.rule6)
+                         for f in _PROJECTED])
+    expected = spsolve(ops.mass.tocsc(), b)
+    got = l2_project(ops, _PROJECTED).T
     return np.abs(got - expected).max() / np.abs(expected).max()
 
 
@@ -353,22 +372,13 @@ def test_l2_project_matches_spsolve_to_rounding_level(case):
     assert _projection_error(mesh) <= 1e-13
 
 
-def test_l2_project_uses_the_mass_matrix_it_is_given(mesh8):
-    # a mass matrix handed in is used as it is, not assembled again
-    f = [lambda x, y: np.cos(3.0 * x) + y]
-    ops = DiscreteOperators(mesh8)
-    assert np.array_equal(l2_project(mesh8, f, mass=ops.mass),
-                          l2_project(mesh8, f))
-    assert not np.array_equal(l2_project(mesh8, f, mass=2.0 * ops.mass),
-                              l2_project(mesh8, f))
-
-
 def test_l2_project_solves_no_zero_load(mesh8, monkeypatch):
     # the default w0 loads exactly zero: its projection is the zero that
     # the Chebyshev steps would give, and the steps run only for u0
     from monofem.ionic import initial_pair
 
-    mass = mass_matrix(mesh8)
+    ops = DiscreteOperators(mesh8)
+    mass = ops.mass
     real = assembly.mass_solver
     steps = assembly._PROJECTION_STEPS
     applied = []
@@ -383,13 +393,12 @@ def test_l2_project_solves_no_zero_load(mesh8, monkeypatch):
         return counted
 
     monkeypatch.setattr(assembly, "mass_solver", counting)
-    u0, w0 = l2_project(mesh8, initial_pair(), mass=mass)
+    u0, w0 = l2_project(ops, initial_pair())
     assert applied == [steps]
     zero = real(mass, steps)(np.zeros(mesh8.num_vertices))
     assert np.array_equal(w0, zero) and not np.any(np.signbit(w0))
-    rule = quadrature_rule(6)
-    xy = quadrature_coords(mesh8, rule)
-    b = load_vector(mesh8, initial_pair()[0](xy[:, :, 0], xy[:, :, 1]), rule)
+    xy = quadrature_coords(mesh8, ops.rule6)
+    b = ops.load(initial_pair()[0](xy[:, :, 0], xy[:, :, 1]), ops.rule6)
     assert np.array_equal(u0, real(mass, steps)(b))
 
 
@@ -408,7 +417,7 @@ def test_jacobi_scaled_mass_spectrum_lies_in_half_to_two(kind, n, levels,
         mesh = mesh_chain(n, levels)[-1]
     else:
         mesh = _distorted_mesh(n + 1, seed)
-    M = mass_matrix(mesh).toarray()
+    M = DiscreteOperators(mesh).mass.toarray()
     lam = sla.eigvalsh(M, np.diag(np.diag(M)))
     assert lam.min() >= 0.5 - 1e-12
     assert lam.max() <= 2.0 + 1e-12
@@ -419,7 +428,7 @@ def test_mass_solver_applies_the_fixed_chebyshev_polynomial(steps):
     # k steps from the zero guess are one fixed polynomial in D^-1 M,
     # whatever b is, and meet the error bound 2 3^-k in the M-norm
     mesh = _distorted_mesh(5, 3)
-    M = mass_matrix(mesh)
+    M = DiscreteOperators(mesh).mass
     reference, p = chebyshev_mass_inverse_reference(M, steps)
     assert np.abs(p).max() <= 2.0 * 3.0 ** -steps
     rng = np.random.default_rng(steps)
@@ -442,7 +451,7 @@ def test_l2_project_gaussian_second_order():
     f = lambda x, y: initial_data(x, y)[0]
     errs = []
     for mesh in mesh_chain(4, 2):
-        proj, = l2_project(mesh, [f])
+        proj, = l2_project(DiscreteOperators(mesh), [f])
         peak = np.flatnonzero((np.abs(mesh.vertices[:, 0] - 1.0) < 1e-12)
                               & (np.abs(mesh.vertices[:, 1]) < 1e-12))[0]
         assert f(1.0, 0.0) == pytest.approx(1.0)
@@ -526,7 +535,7 @@ def _blocked_assembly(mesh, states):
     ops.u_block_solver = lambda tau: None
     A, rhs = ops.newton_system(p, *states, 0.05)
     return (len(ops._blocks), A.a11.data, A.a12.data, rhs,
-            l2_project(mesh, _PROJECTED))
+            l2_project(ops, _PROJECTED))
 
 
 @pytest.mark.parametrize("mesh", [unit_square_mesh(1), unit_square_mesh(2),
@@ -568,3 +577,22 @@ def test_newton_system_transient_is_a_few_mesh_vectors(params):
     finally:
         tracemalloc.stop()
     assert (peak - before) / ops.mesh.num_vertices < 500
+
+
+def test_operators_construction_transient_is_bounded():
+    # the pattern's one sort and the fills through its slot map peak at
+    # about 500 B per vertex at n = 128, the arrays kept included; the
+    # COO scatter they replaced peaked at 836, bounded here with a 10 %
+    # margin, so the construction phase cannot quietly grow past it
+    import tracemalloc
+
+    mesh = unit_square_mesh(128)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        DiscreteOperators(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / mesh.num_vertices < 920

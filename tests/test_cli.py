@@ -263,7 +263,8 @@ def no_marching(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("marched before the configuration was refused")
 
-    for name in ("time_march", "build_reference", "convergence_study"):
+    for name in ("time_march", "build_reference", "convergence_study",
+                 "newton_study"):
         monkeypatch.setattr(cli, name, fail)
 
 
@@ -273,7 +274,11 @@ def no_marching(monkeypatch):
                     "study.reference_n=8", "study.reference_tau=0.3"]),
     ("convergence", ["run.t_end=1", "study.ladder=4:0.25,8:0.3",
                      "study.reference_n=16", "study.reference_tau=0.125"]),
-], ids=["solve", "upperbound-reference", "convergence-ladder"])
+    # t_end / tau overflows to inf, which has no integer step count
+    ("solve", ["run.mesh_n=4", "run.tau=1e-320", "run.t_end=1"]),
+    ("solve", ["run.mesh_n=4", "run.tau=0.05", "run.t_end=1e308"]),
+], ids=["solve", "upperbound-reference", "convergence-ladder",
+        "solve-subnormal-tau", "solve-huge-t_end"])
 def test_tau_not_dividing_t_end_is_a_config_error(out_env, no_marching,
                                                   capsys, command,
                                                   overrides):
@@ -337,15 +342,18 @@ def test_trajectory_bytes_fit_just_inside_memory(out_env, monkeypatch):
     ("solve", _mini(), 81),
     # the run on 9^2 vertices and the reference on 17^2 both count
     ("upperbound", _mini("--set", "study.reference_n=16"), 81 + 289),
-], ids=["solve", "upperbound"])
+    # the study's march keeps no trajectory; its 5^2 vertices count
+    ("newton-study", ["--set", "study.newton_n=4"], 25),
+], ids=["solve", "upperbound", "newton-study"])
 def test_working_set_is_counted_against_memory(out_env, no_marching,
                                                monkeypatch, capsys, command,
                                                overrides, vertices):
     # trajectories that fit many times over are refused when the working
-    # set of every mesh of the command does not fit beside them
+    # set of every mesh of the command does not fit beside them; a byte
+    # short of the working set alone refuses the march that stores none
     working = cli._WORKING_SET_PER_VERTEX * vertices
     assert working > 10 * 1024
-    monkeypatch.setattr(cli, "_physical_memory", lambda: working)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: working - 1)
     assert main([command] + overrides) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "working set" in err and "physical memory" in err
@@ -403,3 +411,97 @@ def test_overflowing_newton_system_fails_at_its_step(out_env, capsys):
     err = capsys.readouterr().err
     assert "solver failure: step 1 (t=0.1)" in err
     assert "not finite" in err
+
+
+#: a small run of every command (n <= 8, t_end <= 0.2) that each drawn
+#: item of the property test below is applied on top of
+_SMALL_RUN = ["run.mesh_n=4", "run.tau=0.05", "run.t_end=0.1",
+              "study.ladder=2:0.05,4:0.025", "study.reference_n=8",
+              "study.reference_tau=0.025", "study.newton_n=4",
+              "study.newton_tau=0.05", "study.instants=0.05"]
+
+#: valid values of every configuration key that keep the run small
+_VALID = {
+    ("run", "preset"): ["desk", "paper-fig2-coarse", "paper-fig2-fine",
+                        "paper-reference"],
+    ("run", "mesh_n"): ["1", "2", "4", "8"],
+    ("run", "tau"): ["0.025", "0.05", "0.1"],
+    ("run", "t_end"): ["0.05", "0.1", "0.2"],
+    ("params", "A"): ["0.5", "8", "20"],
+    ("params", "a"): ["0.01", "0.15", "0.99"],
+    ("params", "eps"): ["0.01", "0.2", "1"],
+    ("params", "M"): ["0.1", "1", "5"],
+    ("newton", "mode"): ["increment_tolerance", "estimator_balance"],
+    ("newton", "tol"): ["1e-14", "1e-8"],
+    ("newton", "sigma"): ["0.01", "0.1", "1"],
+    ("newton", "max_iterations"): ["1", "3", "30"],
+    ("output", "dir"): ["sub", "a/b"],
+    ("output", "vtk_every"): ["0", "1", "3"],
+    ("output", "checkpoint"): ["run.npz"],
+    ("output", "probe"): ["0,0", "1,1", "0.3,0.7"],
+    ("study", "ladder"): ["2:0.05,4:0.025", "1:0.1,2:0.05,4:0.025"],
+    ("study", "reference_n"): ["8"],
+    ("study", "reference_tau"): ["0.025", "0.05"],
+    ("study", "reference_tol"): ["1e-12", "1e-14"],
+    ("study", "newton_n"): ["1", "4", "8"],
+    ("study", "newton_tau"): ["0.025", "0.05"],
+    ("study", "instants"): ["0.05", "0.05,0.1"],
+}
+
+#: boundary, malformed, NaN, huge and empty values, drawn for every key;
+#: the huge integer only for integer keys, where it names a mesh or a
+#: count (a huge finite instant of newton-study is a valid, long march)
+_INVALID = ["", " ", "0", "-1", "1", "nan", "inf", "-inf", "1e308",
+            "1e-320", "abc", "1:0.1:2", "0.1,", ",", "x:y"]
+_HUGE_INT = "99999999999"
+
+
+@st.composite
+def _items(draw):
+    key = draw(st.sampled_from(sorted(cli._SCHEMA)))
+    bad = _INVALID + ([_HUGE_INT] if cli._SCHEMA[key][1] is cli._as_int
+                      else [])
+    value = draw(st.sampled_from(_VALID[key]) | st.sampled_from(bad))
+    return f"{key[0]}.{key[1]}={value}"
+
+
+def test_property_values_cover_the_schema():
+    assert set(_VALID) == set(cli._SCHEMA)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(cli._COMMANDS)),
+       items=st.lists(_items(), max_size=3))
+def test_any_configuration_runs_or_fails_with_its_exit_code(
+        tmp_path_factory, monkeypatch, capsys, command, items):
+    # every key and value either runs or fails with a documented exit
+    # code and message and no traceback; a refused configuration marches
+    # nothing and writes nothing
+    marches = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def march(*args, **kwargs):
+            marches.append(name)
+            return real(*args, **kwargs)
+
+        return march
+
+    for name in ("time_march", "build_reference", "convergence_study",
+                 "newton_study"):
+        monkeypatch.setattr(cli, name, counted(name))
+    root = tmp_path_factory.mktemp("run")
+    monkeypatch.chdir(root)
+    monkeypatch.setenv("MONOFEM_OUT", str(root / "out"))
+    argv = [command]
+    for item in _SMALL_RUN + items:
+        argv += ["--set", item]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO)
+    assert "Traceback" not in out + err
+    if code == EXIT_CONFIG:
+        assert marches == [] and list(root.iterdir()) == []
+        assert err.startswith("monofem: configuration error: ")

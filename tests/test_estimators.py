@@ -210,7 +210,8 @@ def test_gamma_decays_quadratically_along_newton(params):
     from monofem.assembly import l2_project
     from monofem.ionic import initial_data
 
-    u0, = l2_project(mesh, [lambda x, y: initial_data(x, y)[0]])
+    u0, = l2_project(DiscreteOperators(mesh),
+                     [lambda x, y: initial_data(x, y)[0]])
     prev = StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
     _, _, states = newton_solve(prev, 0.05, params, NewtonConfig(tol=1e-14))
     gammas = [linearization_indicator((a, b), params)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofem import mesh as mesh_module
-from monofem.assembly import evaluate_p1, mass_matrix
+from monofem.assembly import DiscreteOperators, evaluate_p1
 from monofem.estimators import estimate_trajectory
 from monofem.ionic import initial_pair
 from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
@@ -299,8 +299,8 @@ def test_prolongation_preserves_l2_norm():
     # nested P1 spaces: the quadratic forms of the two mass matrices agree
     chain = mesh_chain(3, 2)
     P = prolongation(chain[0], chain[2])
-    Mc = mass_matrix(chain[0])
-    Mf = mass_matrix(chain[2])
+    Mc = DiscreteOperators(chain[0]).mass
+    Mf = DiscreteOperators(chain[2]).mass
     rng = np.random.default_rng(7)
     for _ in range(5):
         v = rng.standard_normal(chain[0].num_vertices)
@@ -339,8 +339,8 @@ def test_prolongation_is_the_nested_p1_embedding(n, levels, seed):
         at_mid = _vertex_at(child, _edge_midpoints(parent))
         assert np.allclose((P @ vp)[at_mid], expected_mid, atol=1e-15)
     P = prolongation(coarse, fine)
-    Mc = mass_matrix(coarse)
-    Mf = mass_matrix(fine)
+    Mc = DiscreteOperators(coarse).mass
+    Mf = DiscreteOperators(fine).mass
     for v in V:
         Pv = P @ v
         assert v @ (Mc @ v) == pytest.approx(Pv @ (Mf @ Pv), rel=1e-12)

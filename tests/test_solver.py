@@ -53,7 +53,8 @@ def _projected_initial_state(mesh, params):
     from monofem.assembly import l2_project
     from monofem.ionic import initial_data
 
-    u0, = l2_project(mesh, [lambda x, y: initial_data(x, y)[0]])
+    u0, = l2_project(DiscreteOperators(mesh),
+                     [lambda x, y: initial_data(x, y)[0]])
     return StateField(mesh, u0, np.zeros(mesh.num_vertices), 0.0)
 
 
@@ -157,20 +158,22 @@ def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
 
 
 def test_slot_map_is_built_once_per_operators(params, monkeypatch):
+    # one pattern, sorted once at construction, carries mass, stiffness,
+    # the H1 Gram matrix, every weighted mass and every Newton block
     built = []
-    real = assembly._slot_map
+    real = assembly._p1_pattern
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(assembly, "_slot_map", counting)
+    monkeypatch.setattr(assembly, "_p1_pattern", counting)
     mesh = unit_square_mesh(4)
     ops = DiscreteOperators.for_params(mesh, params)
-    assert built == []                       # nothing before first use
+    assert len(built) == 1
     states = _random_states(mesh, 2)
     for tau in (0.1, 0.05, 0.025, 0.1):
-        ops.newton_system(params, *states, tau)
+        A, _ = ops.newton_system(params, *states, tau)
     ones = np.ones((mesh.num_triangles, 6))
     W = ops.weighted_mass(ones)
     assert len(built) == 1
@@ -179,10 +182,10 @@ def test_slot_map_is_built_once_per_operators(params, monkeypatch):
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[0] = shared[0]
-    assert np.shares_memory(W.indices, ops.mass.indices)
-    assert np.shares_memory(W.indptr, ops.mass.indptr)
-    other = DiscreteOperators.for_params(mesh, params)
-    other.newton_system(params, *states, 0.1)
+    for other in (ops.stiffness, ops.h1_gram, W, A.a11, A.a12):
+        assert np.shares_memory(other.indices, ops.mass.indices)
+        assert np.shares_memory(other.indptr, ops.mass.indptr)
+    DiscreteOperators(mesh, 2.0 * params.M_scalar)
     assert len(built) == 2
 
 
@@ -598,7 +601,7 @@ def test_initial_state_evaluates_the_default_data_once(params, monkeypatch):
     ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
     both = [lambda x, y: ionic.initial_data(x, y)[0],
             lambda x, y: ionic.initial_data(x, y)[1]]
-    expected = l2_project(ops.mesh, both, mass=ops.mass)
+    expected = l2_project(ops, both)
     calls = []
     real = ionic.initial_data
 
