@@ -20,7 +20,9 @@ and the initial projection run over blocks of `_BLOCK` consecutive
 triangles: each block integrates its values and adds them by one
 `bincount` into the range of slots or vertices its triangles touch, so
 no temporary is larger than a block and a mesh of at most `_BLOCK`
-triangles is one block.
+triangles is one block.  The strictly upper entries of the pattern
+number the mesh's edges (:attr:`DiscreteOperators.edges`), on which the
+estimators add their conormal jumps.
 
 The linear system of a Newton step, matrix and right-hand side, is built
 in one place, :meth:`DiscreteOperators.newton_system`.  Its matrix stays
@@ -219,6 +221,28 @@ def _p1_pattern(mesh):
     keys = keys[first]
     indptr = np.searchsorted(keys, nv * np.arange(nv + 1)).astype(np.int32)
     return indptr, (keys % nv).astype(np.int32), slots
+
+
+def _p1_edges(mesh, pattern, slots):
+    """(local, lengths) of :attr:`DiscreteOperators.edges` from the CSR
+    matrix `pattern` of `mesh` and its slot map `slots`
+    (:func:`_p1_pattern`): an edge is numbered by its rank among the
+    strictly upper entries of the pattern, and the local edge from a to
+    b of a triangle takes the slot of its entry (min(a, b), max(a, b))."""
+    rows = np.repeat(np.arange(mesh.num_vertices), np.diff(pattern.indptr))
+    upper = pattern.indices > rows
+    edge_of_slot = np.cumsum(upper) - 1
+    a = mesh.triangles
+    b = np.roll(a, -1, axis=1)
+    j = np.arange(3)
+    k = (j + 1) % 3
+    local = edge_of_slot[np.where(a < b, slots[:, 3 * j + k],
+                                  slots[:, 3 * k + j])]
+    lengths = np.empty(np.count_nonzero(upper))
+    lengths[local] = mesh.tri_edge_lengths
+    local.setflags(write=False)
+    lengths.setflags(write=False)
+    return local, lengths
 
 
 def mass_solver(mass, steps):
@@ -495,6 +519,16 @@ class DiscreteOperators:
             solve = self._u_block_solvers[tau] = grid_solver(
                 n, 1.0 / tau, self.conductivity)
         return solve
+
+    @cached_property
+    def edges(self):
+        """(local, lengths), the mesh's edges, built on first read
+        (:func:`_p1_edges`).  The edges are the entries (i, j), i < j, of
+        the pattern of :attr:`mass`, numbered in its order, which sorts
+        the vertex pairs.  `local` (nt, 3) is the edge of each local edge
+        j of each triangle, from vertex j to vertex j+1 (mod 3), and
+        `lengths` the length of each edge; both are read-only."""
+        return _p1_edges(self.mesh, self.mass, self._slots)
 
     @cached_property
     def _blocks(self):

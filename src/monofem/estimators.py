@@ -62,8 +62,11 @@ class EstimatorReport:
     """Indicator values of one timestep with their sub-terms.
 
     All `*_terms` entries are squared contributions; eta**2 equals the sum
-    of element, edge and ODE terms by construction.  `time_parts` is the
-    squared (gradient, P1, P2) decomposition of theta.
+    of element, edge and ODE terms by construction.  `element_terms` is in
+    triangle order, `edge_terms` in the edge order of the operators
+    (:attr:`assembly.DiscreteOperators.edges`): the vertex pairs i < j,
+    sorted.  `time_parts` is the squared (gradient, P1, P2) decomposition
+    of theta.
     """
 
     step: int
@@ -107,22 +110,22 @@ def _at(ops, state):
 
 
 def _edge_jump_terms(ops, u):
-    """h_E * ||conormal jump of u||^2_{L2(E)} per edge.
+    """h_E * ||conormal jump of u||^2_{L2(E)} per edge, in the order of
+    `ops.edges`.
 
-    The jump uses the fixed normal of the lower-indexed incident triangle;
-    boundary edges contribute their full conormal derivative (homogeneous
-    Neumann residual).  For P1 the jump is constant along each edge, so the
-    L2(E) norm is exact.
+    The jump on an edge is the sum of the outward conormal derivatives
+    sigma grad u . n of the triangles that share it, each triangle's
+    three added into its edges by one bincount in triangle order; a
+    boundary edge keeps its one (homogeneous Neumann residual).  For P1
+    the jump is constant along each edge, so the L2(E) norm is exact.
     """
     mesh = ops.mesh
+    local, lengths = ops.edges
     grads = np.einsum("ei,eid->ed", u[mesh.triangles], mesh.basis_gradients)
     flux = ops.conductivity * grads
-    t1, t2 = mesh.edge_triangles.T
-    jump = np.einsum("ed,ed->e", mesh.edge_normals, flux[t1])
-    interior = t2 >= 0
-    jump[interior] -= np.einsum("ed,ed->e", mesh.edge_normals[interior],
-                                flux[t2[interior]])
-    return mesh.edge_lengths ** 2 * jump ** 2
+    outward = np.einsum("ejd,ed->ej", mesh.tri_edge_normals, flux)
+    jump = np.bincount(local.ravel(), weights=outward.ravel())
+    return lengths ** 2 * jump ** 2
 
 
 def _elementwise_l2sq(ops, values):

@@ -14,9 +14,11 @@ preconditioner, a tensor-product solve on the grid, applies to it, and
 the prolongation between two grids is read off their grid indices.
 
 A mesh computes its element geometry (areas, P1 basis gradients) and
-checks its validity at construction; the edge table and the
-per-triangle edge geometry, which only the a posteriori estimators and
-the diameters read, are built on first read (:class:`TriMesh`).
+checks its validity at construction.  It keeps no edge table: the
+estimators number the edges on the P1 pattern of their operators
+(:attr:`assembly.DiscreteOperators.edges`).  The per-triangle edge
+geometry, which the estimators and the diameters read, and the grid
+width are built on first read (:class:`TriMesh`).
 """
 
 from functools import cached_property
@@ -40,26 +42,8 @@ class MeshError(ValueError):
     """Invalid mesh input: degenerate cells, broken conformity, bad nesting."""
 
 
-def _unique_edges(pairs):
-    """Lexicographically sorted unique rows of an (m, 2) int array.
-
-    Returns (unique, inverse); implemented by hand so the ordering does not
-    depend on the numpy version's `unique(axis=0)` behaviour.
-    """
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    srt = pairs[order]
-    new = np.empty(len(srt), dtype=bool)
-    new[0] = True
-    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    unique = srt[new]
-    group = np.cumsum(new) - 1
-    inverse = np.empty(len(pairs), dtype=np.int64)
-    inverse[order] = group
-    return unique, inverse
-
-
 class TriMesh:
-    """Conforming triangulation with lazily built edge topology.
+    """Conforming triangulation with lazily built edge geometry.
 
     Parameters
     ----------
@@ -74,12 +58,11 @@ class TriMesh:
     counterclockwise, that covers an edge shared by more than two
     triangles, and also two triangles overlapping on one side of an edge.
 
-    The edge table (`edges`, `triangle_edges`, `edge_triangles`,
-    `edge_lengths`, `edge_normals`), the per-triangle edge geometry
-    (`tri_edge_lengths`, `tri_edge_normals`, `diameters`) and the grid
-    width `grid_n` are built on first read and then kept on the mesh;
-    only the estimators' edge jumps need the table, and reading
-    `diameters` does not build it.
+    The per-triangle edge geometry (`tri_edge_lengths`,
+    `tri_edge_normals`, `diameters`) and the grid width `grid_n` are
+    built on first read and then kept on the mesh.  There is no edge
+    table: the one numbering of the edges is that of the P1 pattern
+    (:attr:`assembly.DiscreteOperators.edges`).
 
     The mesh is immutable after construction, apart from the cache
     `located_points` and the attributes built on first read, and safe to
@@ -155,54 +138,6 @@ class TriMesh:
     def diameters(self):
         """(nt,) longest edge of each triangle."""
         return self.tri_edge_lengths.max(axis=1)
-
-    @cached_property
-    def _edge_index(self):
-        """(edges, inverse): the global edges from the sorted local pairs,
-        and the global edge of each local edge, triangle by triangle."""
-        raw = self.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        return _unique_edges(np.sort(raw, axis=1))
-
-    @cached_property
-    def edges(self):
-        """(ne, 2) sorted vertex pairs in lexicographic order."""
-        return self._edge_index[0]
-
-    @cached_property
-    def triangle_edges(self):
-        """(nt, 3) global edge of each local edge."""
-        return self._edge_index[1].reshape(-1, 3)
-
-    @cached_property
-    def edge_triangles(self):
-        """(ne, 2) the one or two incident triangles, lower index first;
-        the second is -1 on the boundary."""
-        inv = self._edge_index[1]
-        edge_tris = np.full((len(self.edges), 2), -1, dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
-        tri_of_slot = order // 3
-        eid = inv[order]
-        first = np.ones(len(eid), dtype=bool)
-        first[1:] = eid[1:] != eid[:-1]
-        edge_tris[eid[first], 0] = tri_of_slot[first]
-        edge_tris[eid[~first], 1] = tri_of_slot[~first]
-        return edge_tris
-
-    @cached_property
-    def edge_lengths(self):
-        """(ne,) length of each edge."""
-        v = self.vertices
-        return np.linalg.norm(v[self.edges[:, 1]] - v[self.edges[:, 0]],
-                              axis=1)
-
-    @cached_property
-    def edge_normals(self):
-        """(ne, 2) unit normal of each edge, pointing out of its first
-        (lower-index) incident triangle: a fixed jump convention."""
-        t1 = self.edge_triangles[:, 0]
-        slot = np.argmax(self.triangle_edges[t1]
-                         == np.arange(len(self.edges))[:, None], axis=1)
-        return self.tri_edge_normals[t1, slot]
 
     @property
     def num_vertices(self):

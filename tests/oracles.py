@@ -22,15 +22,22 @@ step's Newton iteration where the march does, by calling the package's
 `solver._newton_start`, so the two differ only in their linear algebra.
 The Chebyshev mass solve is checked against the dense matrix of its
 polynomial, built from the generalized eigenvectors of the mass matrix
-and its diagonal.  `other_diagonals` cuts the cells of a structured grid
-along the diagonal the package does not use, which makes a mesh on the
-grid's vertices that is not the grid.
+and its diagonal.  The edge table (`edge_table`) is built in plain
+Python, a dict from each sorted vertex pair to its incident triangles,
+where the package numbers its edges on the sorted P1 pattern of its
+operators.  `other_diagonals` cuts the cells of a structured grid along
+the diagonal the package does not use, which makes a mesh on the grid's
+vertices that is not the grid; `distorted_mesh` moves a grid's interior
+vertices, and `renumbered_mesh` permutes a grid's vertices and
+triangles and rotates each triangle's vertex order.
 """
+
+from collections import namedtuple
+from math import factorial, sqrt
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from math import factorial
 
 from monofem.assembly import DiscreteOperators
 from monofem.ionic import react
@@ -209,3 +216,55 @@ def other_diagonals(n, flipped=None):
         cells[flipped] = other[flipped]
         other = cells
     return TriMesh(mesh.vertices, other.reshape(-1, 3))
+
+
+def distorted_mesh(n, seed):
+    """unit_square_mesh(n) with each interior vertex moved by up to h/10
+    in each coordinate, which keeps every triangle counterclockwise."""
+    mesh = unit_square_mesh(n)
+    xy = mesh.vertices
+    interior = np.all((xy > 1e-12) & (xy < 1.0 - 1e-12), axis=1)
+    rng = np.random.default_rng(seed)
+    moved = xy.copy()
+    moved[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
+    return TriMesh(moved, mesh.triangles)
+
+
+def renumbered_mesh(n, seed):
+    """unit_square_mesh(n) with its vertices and its triangles in random
+    orders and each triangle's vertices rotated by a random shift, which
+    keeps it counterclockwise."""
+    mesh = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.num_vertices)
+    inv = np.argsort(perm)
+    tris = inv[mesh.triangles][rng.permutation(mesh.num_triangles)]
+    shifts = rng.integers(0, 3, len(tris))
+    return TriMesh(mesh.vertices[perm],
+                   np.stack([np.roll(t, -k) for t, k in zip(tris, shifts)]))
+
+
+#: one edge of :func:`edge_table`
+Edge = namedtuple("Edge", "triangles length normal")
+
+
+def edge_table(mesh):
+    """The edges of `mesh`, in plain Python: a dict, in increasing order
+    of its keys, from each vertex pair (a, b), a < b, to its Edge: the
+    incident triangles in increasing order, the length from the vertex
+    coordinates and the outward unit normal (x, y) of the lower-index
+    triangle, its tangent turned by -90 degrees over the length."""
+    xy = mesh.vertices.tolist()
+    found = {}
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for j in range(3):
+            a, b = tri[j], tri[(j + 1) % 3]
+            key = (min(a, b), max(a, b))
+            if key in found:
+                found[key][0].append(t)
+                continue
+            dx, dy = xy[b][0] - xy[a][0], xy[b][1] - xy[a][1]
+            length = sqrt(dx * dx + dy * dy)
+            found[key] = ([t], length, (dy / length, -dx / length))
+    return {key: Edge(tuple(tris), length, normal)
+            for key, (tris, length, normal) in sorted(found.items())}

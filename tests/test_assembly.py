@@ -15,21 +15,9 @@ from monofem.assembly import (AssemblyError, DiscreteOperators, evaluate_p1,
 from monofem.mesh import TriMesh, mesh_chain, refine_uniform, unit_square_mesh
 
 from oracles import (barycentric_at, chebyshev_mass_inverse_reference,
-                     load_reference, p1_gradients, p1_matrices_reference,
-                     reference_monomial_integral, triangle_quadrature,
-                     weighted_mass_reference)
-
-
-def _distorted_mesh(n, seed):
-    """unit_square_mesh(n) with each interior vertex moved by up to h/10
-    in each coordinate, which keeps every triangle counterclockwise."""
-    mesh = unit_square_mesh(n)
-    xy = mesh.vertices
-    interior = np.all((xy > 1e-12) & (xy < 1.0 - 1e-12), axis=1)
-    rng = np.random.default_rng(seed)
-    moved = xy.copy()
-    moved[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) / n
-    return TriMesh(moved, mesh.triangles)
+                     distorted_mesh, load_reference, p1_gradients,
+                     p1_matrices_reference, reference_monomial_integral,
+                     triangle_quadrature, weighted_mass_reference)
 
 
 @pytest.mark.parametrize("degree", [4, 6])
@@ -154,7 +142,7 @@ def test_stiffness_has_exactly_one_zero_eigenvalue(n):
     TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 2]])),
     unit_square_mesh(1), unit_square_mesh(5), unit_square_mesh(16),
-    _distorted_mesh(8, 2)],
+    distorted_mesh(8, 2)],
     ids=["reference_triangle", "n1", "n5", "n16", "distorted"])
 def test_operators_match_the_coo_reference(mesh, conductivity):
     # the one sorted pattern and its slot map give the index arrays of a
@@ -225,7 +213,7 @@ def test_weighted_mass_size_mismatch(mesh8):
 
 
 @pytest.mark.parametrize("degree", [4, 6])
-@pytest.mark.parametrize("mesh", [unit_square_mesh(8), _distorted_mesh(8, 2)],
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), distorted_mesh(8, 2)],
                          ids=["unit_square_8", "distorted"])
 def test_kernels_match_coo_reference(mesh, degree):
     # the weighted mass of the operators and the load vector against the
@@ -339,7 +327,7 @@ def test_u_block_solver_is_made_once_per_tau(monkeypatch):
     ops.u_block_solver(0.2)
     assert made == [(4, 10.0, 0.5), (4, 5.0, 0.5)]
     with pytest.raises(AssemblyError):
-        DiscreteOperators(_distorted_mesh(4, 1)).u_block_solver(0.1)
+        DiscreteOperators(distorted_mesh(4, 1)).u_block_solver(0.1)
 
 
 _PROJECTED = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
@@ -368,7 +356,7 @@ def test_l2_project_matches_spsolve_on_a_refined_mesh():
 @pytest.mark.parametrize("case", ["structured_32", "distorted"])
 def test_l2_project_matches_spsolve_to_rounding_level(case):
     mesh = unit_square_mesh(32) if case == "structured_32" else \
-        _distorted_mesh(16, 7)
+        distorted_mesh(16, 7)
     assert _projection_error(mesh) <= 1e-13
 
 
@@ -416,7 +404,7 @@ def test_jacobi_scaled_mass_spectrum_lies_in_half_to_two(kind, n, levels,
     elif kind == "refined":
         mesh = mesh_chain(n, levels)[-1]
     else:
-        mesh = _distorted_mesh(n + 1, seed)
+        mesh = distorted_mesh(n + 1, seed)
     M = DiscreteOperators(mesh).mass.toarray()
     lam = sla.eigvalsh(M, np.diag(np.diag(M)))
     assert lam.min() >= 0.5 - 1e-12
@@ -427,7 +415,7 @@ def test_jacobi_scaled_mass_spectrum_lies_in_half_to_two(kind, n, levels,
 def test_mass_solver_applies_the_fixed_chebyshev_polynomial(steps):
     # k steps from the zero guess are one fixed polynomial in D^-1 M,
     # whatever b is, and meet the error bound 2 3^-k in the M-norm
-    mesh = _distorted_mesh(5, 3)
+    mesh = distorted_mesh(5, 3)
     M = DiscreteOperators(mesh).mass
     reference, p = chebyshev_mass_inverse_reference(M, steps)
     assert np.abs(p).max() <= 2.0 * 3.0 ** -steps
@@ -540,7 +528,7 @@ def _blocked_assembly(mesh, states):
 
 @pytest.mark.parametrize("mesh", [unit_square_mesh(1), unit_square_mesh(2),
                                   unit_square_mesh(5), unit_square_mesh(16),
-                                  _distorted_mesh(8, 2)],
+                                  distorted_mesh(8, 2)],
                          ids=["n1", "n2", "n5", "n16", "distorted"])
 def test_blocks_agree_with_one_block(mesh, monkeypatch):
     # every mesh here is one block of _BLOCK triangles; cut into blocks of

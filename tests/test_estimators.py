@@ -3,8 +3,8 @@ import pytest
 
 from monofem import ionic
 from monofem.assembly import DiscreteOperators
-from monofem.estimators import (EstimatorReport, cumulative_bound,
-                                estimate_trajectory,
+from monofem.estimators import (EstimatorReport, _edge_jump_terms,
+                                cumulative_bound, estimate_trajectory,
                                 initial_projection_terms,
                                 linearization_indicator,
                                 simplified_indicators, space_indicator,
@@ -15,7 +15,8 @@ from monofem.mesh import TriMesh, prolongation, refine_uniform, \
 from monofem.solver import NewtonConfig, StateField, initial_state, \
     newton_solve, time_march
 
-from oracles import barycentric_at, p1_gradients, triangle_quadrature
+from oracles import (barycentric_at, distorted_mesh, edge_table,
+                     p1_gradients, renumbered_mesh, triangle_quadrature)
 
 
 def _random_states(mesh, rng, time=0.1):
@@ -57,7 +58,8 @@ def test_affine_state_has_zero_interior_jumps(params):
     state = StateField(mesh, nodal, np.zeros(mesh.num_vertices), 0.1)
     prev = StateField(mesh, nodal, np.zeros(mesh.num_vertices), 0.0)
     _, _, edge_terms, _ = space_indicator(prev, (state, state), 0.1, params)
-    boundary = mesh.edge_triangles[:, 1] < 0
+    boundary = np.array([len(e.triangles) == 1
+                         for e in edge_table(mesh).values()])
     assert np.all(edge_terms[~boundary] < 1e-28)
     assert edge_terms[boundary].sum() > 0
 
@@ -74,6 +76,47 @@ def test_edge_terms_scale_with_the_square_of_the_conductivity(params):
                        atol=0.0)
     assert np.array_equal(terms[1][1], terms[0][1])
     assert terms[1][3] == terms[0][3]
+
+
+_EDGE_MESHES = {"n1": lambda: unit_square_mesh(1),
+                "n2": lambda: unit_square_mesh(2),
+                "n5": lambda: unit_square_mesh(5),
+                "distorted": lambda: distorted_mesh(8, 2),
+                "renumbered": lambda: renumbered_mesh(5, 3)}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_MESHES))
+def test_edges_are_the_sorted_pairs_and_jumps_keep_their_bits(case):
+    # the operators' edges are the oracle's sorted vertex pairs, with the
+    # same lengths, and the jump as a sum of outward conormal derivatives
+    # has the bits of the old one-normal difference n1.f1 - n1.f2,
+    # written out here on the oracle's table
+    mesh = _EDGE_MESHES[case]()
+    table = edge_table(mesh)
+    pairs = np.array(list(table))
+    tri = mesh.triangles
+    for conductivity in (1.0, 2.5):
+        ops = DiscreteOperators(mesh, conductivity)
+        local, lengths = ops.edges
+        assert not local.flags.writeable and not lengths.flags.writeable
+        ends = np.sort(np.stack([tri, np.roll(tri, -1, axis=1)], axis=2),
+                       axis=2)
+        assert np.array_equal(pairs[local], ends)
+        assert np.array_equal(lengths, [e.length for e in table.values()])
+
+        u = np.random.default_rng(len(case)).standard_normal(
+            mesh.num_vertices)
+        grads = np.einsum("ei,eid->ed", u[tri], mesh.basis_gradients)
+        flux = conductivity * grads
+        first = np.array([e.triangles[0] for e in table.values()])
+        last = np.array([e.triangles[-1] for e in table.values()])
+        interior = first != last
+        normals = np.array([e.normal for e in table.values()])
+        jump = np.einsum("ed,ed->e", normals, flux[first])
+        jump[interior] -= np.einsum("ed,ed->e", normals[interior],
+                                    flux[last[interior]])
+        assert np.array_equal(_edge_jump_terms(ops, u),
+                              lengths ** 2 * jump ** 2)
 
 
 def test_space_indicator_against_bruteforce_quadrature(params):
@@ -107,18 +150,19 @@ def test_space_indicator_against_bruteforce_quadrature(params):
         el_oracle[k] = h_k ** 2 * np.dot(wts, res_pde ** 2)
         ode_oracle += np.dot(wts, res_ode ** 2)
 
-    edge_oracle = np.zeros(len(mesh.edges))
+    edges = edge_table(mesh)
+    edge_oracle = np.zeros(len(edges))
     grads = {k: p1_gradients(mesh.vertices[mesh.triangles[k]])
              for k in range(mesh.num_triangles)}
-    for e, (a, b) in enumerate(mesh.edges):
-        t1, t2 = mesh.edge_triangles[e]
-        nrm = mesh.edge_normals[e]
+    for e, edge in enumerate(edges.values()):
+        t1 = edge.triangles[0]
+        nrm = np.array(edge.normal)
         g1 = grads[t1].T @ it_b.u[mesh.triangles[t1]]
         jump = nrm @ g1 * params.M_scalar
-        if t2 >= 0:
+        for t2 in edge.triangles[1:]:
             g2 = grads[t2].T @ it_b.u[mesh.triangles[t2]]
             jump -= nrm @ g2 * params.M_scalar
-        edge_oracle[e] = mesh.edge_lengths[e] ** 2 * jump ** 2
+        edge_oracle[e] = edge.length ** 2 * jump ** 2
 
     assert np.allclose(element_terms, el_oracle, rtol=1e-10)
     assert np.allclose(edge_terms, edge_oracle, rtol=1e-10)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monofem import mesh as mesh_module
+from monofem import assembly
 from monofem.assembly import DiscreteOperators, evaluate_p1
 from monofem.estimators import estimate_trajectory
 from monofem.ionic import initial_pair
 from monofem.mesh import (MeshError, TriMesh, mesh_chain, prolongation,
                           refine_uniform, unit_square_mesh, write_vtk)
-from monofem.solver import SolverError, TrajectorySolution, time_march
+from monofem.solver import (NewtonConfig, SolverError, TrajectorySolution,
+                            time_march)
 
-from oracles import other_diagonals
+from oracles import edge_table, other_diagonals
 
 
 def _vertex_at(mesh, points):
@@ -25,9 +26,14 @@ def _vertex_at(mesh, points):
     return ij[:, 1] * (n + 1) + ij[:, 0]
 
 
+def _edge_pairs(mesh):
+    """(ne, 2) the sorted vertex pairs of the oracle edge table."""
+    return np.array(list(edge_table(mesh)))
+
+
 def _edge_midpoints(mesh):
-    return 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                  + mesh.vertices[mesh.edges[:, 1]])
+    pairs = _edge_pairs(mesh)
+    return 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])
 
 
 def _assert_vertices_at_coarse_vertices_and_midpoints(coarse, fine):
@@ -81,8 +87,9 @@ def test_n2_counts_match_euler_formula():
     m = unit_square_mesh(2)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    assert len(m.edges) == 16
-    assert m.num_vertices - len(m.edges) + m.num_triangles == 1
+    edges = edge_table(m)
+    assert len(edges) == 16
+    assert m.num_vertices - len(edges) + m.num_triangles == 1
 
 
 def test_rejects_nonpositive_n():
@@ -99,9 +106,13 @@ def test_structured_mesh_invariants(n):
     assert m.num_triangles == 2 * n * n
     assert m.areas.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.max_diameter == pytest.approx(np.sqrt(2.0) / n, rel=1e-13)
-    # each interior edge has two incident triangles, boundary edges one
-    incidences = (m.edge_triangles >= 0).sum(axis=1)
-    boundary = m.edge_triangles[:, 1] < 0
+    # each interior edge has two incident triangles, boundary edges one;
+    # an edge is on the boundary when both ends lie on one side
+    edges = edge_table(m)
+    incidences = np.array([len(e.triangles) for e in edges.values()])
+    ends = m.vertices[np.array(list(edges))]           # (ne, 2 ends, xy)
+    boundary = np.any((ends[:, 0] == ends[:, 1])
+                      & ((ends[:, 0] == 0.0) | (ends[:, 0] == 1.0)), axis=1)
     assert np.all(incidences[boundary] == 1)
     assert np.all(incidences[~boundary] == 2)
     assert boundary.sum() == 4 * n
@@ -120,8 +131,8 @@ def test_interior_edges_appear_with_opposite_orientations():
     for t, (a, b, c) in enumerate(m.triangles):
         for u, v in ((a, b), (b, c), (c, a)):
             directed.setdefault((u, v), []).append(t)
-    for e, (a, b) in enumerate(m.edges):
-        if m.edge_triangles[e, 1] < 0:
+    for (a, b), edge in edge_table(m).items():
+        if len(edge.triangles) == 1:
             continue
         assert len(directed.get((a, b), [])) == 1
         assert len(directed.get((b, a), [])) == 1
@@ -217,42 +228,58 @@ def test_edge_in_three_triangles_rejected():
 
 
 def test_edge_table_is_built_only_when_read(tmp_path, params, monkeypatch):
-    calls = []
-    real = mesh_module._unique_edges
+    # the operators number the edges (assembly._p1_edges) when their
+    # `edges` is first read: no march, checkpoint, point evaluation or
+    # diameter reads them, each estimate numbers them once for its own
+    # operators, and a balance-mode march once for the operators of its
+    # march
+    built = []
+    real = assembly._p1_edges
 
-    def counting(pairs):
-        calls.append(len(pairs))
-        return real(pairs)
+    def counting(mesh, pattern, slots):
+        built.append((mesh, pattern))
+        return real(mesh, pattern, slots)
 
-    monkeypatch.setattr(mesh_module, "_unique_edges", counting)
+    monkeypatch.setattr(assembly, "_p1_edges", counting)
     assert repr(unit_square_mesh(2)) == "TriMesh(nv=9, nt=8)"
-    assert calls == []
     mesh = unit_square_mesh(8)
+    ops = DiscreteOperators(mesh)
+    assert built == []
+    assert ops.edges is ops.edges
+    assert len(built) == 1
+    assert built[0][0] is mesh and built[0][1] is ops.mass
+    built.clear()
     traj = time_march(mesh, params, 0.25, 0.5)
     traj.save(tmp_path / "traj.npz")
     evaluate_p1(mesh, traj.U[-1], 0.3, 0.7)
     assert mesh.max_diameter == pytest.approx(np.sqrt(2.0) / 8)
-    assert calls == []
+    assert built == []
     estimate_trajectory(traj)
-    assert len(calls) == 1
     estimate_trajectory(traj)
-    assert len(calls) == 1
-    # a loaded checkpoint builds its own mesh, and its table on first read
+    assert [m for m, _ in built] == [mesh, mesh]
+    assert built[0][1] is not built[1][1]
+    # a loaded checkpoint builds its own mesh, and its edges on first read
     loaded = TrajectorySolution.load(tmp_path / "traj.npz")
-    assert len(calls) == 1
+    assert len(built) == 2
     estimate_trajectory(loaded, initial=initial_pair())
-    assert len(calls) == 2
+    assert len(built) == 3 and built[2][0] is loaded.mesh
+    built.clear()
+    balanced = time_march(mesh, params, 0.25, 0.5,
+                          NewtonConfig(mode="estimator_balance"))
+    assert balanced.newton_counts().sum() > 2
+    assert [m for m, _ in built] == [mesh]
 
 
 def test_threads_reading_a_fresh_mesh_see_one_edge_table():
-    names = ("edges", "triangle_edges", "edge_triangles", "edge_lengths",
-             "edge_normals", "diameters", "grid_n")
+    names = ("diameters", "grid_n", "tri_edge_lengths", "tri_edge_normals")
     expected = unit_square_mesh(16)
+    expected_edges = DiscreteOperators(expected).edges
     mesh = unit_square_mesh(16)
+    ops = DiscreteOperators(mesh)
     seen = []
 
     def read():
-        seen.append([getattr(mesh, name) for name in names])
+        seen.append(([getattr(mesh, name) for name in names], ops.edges))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -266,9 +293,11 @@ def test_threads_reading_a_fresh_mesh_see_one_edge_table():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == len(threads)
-    for arrays in seen:
+    for arrays, edges in seen:
         for name, a in zip(names, arrays):
             assert np.array_equal(a, getattr(expected, name))
+        for a, b in zip(edges, expected_edges):
+            assert np.array_equal(a, b)
 
 
 def test_element_geometry_index_errors(reference_triangle):
@@ -290,7 +319,8 @@ def test_prolongation_reproduces_constants_and_midpoints():
     v = rng.standard_normal(chain[0].num_vertices)
     fine_v = P @ v
     coarse = chain[0]
-    expected_mid = 0.5 * (v[coarse.edges[:, 0]] + v[coarse.edges[:, 1]])
+    pairs = _edge_pairs(coarse)
+    expected_mid = 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])
     at_mid = _vertex_at(chain[1], _edge_midpoints(coarse))
     assert np.allclose(fine_v[at_mid], expected_mid, atol=1e-15)
 
@@ -334,8 +364,8 @@ def test_prolongation_is_the_nested_p1_embedding(n, levels, seed):
         P = prolongation(parent, child)
         assert np.allclose(P @ np.ones(parent.num_vertices), 1.0, atol=1e-15)
         vp = prolongation(coarse, parent) @ V[0]
-        expected_mid = 0.5 * (vp[parent.edges[:, 0]]
-                              + vp[parent.edges[:, 1]])
+        pairs = _edge_pairs(parent)
+        expected_mid = 0.5 * (vp[pairs[:, 0]] + vp[pairs[:, 1]])
         at_mid = _vertex_at(child, _edge_midpoints(parent))
         assert np.allclose((P @ vp)[at_mid], expected_mid, atol=1e-15)
     P = prolongation(coarse, fine)

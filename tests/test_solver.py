@@ -706,6 +706,54 @@ def test_every_accepted_step_ends_below_the_loosest_increment(params, tau,
         assert rec.increments[-1] < solver._LOOSEST_INCREMENT, n
 
 
+class _Drift:
+    """A stand-in linear solver that moves each iterate by a constant,
+    scaled by `rate` at every call: the Newton increments then rise
+    (rate > 1) or fall (rate < 1) by that factor and never converge."""
+
+    krylov_iterations = 0
+
+    def __init__(self, step, rate):
+        self.step, self.rate = step, rate
+
+    def solve(self, A, b, x0):
+        self.step *= self.rate
+        return x0 + self.step
+
+
+@pytest.mark.parametrize("rate", [1.1, 0.9], ids=["rising", "falling"])
+def test_newton_stops_where_a_small_increment_stops_falling(params, rate):
+    # increments near 2e-10, below _LOOSEST_INCREMENT and far above the
+    # tolerance and the rounding floor, with a contraction of 0.9 or more:
+    # only the stagnation test can stop the iteration, at iterate 2 when
+    # the increment rises, and never while it falls
+    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    state = initial_state(ops)
+    cfg = NewtonConfig(tol=1e-14, max_iterations=6)
+
+    def solve():
+        return newton_solve(state, 0.1, params, cfg, ops=ops,
+                            linear=_Drift(1e-10, rate))
+
+    if rate < 1.0:
+        with pytest.raises(NewtonError):
+            solve()
+        return
+    _, rec, _ = solve()
+    assert rec.iterations == 2
+    assert solver._LOOSEST_INCREMENT > rec.increments[1] > rec.increments[0]
+
+
+def test_a_zero_right_hand_side_needs_the_zero_solution():
+    # for b = 0 the relative contract |A x - b| <= rtol |b| reads A x = 0,
+    # which a nonzero x in the kernel of a singular A meets exactly; the
+    # check refuses that x and accepts x = 0
+    A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(SolverError, match="residual contract"):
+        solver._check_residual(A, np.ones(2), np.zeros(2))
+    solver._check_residual(A, np.zeros(2), np.zeros(2))
+
+
 def test_march_starts_newton_from_the_extrapolated_state(params):
     # step 1 starts from the previous state, bit for bit as newton_solve
     # alone does; step 2 from 2 x^1 - x^0, its iterate 0; step 6 from the
