@@ -3,9 +3,10 @@
 Symmetric Gauss quadrature on the reference triangle, mass / stiffness /
 weighted-mass matrices in CSR form, load vectors, and the L2-orthogonal
 projection onto the P1 space, all owned by :class:`DiscreteOperators`.
-The diffusion term has one positive scalar conductivity, which scales
-the stiffness matrix.  All element loops are vectorized over the mesh;
-assembled matrices are immutable and safe to share.
+The operators carry no model constant: the stiffness matrix K is that
+of unit conductivity, and the conductivity sigma = p.M_scalar scales it
+where the model uses it.  All element loops are vectorized over the
+mesh; assembled matrices are immutable and safe to share.
 
 Every P1 matrix lies on one pattern, sorted once per operators by
 `_p1_pattern`, which also maps each element entry (i, j) to its slot in
@@ -405,9 +406,10 @@ class NewtonMatrix:
     """The 2N x 2N Newton matrix [[a11, a12], [s a12 + c M, d M]] as its
     blocks: `a11` and `a12` are CSR matrices that share the index arrays
     of the mass matrix `mass` (M).  `u_solve` is the map
-    r -> (M_T/tau + K)^-1 r of :meth:`DiscreteOperators.u_block_solver`,
-    which preconditions a11 = M/tau + K + M(f_u).  `A @ x` multiplies by
-    the whole matrix; :meth:`tocsc` assembles it for a direct solve."""
+    r -> (M_T/tau + sigma K)^-1 r of
+    :meth:`DiscreteOperators.u_block_solver`, which preconditions
+    a11 = M/tau + sigma K + M(f_u).  `A @ x` multiplies by the whole
+    matrix; :meth:`tocsc` assembles it for a direct solve."""
 
     a11: sp.csr_matrix
     a12: sp.csr_matrix
@@ -442,32 +444,23 @@ class NewtonMatrix:
 
 
 class DiscreteOperators:
-    """Cached matrices and quadrature data for one mesh and one positive
-    scalar conductivity.
+    """The P1 discretization of one mesh, free of model constants: its
+    pattern, :attr:`mass` M, the unit-conductivity :attr:`stiffness` K,
+    :attr:`h1_gram` M + K, the quadrature rules, the blocks and the
+    :attr:`edges`.
 
     Shared by the solver and the estimators so that mass and stiffness
-    are assembled once per mesh.  :attr:`stiffness` is scaled by the
-    conductivity, :attr:`stiffness_identity` (the H1 norm's Gram part) is
-    not.  The pattern and its slot map (`_p1_pattern`) are built at
+    are assembled once per mesh, whatever the model's parameters; each
+    caller scales K by the conductivity p.M_scalar of the parameters it
+    is given.  The pattern and its slot map (`_p1_pattern`) are built at
     construction and kept for the life of the operators: mass,
     stiffness, :attr:`h1_gram`, every weighted mass and so every Newton
-    block share the read-only index arrays of :attr:`mass`.  A
-    conductivity that is not positive raises AssemblyError.  No matrix
+    block share the read-only index arrays of :attr:`mass`.  No matrix
     is factored here.
     """
 
-    @classmethod
-    def for_params(cls, mesh, p):
-        """Operators of the model with parameters `p`: the conductivity is
-        p.M_scalar."""
-        return cls(mesh, p.M_scalar)
-
-    def __init__(self, mesh, conductivity=1.0):
-        if not conductivity > 0.0:
-            raise AssemblyError(f"conductivity must be positive, got "
-                                f"{conductivity}")
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.conductivity = conductivity
         indptr, indices, self._slots = _p1_pattern(mesh)
         indptr.setflags(write=False)
         indices.setflags(write=False)
@@ -486,12 +479,9 @@ class DiscreteOperators:
             indices, indptr), shape=(nv, nv))
         G = mesh.basis_gradients                       # (nt, 3, 2)
         self.stiffness = _on_pattern(self.mass, assembled(
-            conductivity * (G @ G.transpose(0, 2, 1))))
-        self.stiffness_identity = (
-            self.stiffness if conductivity == 1.0 else
-            _on_pattern(self.mass, assembled(G @ G.transpose(0, 2, 1))))
+            G @ G.transpose(0, 2, 1)))
         self.h1_gram = _on_pattern(self.mass, self.mass.data
-                                   + self.stiffness_identity.data)
+                                   + self.stiffness.data)
         self.rule4 = quadrature_rule(4)
         self.rule6 = quadrature_rule(6)
         self._u_block_solvers = {}
@@ -505,19 +495,20 @@ class DiscreteOperators:
                                 "mesh")
         return vec[self.mesh.triangles] @ rule.points.T
 
-    def u_block_solver(self, tau):
+    def u_block_solver(self, tau, conductivity):
         """:func:`grid_solver` of the mesh for the shift 1/tau and the
-        conductivity, made once per tau; AssemblyError unless the mesh is
-        a structured grid (:attr:`mesh.TriMesh.grid_n`)."""
-        solve = self._u_block_solvers.get(tau)
+        `conductivity`, the map r -> (M_T/tau + conductivity K)^-1 r, made
+        once per (tau, conductivity); AssemblyError unless the mesh is a
+        structured grid (:attr:`mesh.TriMesh.grid_n`)."""
+        solve = self._u_block_solvers.get((tau, conductivity))
         if solve is None:
             n = self.mesh.grid_n
             if n is None:
                 raise AssemblyError("the u-block solve needs the structured "
                                     "grid of unit_square_mesh or its "
                                     "refinements")
-            solve = self._u_block_solvers[tau] = grid_solver(
-                n, 1.0 / tau, self.conductivity)
+            solve = self._u_block_solvers[tau, conductivity] = grid_solver(
+                n, 1.0 / tau, conductivity)
         return solve
 
     @cached_property
@@ -577,10 +568,10 @@ class DiscreteOperators:
         from the nodal vectors (u_prev, w_prev), linearized at the
         iterate (u_it, w_it).
 
-        A is the :class:`NewtonMatrix` [[M/tau + K + M(f_u), M(u)],
-        [s M(u) + c M, d M]], with the :meth:`u_block_solver` of tau.
-        M and K are :attr:`mass` and :attr:`stiffness`; M(v) is the
-        weighted mass (:meth:`weighted_mass`) at the points of
+        A is the :class:`NewtonMatrix` [[M/tau + sigma K + M(f_u), M(u)],
+        [s M(u) + c M, d M]], with the :meth:`u_block_solver` of tau and
+        sigma = p.M_scalar.  M and K are :attr:`mass` and :attr:`stiffness`;
+        M(v) is the weighted mass (:meth:`weighted_mass`) at the points of
         :attr:`rule4`, of the partial f_u and of the iterate u (f_w = u)
         there.  The lower blocks are those of g_u = s u + c and the
         constant g_w of :func:`ionic.recovery_jacobian`, d = 1/tau + g_w,
@@ -625,10 +616,10 @@ class DiscreteOperators:
             load_f, load_g = ionic.newton_load(u_q, w_q, p)
             self._add_load(rhs1, block, load_f, rule.load_products)
             self._add_load(rhs2, block, load_g, rule.load_products)
-        a11 += self.mass.data * (1.0 / tau) + self.stiffness.data
+        a11 += self.mass.data * (1.0 / tau) + p.M_scalar * self.stiffness.data
         A = NewtonMatrix(_on_pattern(self.mass, a11),
                          _on_pattern(self.mass, a12), s, c, 1.0 / tau + g_w,
-                         self.mass, self.u_block_solver(tau))
+                         self.mass, self.u_block_solver(tau, p.M_scalar))
         return A, rhs
 
     def load(self, values_at_quad, rule=None):

@@ -479,6 +479,14 @@ def _cmd_convergence(cfg):
 
 
 def _cmd_newton_study(cfg):
+    # the study marches to its last instant and stores nothing that the
+    # memory check could count, so run.t_end bounds the march instead
+    late = [t for t in cfg.instants
+            if t > cfg.t_end + 1e-9 * max(1.0, cfg.t_end)]
+    if late:
+        raise ConfigError(f"instants {late} lie after run.t_end="
+                          f"{cfg.t_end}, past which newton-study does not "
+                          "march")
     _check_marches(cfg, [], unstored=[cfg.newton_n])
     out = _ensure_out_dir(cfg)
     p = cfg.params()

@@ -42,7 +42,6 @@ __all__ = [
     "time_indicator",
     "linearization_indicator",
     "simplified_indicators",
-    "space_residual_functional",
     "initial_projection_terms",
     "cumulative_bound",
     "estimate_trajectory",
@@ -95,13 +94,13 @@ class TrajectoryEstimate:
     cumulative: np.ndarray
 
 
-def _operators(ops, p, *states):
-    """`ops`, else the operators of `p`, on the mesh of `states`;
-    ValueError when a state or `ops` lives on another mesh."""
+def _operators(ops, *states):
+    """`ops`, else the operators of the mesh of `states`; ValueError when
+    a state or `ops` lives on another mesh."""
     mesh = states[0].mesh if ops is None else ops.mesh
     if any(s.mesh is not mesh for s in states):
         raise ValueError("states and operators live on different meshes")
-    return ops if ops is not None else DiscreteOperators.for_params(mesh, p)
+    return ops if ops is not None else DiscreteOperators(mesh)
 
 
 def _at(ops, state):
@@ -109,20 +108,21 @@ def _at(ops, state):
     return ops.field_at(state.u, ops.rule6), ops.field_at(state.w, ops.rule6)
 
 
-def _edge_jump_terms(ops, u):
+def _edge_jump_terms(ops, conductivity, u):
     """h_E * ||conormal jump of u||^2_{L2(E)} per edge, in the order of
-    `ops.edges`.
+    `ops.edges`, for the scalar `conductivity` sigma.
 
     The jump on an edge is the sum of the outward conormal derivatives
     sigma grad u . n of the triangles that share it, each triangle's
     three added into its edges by one bincount in triangle order; a
     boundary edge keeps its one (homogeneous Neumann residual).  For P1
-    the jump is constant along each edge, so the L2(E) norm is exact.
+    the jump is constant along each edge, so the L2(E) norm is exact,
+    and each term is sigma^2 times that of unit conductivity.
     """
     mesh = ops.mesh
     local, lengths = ops.edges
     grads = np.einsum("ei,eid->ed", u[mesh.triangles], mesh.basis_gradients)
-    flux = ops.conductivity * grads
+    flux = conductivity * grads
     outward = np.einsum("ejd,ed->ej", mesh.tri_edge_normals, flux)
     jump = np.bincount(local.ravel(), weights=outward.ravel())
     return lengths ** 2 * jump ** 2
@@ -154,27 +154,29 @@ def _linearized_reaction(r, pen, acc):
             r.g + r.g_u * (u2 - u1) + r.g_w * (w2 - w1))
 
 
-def _space_terms(ops, tau, acc_u, prev, acc, lin):
-    """(eta, element_terms, edge_terms, ode_term) from the values of the
-    previous and the accepted state, the nodal u of the accepted state,
-    and the reaction `lin` (f, g) of the space residual: linearized at
-    the penultimate iterate, or at the accepted state itself, where it is
-    (f, g) there."""
+def _space_terms(ops, p, tau, acc_u, prev, acc, lin):
+    """(eta, element_terms, edge_terms, ode_term) of the model with
+    parameters `p` from the values of the previous and the accepted
+    state, the nodal u of the accepted state, and the reaction `lin`
+    (f, g) of the space residual: linearized at the penultimate iterate,
+    or at the accepted state itself, where it is (f, g) there."""
     lin_f, lin_g = lin
     res_pde = -(acc[0] - prev[0]) / tau - lin_f
     res_ode = -(acc[1] - prev[1]) / tau - lin_g
     element_terms = ops.mesh.diameters ** 2 * _elementwise_l2sq(ops, res_pde)
-    edge_terms = _edge_jump_terms(ops, acc_u)
+    edge_terms = _edge_jump_terms(ops, p.M_scalar, acc_u)
     ode_term = _l2sq(ops, res_ode)
     eta = float(np.sqrt(element_terms.sum() + edge_terms.sum() + ode_term))
     return eta, element_terms, edge_terms, ode_term
 
 
 def _time_terms(ops, p, du, prev, acc, fg_acc):
-    """(theta, parts) from the nodal increment of u, the values of the
-    two accepted states and (f, g) at the second; the reaction mismatch is
-    integrated along the linear-in-time interpolant by 4-point Gauss."""
-    grad_part = float(du @ (ops.stiffness @ du)) / 3.0
+    """(theta, parts) from the nodal increment du of u, the values of the
+    two accepted states and (f, g) at the second.  The gradient part is
+    sigma du' K du / 3, with sigma = p.M_scalar and the unit-conductivity
+    stiffness K; the reaction mismatch is integrated along the
+    linear-in-time interpolant by 4-point Gauss."""
+    grad_part = p.M_scalar * float(du @ (ops.stiffness @ du)) / 3.0
     (up, wp), (ua, wa) = prev, acc
     f_acc, g_acc = fg_acc
     p1_part = p2_part = 0.0
@@ -210,7 +212,7 @@ def _iterate_indicators(ops, p, tau, prev_q, pen_q, acc_q, acc_u):
     r = ionic.react(*pen_q, p)
     gamma = _gamma(ops, r, pen_q, acc_q, _reaction(p, acc_q))
     lin = _linearized_reaction(r, pen_q, acc_q)
-    return gamma, _space_terms(ops, tau, acc_u, prev_q, acc_q, lin)[0]
+    return gamma, _space_terms(ops, p, tau, acc_u, prev_q, acc_q, lin)[0]
 
 
 def space_indicator(prev, last_two_iterates, tau, p, ops=None):
@@ -221,13 +223,13 @@ def space_indicator(prev, last_two_iterates, tau, p, ops=None):
     residual has no diffusion part: div(M grad u_h) vanishes on each
     element for P1 and the scalar conductivity M; the conductivity enters
     through the conormal jumps of the edge terms.  `ops` defaults to the
-    operators of `p` on the states' mesh.
+    operators of the states' mesh.
     """
     pen, acc = last_two_iterates
-    ops = _operators(ops, p, prev, pen, acc)
+    ops = _operators(ops, prev, pen, acc)
     pen_q, acc_q = _at(ops, pen), _at(ops, acc)
     lin = _linearized_reaction(ionic.react(*pen_q, p), pen_q, acc_q)
-    return _space_terms(ops, tau, acc.u, _at(ops, prev), acc_q, lin)
+    return _space_terms(ops, p, tau, acc.u, _at(ops, prev), acc_q, lin)
 
 
 def time_indicator(prev, accepted, tau, p, ops=None):
@@ -236,9 +238,9 @@ def time_indicator(prev, accepted, tau, p, ops=None):
     theta**2 = (1/3) |M^(1/2) grad(u^n - u^(n-1))|^2 plus the mean squared
     L2 mismatch of f and g along the linear-in-time interpolant; returns
     (theta, (gradient_part, p1_part, p2_part)) with squared parts.  `ops`
-    defaults to the operators of `p` on the states' mesh.
+    defaults to the operators of the states' mesh.
     """
-    ops = _operators(ops, p, prev, accepted)
+    ops = _operators(ops, prev, accepted)
     acc_q = _at(ops, accepted)
     return _time_terms(ops, p, accepted.u - prev.u, _at(ops, prev), acc_q,
                        _reaction(p, acc_q))
@@ -248,7 +250,7 @@ def linearization_indicator(last_two_iterates, p, ops=None):
     """L2 norm of the Taylor remainder of (f, g) between two Newton
     iterates."""
     pen, acc = last_two_iterates
-    ops = _operators(ops, p, pen, acc)
+    ops = _operators(ops, pen, acc)
     pen_q, acc_q = _at(ops, pen), _at(ops, acc)
     return _gamma(ops, ionic.react(*pen_q, p), pen_q, acc_q,
                   _reaction(p, acc_q))
@@ -261,35 +263,14 @@ def simplified_indicators(prev, accepted, tau, p, ops=None):
     the appropriate form once Newton has converged to rounding level: the
     space indicator with the accepted state as both of the last two
     iterates.  Returns ((eta, element_terms, edge_terms, ode_term),
-    (theta, parts)).  `ops` defaults to the operators of `p` on the
-    states' mesh.
+    (theta, parts)).  `ops` defaults to the operators of the states'
+    mesh.
     """
-    ops = _operators(ops, p, prev, accepted)
+    ops = _operators(ops, prev, accepted)
     prev_q, acc_q = _at(ops, prev), _at(ops, accepted)
     fg_acc = _reaction(p, acc_q)
-    return (_space_terms(ops, tau, accepted.u, prev_q, acc_q, fg_acc),
+    return (_space_terms(ops, p, tau, accepted.u, prev_q, acc_q, fg_acc),
             _time_terms(ops, p, accepted.u - prev.u, prev_q, acc_q, fg_acc))
-
-
-def space_residual_functional(prev, last_two_iterates, tau, p, ops=None):
-    """Nodal vectors (r1, r2) representing the space residual pair on V_h.
-
-    `r1 . phi` equals the space residual applied to the P1 function with
-    nodal values phi (same for r2/psi); both vanish up to the linear-solver
-    residual because the Newton system enforces exactly this orthogonality.
-    `ops` defaults to the operators of `p` on the states' mesh.
-    """
-    pen, acc = last_two_iterates
-    ops = _operators(ops, p, prev, pen, acc)
-    pen_q, acc_q = _at(ops, pen), _at(ops, acc)
-    lin_f, lin_g = _linearized_reaction(ionic.react(*pen_q, p), pen_q,
-                                        acc_q)
-    r1 = -(ops.mass @ ((acc.u - prev.u) / tau)
-           + ops.stiffness @ acc.u
-           + ops.load(lin_f, ops.rule6))
-    r2 = -(ops.mass @ ((acc.w - prev.w) / tau)
-           + ops.load(lin_g, ops.rule6))
-    return r1, r2
 
 
 def initial_projection_terms(state, initial=None, ops=None):
@@ -299,11 +280,9 @@ def initial_projection_terms(state, initial=None, ops=None):
     StateField `state` and (u0, w0) is :func:`ionic.initial_pair` of
     `initial`; the integrals use the degree-6 rule.  For a march the
     state is the L2-orthogonal projection of the initial data onto V_h.
-    Only the quadrature of `ops` is used, so any operators on the state's
-    mesh give the same result.
+    `ops` defaults to the operators of the state's mesh.
     """
-    ops = _operators(ops if ops is not None else DiscreteOperators(
-        state.mesh), None, state)
+    ops = _operators(ops, state)
     xy = quadrature_coords(state.mesh, ops.rule6)
     out = []
     for f, vals in zip(ionic.initial_pair(initial), _at(ops, state)):
@@ -341,7 +320,7 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
     if initial is None:
         raise ValueError("the initial data of the trajectory is unknown; "
                          "pass initial=")
-    ops = DiscreteOperators.for_params(traj.mesh, p)
+    ops = DiscreteOperators(traj.mesh)
     if simplified is None:
         simplified = traj.penultimate is None
     if not simplified and traj.penultimate is None:
@@ -364,7 +343,8 @@ def estimate_trajectory(traj, p=None, simplified=None, initial=None):
             r_pen = ionic.react(*pen_q, p)
             lin = _linearized_reaction(r_pen, pen_q, acc_q)
             gamma = _gamma(ops, r_pen, pen_q, acc_q, fg_acc)
-        eta, el, ed, ode = _space_terms(ops, tau, acc.u, prev_q, acc_q, lin)
+        eta, el, ed, ode = _space_terms(ops, p, tau, acc.u, prev_q, acc_q,
+                                        lin)
         theta, parts = _time_terms(ops, p, acc.u - prev.u, prev_q, acc_q,
                                    fg_acc)
         reports.append(EstimatorReport(n, float(traj.times[n]), eta, theta,

@@ -2,18 +2,19 @@
 
 Each timestep solves the nonlinear P1 system for (u^n, w^n) with Newton's
 method.  The linear system of each iterate, the 2N x 2N matrix
-[[M/tau + K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] and its
-right-hand side, is built by `DiscreteOperators.newton_system` (see
-:mod:`monofem.assembly`), with exact (degree-4) quadrature; this module
-holds the Newton loop and the linear algebra.
+[[M/tau + sigma K + M(f_u), M(f_w)], [M(g_u), (1/tau + eps) M]] with
+sigma = p.M_scalar, and its right-hand side, is built by
+`DiscreteOperators.newton_system` (see :mod:`monofem.assembly`), with
+exact (degree-4) quadrature; this module holds the Newton loop and the
+linear algebra.
 
 Every march has one linear backend, a `FrozenLUSolver`, and factors no
 matrix.  Only the u-block of the Newton matrix carries the Laplacian;
 the w-block is (1/tau + eps) M at every iterate, because g_w = eps.  The
 backend preconditions a restarted, right-preconditioned GMRES (Saad and
 Schultz 1986) with a block lower triangular matrix (Murphy, Golub and
-Wathen 2000): its u-block is M_T/tau + K, with the tensor-product lumped
-mass M_T, which `assembly.grid_solver` inverts exactly by DCT-I
+Wathen 2000): its u-block is M_T/tau + sigma K, with the tensor-product
+lumped mass M_T, which `assembly.grid_solver` inverts exactly by DCT-I
 transforms on the structured grid; its lower-left block is that of the
 system being solved; its w-block applies the mass matrix inverse by a
 fixed Chebyshev polynomial (`assembly.mass_solver`).  It takes nothing
@@ -199,17 +200,17 @@ class FrozenLUSolver:
     A22 = d M (`NewtonMatrix.d` = 1/tau + eps).  For each system it is
     given, the solver preconditions with P = [[P_u, 0], [A21, d Q]]:
     y_u = P_u^-1 r_u, then y_w = Q^-1 (r_w - A21 y_u) / d.  P_u^-1 is the
-    matrix's `u_solve`, the exact inverse of M_T/tau + K on the
+    matrix's `u_solve`, the exact inverse of M_T/tau + sigma K on the
     structured grid, which leaves out the reaction M(f_u) of
-    A11 = M/tau + K + M(f_u) and replaces its mass M by M_T; A21 = M(g_u)
-    is that system's own; Q^-1 is `_PRECONDITIONER_STEPS` Chebyshev steps
-    of :func:`assembly.mass_solver`, made once per mass matrix.  Q^-1 is not
-    M^-1, but it is a fixed polynomial in D^-1 M, so P is one linear
-    operator for the whole solve, as right-preconditioned GMRES requires.
-    GMRES starts from `x0` when given (the Newton loop passes its current
-    iterate).  When it stalls or misses the residual contract, `solve`
-    raises SolverError.  `krylov_iterations` counts the Krylov vectors,
-    each of which applies P once.
+    A11 = M/tau + sigma K + M(f_u) and replaces its mass M by M_T;
+    A21 = M(g_u) is that system's own; Q^-1 is `_PRECONDITIONER_STEPS`
+    Chebyshev steps of :func:`assembly.mass_solver`, made once per mass
+    matrix.  Q^-1 is not M^-1, but it is a fixed polynomial in D^-1 M, so
+    P is one linear operator for the whole solve, as right-preconditioned
+    GMRES requires.  GMRES starts from `x0` when given (the Newton loop
+    passes its current iterate).  When it stalls or misses the residual
+    contract, `solve` raises SolverError.  `krylov_iterations` counts the
+    Krylov vectors, each of which applies P once.
     """
 
     def __init__(self):
@@ -354,8 +355,8 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
 
     The right-hand side is built from `prev`; the iteration starts from
     `start`, a (u, w) pair of nodal vectors, or from `prev` when it is
-    None.  Each iterate solves the system `ops.newton_system` builds;
-    `ops` defaults to the operators of `p` on the state's mesh, `linear`
+    None.  Each iterate solves the system `ops.newton_system` builds for
+    `p`; `ops` defaults to the operators of the state's mesh, `linear`
     to a fresh FrozenLUSolver.  Each linear solve is given the current
     iterate as its starting guess, so GMRES only has to find the Newton
     increment.  A mesh that is not a structured grid is refused with
@@ -381,7 +382,7 @@ def newton_solve(prev, tau, p, cfg, ops=None, linear=None, start=None):
         raise SolverError("tau must be positive")
     _require_grid(prev.mesh)
     if ops is None:
-        ops = DiscreteOperators.for_params(prev.mesh, p)
+        ops = DiscreteOperators(prev.mesh)
     if linear is None:
         linear = FrozenLUSolver()
 
@@ -675,7 +676,7 @@ def time_march(mesh, p, tau, t_end, cfg=None, initial=None,
     N = step_count(tau, t_end)
     _require_grid(mesh)
 
-    ops = DiscreteOperators.for_params(mesh, p)
+    ops = DiscreteOperators(mesh)
     initial = ionic.initial_pair(initial)
     state = initial_state(ops, initial)
 

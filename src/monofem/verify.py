@@ -164,7 +164,7 @@ def error_curve(coarse, ref, eval_times):
     coarse_at = _interpolator(coarse, P)
     ref_at = _interpolator(ref)
     ops = DiscreteOperators(ref.mesh)
-    mass, stiff = ops.mass, ops.stiffness_identity
+    mass, stiff = ops.mass, ops.stiffness
     gram_lu = spla.splu(ops.h1_gram.tocsc(), permc_spec=_PERMC_SPEC)
 
     grid = _union_grid(coarse.times, ref.times, t_max)
@@ -311,7 +311,7 @@ def newton_study(mesh, tau, instants, p, tol=REFERENCE_TOL):
     except SolverError as exc:
         raise ValueError(f"instants: {exc}") from exc
 
-    ops = DiscreteOperators.for_params(mesh, p)
+    ops = DiscreteOperators(mesh)
     cfg = NewtonConfig(mode="increment_tolerance", tol=tol,
                        max_iterations=60)
     accepted = initial_state(ops)

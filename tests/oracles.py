@@ -9,11 +9,15 @@ vertex coordinates (the stiffness from edge vectors, not gradients)
 through COO into CSR, where the package sorts one pattern and fills it
 through a slot map.  The Newton
 system reference assembles all four blocks through COO, each from its own
-reaction partial, stacks them with sp.bmat into one 2N x 2N CSC matrix,
+reaction partial, with the reference stiffness of the conductivity
+p.M_scalar, stacks them with sp.bmat into one 2N x 2N CSC matrix,
 and builds the right-hand side from the full reaction values; the
 package's `DiscreteOperators.newton_system` keeps the matrix as two
-blocks filled through its slot map, derives the other two from the
-linear recovery equation, and loads reduced reaction weights.  The march
+blocks filled through its slot map, scales its unit-conductivity
+stiffness by p.M_scalar, derives the other two blocks from the
+linear recovery equation, and loads reduced reaction weights.  The space
+residual functional (`space_residual_functional`) states the Galerkin
+orthogonality of the Newton system on the package's public names.  The march
 oracle solves every Newton system with its own LU
 (`DirectSolver`, which assembles the blocks with `tocsc`), where the
 package's march runs GMRES preconditioned by a grid solve of the
@@ -163,9 +167,12 @@ def load_reference(mesh, values, rule):
 def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
     """Newton matrix and right-hand side of one implicit Euler step,
     linearized at (u_it, w_it): four weighted mass matrices summed with
-    M/tau + K and M/tau and stacked by sp.bmat."""
+    M/tau + K and M/tau and stacked by sp.bmat, where K is the stiffness
+    of the conductivity p.M_scalar from :func:`p1_matrices_reference`,
+    not the package's."""
     mesh, rule = ops.mesh, ops.rule4
     mass_dt = ops.mass * (1.0 / tau)
+    stiffness = p1_matrices_reference(mesh, p.M_scalar)[1]
     u_q = ops.field_at(u_it, rule)
     w_q = ops.field_at(w_it, rule)
     r = react(u_q, w_q, p)
@@ -173,13 +180,35 @@ def newton_system_reference(ops, p, u_prev, w_prev, u_it, w_it, tau):
     def wm(values):
         return weighted_mass_reference(mesh, values, rule)
 
-    A = sp.bmat([[mass_dt + ops.stiffness + wm(r.f_u), wm(r.f_w)],
+    A = sp.bmat([[mass_dt + stiffness + wm(r.f_u), wm(r.f_w)],
                  [wm(r.g_u), mass_dt + wm(r.g_w)]], format="csc")
     rhs1 = ops.mass @ (u_prev / tau) + load_reference(
         mesh, r.f_u * u_q + r.f_w * w_q - r.f, rule)
     rhs2 = ops.mass @ (w_prev / tau) + load_reference(
         mesh, r.g_u * u_q + r.g_w * w_q - r.g, rule)
     return A, np.concatenate([rhs1, rhs2])
+
+
+def space_residual_functional(prev, last_two_iterates, tau, p, ops):
+    """Nodal vectors (r1, r2) of the space residual pair of one step on
+    the operators `ops`: r1 . phi is the residual of the u equation,
+    with the reaction linearized at the penultimate iterate and taken at
+    the accepted state, applied to the P1 function with nodal values phi
+    (r2 . psi likewise for the w equation).  Both vanish up to the
+    linear-solver residual, since the Newton system enforces exactly this
+    orthogonality.  Written on the public names of the package alone,
+    with the degree-6 rule and the conductivity p.M_scalar."""
+    pen, acc = last_two_iterates
+    rule = ops.rule6
+    u1, w1 = ops.field_at(pen.u, rule), ops.field_at(pen.w, rule)
+    u2, w2 = ops.field_at(acc.u, rule), ops.field_at(acc.w, rule)
+    r = react(u1, w1, p)
+    lin_f = r.f + r.f_u * (u2 - u1) + r.f_w * (w2 - w1)
+    lin_g = r.g + r.g_u * (u2 - u1) + r.g_w * (w2 - w1)
+    r1 = -(ops.mass @ ((acc.u - prev.u) / tau)
+           + p.M_scalar * (ops.stiffness @ acc.u) + ops.load(lin_f, rule))
+    r2 = -(ops.mass @ ((acc.w - prev.w) / tau) + ops.load(lin_g, rule))
+    return r1, r2
 
 
 def direct_march(mesh, p, tau, t_end, cfg, initial=None):
@@ -189,7 +218,7 @@ def direct_march(mesh, p, tau, t_end, cfg, initial=None):
     `solver._newton_start` of the last `solver._HISTORY` accepted
     states, so the two marches linearize each step's first system at the
     same point."""
-    ops = DiscreteOperators.for_params(mesh, p)
+    ops = DiscreteOperators(mesh)
     state = initial_state(ops, initial)
     history, counts = [state], []
     for n in range(step_count(tau, t_end)):

@@ -1,12 +1,14 @@
 import ast
 import functools
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
 import pytest
 
 import monofem
+from monofem.assembly import DiscreteOperators
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(monofem.__path__))
 
@@ -15,11 +17,7 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 
 #: public names that no package code or benchmark uses, with the reason
 #: each is kept
-UNUSED_ALLOWED = {
-    ("estimators", "space_residual_functional"):
-        "states the Galerkin orthogonality of the Newton system, a "
-        "scientific invariant checked by the tests",
-}
+UNUSED_ALLOWED = {}
 
 #: private names that one package module takes from another, as
 #: (owner, name, user), with the reason each link is kept
@@ -37,8 +35,8 @@ PRIVATE_LINKS_ALLOWED = {
         "balance mode's stopping test is the estimators' two indicators "
         "of one iterate, from one reaction",
     ("solver", "_march_steps", "verify"):
-        "build_reference runs the one march loop without storing the "
-        "penultimate iterates",
+        "newton_study runs the one march loop, and solves the studied "
+        "step again from the accepted state before it",
 }
 
 
@@ -170,3 +168,16 @@ def test_private_links_between_modules_are_listed():
     # is listed with its reason or removed; a listed link that is gone
     # fails too
     assert _private_links() == set(PRIVATE_LINKS_ALLOWED)
+
+
+def test_the_conductivity_has_one_home():
+    # the operators are the model-free discretization of their mesh: no
+    # parameter but the mesh, and no module reads a conductivity off an
+    # object; the conductivity is M_scalar of the model's parameters
+    assert list(inspect.signature(DiscreteOperators).parameters) == ["mesh"]
+    reads = [(path.stem, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute)
+             and node.attr == "conductivity"]
+    assert reads == []

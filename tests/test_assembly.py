@@ -124,9 +124,23 @@ def test_stiffness_kernel_contains_constants(mesh8):
 
 
 def test_stiffness_scaling_in_conductivity(mesh8):
-    K1 = DiscreteOperators(mesh8, 1.0).stiffness
-    K2 = DiscreteOperators(mesh8, 2.0).stiffness
-    assert np.max(np.abs((2.0 * K1 - K2).toarray())) < 1e-13
+    # the stiffness part of the Newton block a11 = M/tau + sigma K + M(f_u)
+    # is p.M_scalar times the operators' stiffness K; the rest of the
+    # system holds no conductivity
+    from monofem.ionic import AlievPanfilovParams
+
+    ops = DiscreteOperators(mesh8)
+    rng = np.random.default_rng(3)
+    states = [rng.uniform(-0.1, 1.1, mesh8.num_vertices) for _ in range(4)]
+    A1, rhs1 = ops.newton_system(AlievPanfilovParams(), *states, 0.05)
+    K = ops.stiffness.data
+    for sigma in (2.0, 2.5, 0.37):
+        A, rhs = ops.newton_system(AlievPanfilovParams(M_scalar=sigma),
+                                   *states, 0.05)
+        assert np.abs((A.a11.data - A1.a11.data) - (sigma - 1.0) * K
+                      ).max() <= 1e-13 * np.abs(K).max()
+        assert np.array_equal(A.a12.data, A1.a12.data)
+        assert np.array_equal(rhs, rhs1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -146,22 +160,18 @@ def test_stiffness_has_exactly_one_zero_eigenvalue(n):
     ids=["reference_triangle", "n1", "n5", "n16", "distorted"])
 def test_operators_match_the_coo_reference(mesh, conductivity):
     # the one sorted pattern and its slot map give the index arrays of a
-    # COO -> CSR scatter and its data to rounding level
-    ops = DiscreteOperators(mesh, conductivity)
-    M, K = p1_matrices_reference(mesh, conductivity)
-    K1 = p1_matrices_reference(mesh)[1]
-    for A, ref in ((ops.mass, M), (ops.stiffness, K),
-                   (ops.stiffness_identity, K1), (ops.h1_gram, M + K1)):
+    # COO -> CSR scatter and its data to rounding level; the stiffness is
+    # that of unit conductivity, and scaled by a conductivity it is the
+    # reference assembled at that conductivity
+    ops = DiscreteOperators(mesh)
+    M, K = p1_matrices_reference(mesh)
+    K_sigma = p1_matrices_reference(mesh, conductivity)[1]
+    for A, ref in ((ops.mass, M), (ops.stiffness, K), (ops.h1_gram, M + K),
+                   (conductivity * ops.stiffness, K_sigma)):
         assert np.array_equal(A.indptr, ref.indptr)
         assert np.array_equal(A.indices, ref.indices)
         assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(
             ref.data).max()
-
-
-def test_non_spd_tensor_rejected(mesh8):
-    # the tensor M I is positive definite exactly when M > 0
-    with pytest.raises(AssemblyError):
-        DiscreteOperators(mesh8, 0.0)
 
 
 def test_assembled_matrices_are_symmetric(mesh8):
@@ -302,9 +312,9 @@ def test_u_block_solver_inverts_the_tensor_product_operator(case):
     ends = np.ones(n + 1)
     ends[[0, -1]] = 0.5
     lumped = sp.diags(ends / n)
-    ops = DiscreteOperators(mesh, conductivity)
-    A = (sp.kron(lumped, lumped) / tau + ops.stiffness).tocsc()
-    solve = ops.u_block_solver(tau)
+    ops = DiscreteOperators(mesh)
+    A = (sp.kron(lumped, lumped) / tau + conductivity * ops.stiffness).tocsc()
+    solve = ops.u_block_solver(tau, conductivity)
     r = np.random.default_rng(n).standard_normal(mesh.num_vertices)
     x = solve(r)
     expected = spsolve(A, r)
@@ -321,13 +331,15 @@ def test_u_block_solver_is_made_once_per_tau(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(assembly, "grid_solver", counting)
-    ops = DiscreteOperators(unit_square_mesh(4), 0.5)
-    first = ops.u_block_solver(0.1)
-    assert ops.u_block_solver(0.1) is first
-    ops.u_block_solver(0.2)
-    assert made == [(4, 10.0, 0.5), (4, 5.0, 0.5)]
+    ops = DiscreteOperators(unit_square_mesh(4))
+    first = ops.u_block_solver(0.1, 0.5)
+    assert ops.u_block_solver(0.1, 0.5) is first
+    ops.u_block_solver(0.2, 0.5)
+    ops.u_block_solver(0.1, 1.0)
+    assert ops.u_block_solver(0.1, 0.5) is first
+    assert made == [(4, 10.0, 0.5), (4, 5.0, 0.5), (4, 10.0, 1.0)]
     with pytest.raises(AssemblyError):
-        DiscreteOperators(distorted_mesh(4, 1)).u_block_solver(0.1)
+        DiscreteOperators(distorted_mesh(4, 1)).u_block_solver(0.1, 1.0)
 
 
 _PROJECTED = [lambda x, y: np.exp(-((x - 1.0) ** 2 + y ** 2) / 0.25),
@@ -519,8 +531,8 @@ def _blocked_assembly(mesh, states):
     from monofem.ionic import AlievPanfilovParams
 
     p = AlievPanfilovParams()
-    ops = DiscreteOperators.for_params(mesh, p)
-    ops.u_block_solver = lambda tau: None
+    ops = DiscreteOperators(mesh)
+    ops.u_block_solver = lambda tau, conductivity: None
     A, rhs = ops.newton_system(p, *states, 0.05)
     return (len(ops._blocks), A.a11.data, A.a12.data, rhs,
             l2_project(ops, _PROJECTED))
@@ -551,7 +563,7 @@ def test_newton_system_transient_is_a_few_mesh_vectors(params):
     # grid); whole-mesh quadrature arrays read 640 B per vertex
     import tracemalloc
 
-    ops = DiscreteOperators.for_params(unit_square_mesh(128), params)
+    ops = DiscreteOperators(unit_square_mesh(128))
     rng = np.random.default_rng(5)
     states = [rng.uniform(-0.1, 1.1, ops.mesh.num_vertices)
               for _ in range(4)]

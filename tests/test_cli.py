@@ -221,10 +221,12 @@ def test_convergence_command(out_env):
 
 
 def test_newton_study_command(out_env):
+    # an instant at run.t_end itself is the last one newton-study accepts
     rc = main(["newton-study",
                "--set", "study.newton_n=8",
                "--set", "study.newton_tau=0.125",
                "--set", "study.instants=0.25",
+               "--set", "run.t_end=0.25",
                "--set", "study.reference_tol=1e-15"])
     assert rc == EXIT_OK
     header, rows = read_csv(out_env / "newton_study.csv")
@@ -243,6 +245,18 @@ def test_newton_study_rejects_instants_off_the_grid(out_env, instants):
                "--set", f"study.instants={instants}"])
     assert rc == EXIT_CONFIG
     assert not (out_env / "newton_study.csv").exists()
+
+
+@pytest.mark.parametrize("instants", ["1e11", "2.0078125", "0.5,1e11"])
+def test_newton_study_refuses_instants_after_t_end(out_env, no_marching,
+                                                   capsys, instants):
+    # newton-study marches to its last instant and stores no trajectory
+    # that the memory check could count: 1e11 at the default
+    # newton_tau = 1/128 would be 1.28e13 steps; run.t_end = 2 bounds it
+    assert main(["newton-study", "--set",
+                 f"study.instants={instants}"]) == EXIT_CONFIG
+    assert "after run.t_end=2.0" in capsys.readouterr().err
+    assert not out_env.exists()
 
 
 @pytest.mark.parametrize("probe", ["2,2", "-0.1,0.5", "0.5,1.5"])
@@ -392,6 +406,32 @@ def test_config_file_is_read(tmp_path, out_env):
     assert main(["solve", "--config", str(ini)]) == EXIT_OK
 
 
+#: the keys that `_validate` requires to be positive, by field name
+_POSITIVE = ["mesh_n", "tau", "t_end", "tol", "sigma", "max_iterations",
+             "reference_n", "reference_tau", "reference_tol", "newton_n",
+             "newton_tau"]
+
+
+@pytest.mark.parametrize("name", _POSITIVE)
+def test_every_positive_key_is_refused_at_zero(name):
+    # refused by its own name, whether or not the command runs it; the
+    # Newton configuration and the step counts check some of them again,
+    # but the first message names the key
+    (section, key), = [k for k, (field, _) in cli._SCHEMA.items()
+                       if field == name]
+    with pytest.raises(ConfigError, match=f"^{name} must be positive$"):
+        parse_config("", [f"{section}.{key}=0"])
+
+
+@pytest.mark.parametrize("ladder", ["0:0.1", "4:0", "4:0.1,0:0.05"])
+def test_a_ladder_rung_needs_a_positive_size_and_step(ladder):
+    # "0:0.1" doubles nothing and would divide by zero in the reference
+    # levels; the rung check names it first
+    with pytest.raises(ConfigError,
+                       match=r"^ladder rung \d: n and tau must be positive$"):
+        parse_config("", [f"study.ladder={ladder}"])
+
+
 def test_bad_config_exit_code(out_env):
     assert main(["solve", "--set", "params.a=2.0"]) == EXIT_CONFIG
 
@@ -450,16 +490,19 @@ _VALID = {
 
 #: boundary, malformed, NaN, huge and empty values, drawn for every key;
 #: the huge integer only for integer keys, where it names a mesh or a
-#: count (a huge finite instant of newton-study is a valid, long march)
+#: count, and the huge instant only for the instants, which newton-study
+#: refuses after run.t_end
 _INVALID = ["", " ", "0", "-1", "1", "nan", "inf", "-inf", "1e308",
             "1e-320", "abc", "1:0.1:2", "0.1,", ",", "x:y"]
 _HUGE_INT = "99999999999"
+_HUGE_INSTANT = "1e11"
 
 
 @st.composite
 def _items(draw):
     key = draw(st.sampled_from(sorted(cli._SCHEMA)))
     bad = _INVALID + ([_HUGE_INT] if cli._SCHEMA[key][1] is cli._as_int
+                      else [_HUGE_INSTANT] if key == ("study", "instants")
                       else [])
     value = draw(st.sampled_from(_VALID[key]) | st.sampled_from(bad))
     return f"{key[0]}.{key[1]}={value}"

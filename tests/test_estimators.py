@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,17 @@ from monofem.estimators import (EstimatorReport, _edge_jump_terms,
                                 initial_projection_terms,
                                 linearization_indicator,
                                 simplified_indicators, space_indicator,
-                                space_residual_functional, time_indicator)
+                                time_indicator)
 from monofem.ionic import AlievPanfilovParams, f_value, g_value, react
 from monofem.mesh import TriMesh, prolongation, refine_uniform, \
     unit_square_mesh
-from monofem.solver import NewtonConfig, StateField, initial_state, \
-    newton_solve, time_march
+from monofem.solver import NewtonConfig, StateField, \
+    TrajectorySolution, initial_state, newton_solve, time_march
+from monofem.verify import error_curve
 
 from oracles import (barycentric_at, distorted_mesh, edge_table,
-                     p1_gradients, renumbered_mesh, triangle_quadrature)
+                     p1_gradients, renumbered_mesh,
+                     space_residual_functional, triangle_quadrature)
 
 
 def _random_states(mesh, rng, time=0.1):
@@ -69,8 +73,8 @@ def test_edge_terms_scale_with_the_square_of_the_conductivity(params):
     mesh = unit_square_mesh(4)
     rng = np.random.default_rng(6)
     prev, acc = _random_states(mesh, rng, 0.0), _random_states(mesh, rng)
-    terms = [space_indicator(prev, (acc, acc), 0.1, params,
-                             ops=DiscreteOperators(mesh, m))
+    terms = [space_indicator(prev, (acc, acc), 0.1,
+                             dataclasses.replace(params, M_scalar=m))
              for m in (1.0, 2.5)]
     assert np.allclose(terms[1][2], 2.5 ** 2 * terms[0][2], rtol=1e-13,
                        atol=0.0)
@@ -95,8 +99,8 @@ def test_edges_are_the_sorted_pairs_and_jumps_keep_their_bits(case):
     table = edge_table(mesh)
     pairs = np.array(list(table))
     tri = mesh.triangles
+    ops = DiscreteOperators(mesh)
     for conductivity in (1.0, 2.5):
-        ops = DiscreteOperators(mesh, conductivity)
         local, lengths = ops.edges
         assert not local.flags.writeable and not lengths.flags.writeable
         ends = np.sort(np.stack([tri, np.roll(tri, -1, axis=1)], axis=2),
@@ -115,7 +119,7 @@ def test_edges_are_the_sorted_pairs_and_jumps_keep_their_bits(case):
         jump = np.einsum("ed,ed->e", normals, flux[first])
         jump[interior] -= np.einsum("ed,ed->e", normals[interior],
                                     flux[last[interior]])
-        assert np.array_equal(_edge_jump_terms(ops, u),
+        assert np.array_equal(_edge_jump_terms(ops, conductivity, u),
                               lengths ** 2 * jump ** 2)
 
 
@@ -277,7 +281,7 @@ def test_galerkin_orthogonality_random_test_functions(params):
         pen_u, pen_w = traj.penultimate[n]
         pen = StateField(traj.mesh, pen_u, pen_w, acc.time)
         r1, r2 = space_residual_functional(prev, (pen, acc), traj.tau,
-                                           params, ops=ops)
+                                           params, ops)
         for _ in range(20):
             phi = rng.standard_normal(traj.mesh.num_vertices)
             psi = rng.standard_normal(traj.mesh.num_vertices)
@@ -423,8 +427,6 @@ def test_mesh_mismatch_raises(params):
         linearization_indicator((sb, sa), AlievPanfilovParams())
     with pytest.raises(ValueError):
         simplified_indicators(sb, sa, 0.1, AlievPanfilovParams())
-    with pytest.raises(ValueError):
-        space_residual_functional(sb, (sa, sa), 0.1, AlievPanfilovParams())
 
 
 def test_operators_on_another_mesh_raise(params):
@@ -437,8 +439,6 @@ def test_operators_on_another_mesh_raise(params):
         lambda: time_indicator(s, s, 0.1, params, ops=ops_b),
         lambda: linearization_indicator((s, s), params, ops=ops_b),
         lambda: simplified_indicators(s, s, 0.1, params, ops=ops_b),
-        lambda: space_residual_functional(s, (s, s), 0.1, params,
-                                          ops=ops_b),
         lambda: initial_projection_terms(s, ops=ops_b),
     ]
     for call in calls:
@@ -458,7 +458,7 @@ def test_trajectory_reports_equal_the_public_indicators(params):
     # the step loop carries each accepted state's values forward; every
     # report must be bit for bit what the public wrappers give that step
     traj = _marched(params, n=8, tau=0.1, t_end=0.5)
-    ops = DiscreteOperators.for_params(traj.mesh, params)
+    ops = DiscreteOperators(traj.mesh)
     simp = estimate_trajectory(traj, simplified=True).reports
     full = estimate_trajectory(traj, simplified=False).reports
     for n in range(1, traj.num_steps + 1):
@@ -475,6 +475,81 @@ def test_trajectory_reports_equal_the_public_indicators(params):
         gamma = linearization_indicator((pen, acc), params, ops=ops)
         _assert_reports_equal(full[n - 1], EstimatorReport(
             n, acc.time, eta, theta, gamma, el, ed, ode, parts))
+
+
+def _close(a, b, rtol=1e-13):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
+
+
+def _random_trajectory(mesh, p, seed, steps=3, tau=0.1):
+    """steps + 1 random states on `mesh` with penultimate iterates near
+    the accepted ones, marched by nothing, so any mesh will do."""
+    rng = np.random.default_rng(seed)
+    nv = mesh.num_vertices
+    U, W = rng.uniform(-0.1, 1.1, (2, steps + 1, nv))
+    pen = [None] + [(U[n] + 1e-3 * rng.standard_normal(nv),
+                     W[n] + 1e-3 * rng.standard_normal(nv))
+                    for n in range(1, steps + 1)]
+    return TrajectorySolution(mesh, tau * np.arange(steps + 1), U, W, p,
+                              penultimate=pen, tau=tau,
+                              initial=ionic.initial_pair(None))
+
+
+@pytest.mark.parametrize("case, sigmas", [("grid", (1.0, 2.5)),
+                                          ("distorted", (2.5,))])
+def test_one_operators_object_serves_every_conductivity(case, sigmas):
+    # one DiscreteOperators(mesh), used at every conductivity in turn,
+    # gives what fresh operators give: the Newton system, the indicators
+    # of every report of estimate_trajectory (which makes its own) and
+    # the error curve, whose X/Y norm holds no conductivity.  Against
+    # unit conductivity the edge terms scale as sigma^2 and the gradient
+    # part of theta as sigma
+    mesh = unit_square_mesh(8) if case == "grid" else distorted_mesh(8, 2)
+
+    def operators():
+        ops = DiscreteOperators(mesh)
+        if mesh.grid_n is None:                # no u-block solve off a grid
+            ops.u_block_solver = lambda tau, conductivity: (tau, conductivity)
+        return ops
+
+    shared = operators()
+    base = _random_trajectory(mesh, AlievPanfilovParams(), 5)
+    unit = estimate_trajectory(base).reports
+    errors = error_curve(base, _random_trajectory(
+        mesh, AlievPanfilovParams(), 6), base.times[1:])
+    for sigma in sigmas:
+        p = AlievPanfilovParams(M_scalar=sigma)
+        fresh = operators()
+        traj = _random_trajectory(mesh, p, 5)
+        args = (traj.U[0], traj.W[0], *traj.penultimate[1], traj.tau)
+        (A, rhs), (A_f, rhs_f) = (o.newton_system(p, *args)
+                                  for o in (shared, fresh))
+        assert _close(A.a11.data, A_f.a11.data)
+        assert _close(A.a12.data, A_f.a12.data) and _close(rhs, rhs_f)
+        assert A.u_solve == shared.u_block_solver(traj.tau, sigma)
+
+        reports = estimate_trajectory(traj).reports
+        for n, (r, r1) in enumerate(zip(reports, unit), start=1):
+            prev, acc = traj.state(n - 1), traj.state(n)
+            pen = StateField(mesh, *traj.penultimate[n], acc.time)
+            eta, el, ed, ode = space_indicator(prev, (pen, acc), traj.tau,
+                                               p, ops=shared)
+            theta, parts = time_indicator(prev, acc, traj.tau, p,
+                                          ops=shared)
+            gamma = linearization_indicator((pen, acc), p, ops=shared)
+            assert _close(r.eta, eta) and _close(r.theta, theta)
+            assert _close(r.gamma, gamma) and _close(r.ode_term, ode)
+            assert _close(r.element_terms, el) and _close(r.edge_terms, ed)
+            assert _close(r.time_parts, parts)
+            assert _close(r.edge_terms, sigma ** 2 * r1.edge_terms)
+            assert _close(r.time_parts[0], sigma * r1.time_parts[0])
+            assert np.array_equal(r.element_terms, r1.element_terms)
+            assert r.time_parts[1:] == r1.time_parts[1:]
+            assert r.ode_term == r1.ode_term and r.gamma == r1.gamma
+
+        assert error_curve(traj, _random_trajectory(mesh, p, 6),
+                           traj.times[1:]) == errors
 
 
 def test_trajectory_evaluates_each_state_once(params, monkeypatch):

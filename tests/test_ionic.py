@@ -24,6 +24,13 @@ def test_parameter_validation():
         AlievPanfilovParams(M_scalar=-1.0)
 
 
+def test_zero_conductivity_rejected():
+    # the conductivity tensor M_scalar I is positive definite exactly when
+    # M_scalar > 0; the parameters are its one home, so they refuse 0
+    with pytest.raises(ValueError, match="M_scalar must be positive"):
+        AlievPanfilovParams(M_scalar=0.0)
+
+
 def test_reaction_values_at_rest_state(params):
     r = react(0.0, 0.0, params)
     assert r.f == 0.0

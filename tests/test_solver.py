@@ -95,7 +95,7 @@ def _newton_case(case):
             else unit_square_mesh(8))
     p = (AlievPanfilovParams(A=5.0, a=0.3, eps=0.05, M_scalar=2.5)
          if case == "params" else AlievPanfilovParams())
-    return DiscreteOperators.for_params(mesh, p), p
+    return DiscreteOperators(mesh), p
 
 
 def _random_states(mesh, seed):
@@ -120,23 +120,28 @@ def test_newton_system_matches_coo_reference(case):
         assert np.abs(rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
 
 
-def test_newton_solve_uses_the_stiffness_of_its_operators(params):
-    # the conductivity of the operators passed through ops= must reach the
-    # Newton matrix; the parameters' p.M_scalar (1 here) must not
+def test_newton_solve_takes_the_conductivity_from_its_parameters(params):
+    # p.M_scalar reaches the Newton matrix and its u-block solve: one
+    # operators object serves p at 1, at 2.5 and at 1 again, and each
+    # first iterate is the direct solution of the reference system, whose
+    # stiffness is assembled at that conductivity
     mesh = unit_square_mesh(8)
-    ops = DiscreteOperators(mesh, 2.5)
+    ops = DiscreteOperators(mesh)
     prev = _projected_initial_state(mesh, params)
     tau = 0.05
-    _, _, iterates = newton_solve(prev, tau, params, NewtonConfig(), ops=ops)
-    A, rhs = newton_system_reference(ops, params, prev.u, prev.w, prev.u,
-                                     prev.w, tau)
-    x = DirectSolver().solve(A, rhs)
     nv = mesh.num_vertices
-    scale = np.abs(x).max()
-    assert np.abs(iterates[1].u - x[:nv]).max() <= 1e-12 * scale
-    assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
-    _, _, scalar = newton_solve(prev, tau, params, NewtonConfig())
-    assert np.abs(scalar[1].u - x[:nv]).max() > 1e-6 * scale
+    firsts = []
+    for p in (params, dataclasses.replace(params, M_scalar=2.5), params):
+        _, _, iterates = newton_solve(prev, tau, p, NewtonConfig(), ops=ops)
+        A, rhs = newton_system_reference(ops, p, prev.u, prev.w, prev.u,
+                                         prev.w, tau)
+        x = DirectSolver().solve(A, rhs)
+        scale = np.abs(x).max()
+        assert np.abs(iterates[1].u - x[:nv]).max() <= 1e-12 * scale
+        assert np.abs(iterates[1].w - x[nv:]).max() <= 1e-12 * scale
+        firsts.append(iterates[1].u)
+    assert np.abs(firsts[1] - firsts[0]).max() > 1e-6 * scale
+    assert np.array_equal(firsts[2], firsts[0])
 
 
 def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
@@ -144,7 +149,7 @@ def test_newton_solve_returns_the_solution_in_mesh_numbering(params):
     # direct solution of the reference system assembled in the mesh's
     # numbering
     mesh = mesh_chain(3, 1)[-1]
-    ops = DiscreteOperators.for_params(mesh, params)
+    ops = DiscreteOperators(mesh)
     prev = _projected_initial_state(mesh, params)
     tau = 0.05
     _, _, iterates = newton_solve(prev, tau, params, NewtonConfig(), ops=ops)
@@ -169,7 +174,7 @@ def test_slot_map_is_built_once_per_operators(params, monkeypatch):
 
     monkeypatch.setattr(assembly, "_p1_pattern", counting)
     mesh = unit_square_mesh(4)
-    ops = DiscreteOperators.for_params(mesh, params)
+    ops = DiscreteOperators(mesh)
     assert len(built) == 1
     states = _random_states(mesh, 2)
     for tau in (0.1, 0.05, 0.025, 0.1):
@@ -185,7 +190,10 @@ def test_slot_map_is_built_once_per_operators(params, monkeypatch):
     for other in (ops.stiffness, ops.h1_gram, W, A.a11, A.a12):
         assert np.shares_memory(other.indices, ops.mass.indices)
         assert np.shares_memory(other.indptr, ops.mass.indptr)
-    DiscreteOperators(mesh, 2.0 * params.M_scalar)
+    ops.newton_system(dataclasses.replace(params, M_scalar=2.0), *states,
+                      0.1)
+    assert len(built) == 1
+    DiscreteOperators(mesh)
     assert len(built) == 2
 
 
@@ -318,7 +326,7 @@ def test_balance_mode_evaluates_the_reaction_once_per_iterate(params,
     assert traj.newton_counts().sum() == 7
     assert len(calls) == 7
 
-    ops = DiscreteOperators.for_params(mesh, params)
+    ops = DiscreteOperators(mesh)
     prev = traj.state(0)
     _, rec, iterates = newton_solve(prev, 0.1, params, cfg, ops=ops)
     for k in range(1, rec.iterations + 1):
@@ -360,8 +368,7 @@ def test_a_march_refuses_a_mesh_that_is_not_a_grid(params, monkeypatch,
     def refuse(*args):
         raise AssertionError("assembled on a mesh that is not a grid")
 
-    monkeypatch.setattr(solver, "DiscreteOperators",
-                        SimpleNamespace(for_params=refuse))
+    monkeypatch.setattr(solver, "DiscreteOperators", refuse)
     with pytest.raises(SolverError, match="structured grids"):
         time_march(mesh, params, 0.1, 0.2)
     zeros = np.zeros(mesh.num_vertices)
@@ -413,7 +420,7 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
     # right-preconditioned GMRES applies the preconditioner, and so its
     # u-block factor, the grid solve, to each Krylov vector and to nothing
     # else: not to b, not to a restart's residual
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     applied = []
 
@@ -433,7 +440,7 @@ def test_frozen_lu_applies_its_factor_once_per_krylov_vector(params):
 def test_gmres_second_cycle_meets_the_contract(params, monkeypatch):
     # a restart length one short of what the solve needs: GMRES restarts
     # from its first cycle's result and converges in its second cycle
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     linear = FrozenLUSolver()
     A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     before = linear.krylov_iterations
@@ -453,7 +460,7 @@ def test_frozen_lu_raises_when_gmres_misses_the_contract(params):
     # system whose reaction is a million times stronger: GMRES misses the
     # contract, and with nothing to factor again the solve raises, in a
     # march with the step it failed at
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     prev = initial_state(ops)
     stiff = AlievPanfilovParams(A=params.A * 1e6)
     B, rhs_b = ops.newton_system(stiff, prev.u, prev.w, prev.u, prev.w,
@@ -506,7 +513,7 @@ def test_no_march_factors_a_matrix(params, linalg, monkeypatch, march):
     if march == "newton_study":
         # the steps ending at 0.25, 0.5, which the study solves again from
         # the state before them
-        ops = DiscreteOperators.for_params(mesh, params)
+        ops = DiscreteOperators(mesh)
         oracle = [newton_solve(StateField(mesh, U[n - 1], W[n - 1],
                                           (n - 1) * tau),
                                tau, params, cfg, ops=ops,
@@ -532,7 +539,7 @@ def test_a_march_makes_no_splu(params, linalg, monkeypatch):
     assert linalg.factorizations == 0
     assert every.factorizations == 0
 
-    ops = DiscreteOperators.for_params(mesh, params)
+    ops = DiscreteOperators(mesh)
     state = initial_state(ops)
     assert every.factorizations == 0
     steps = list(solver._march_steps(state, 0.1, 2, params, NewtonConfig(),
@@ -569,7 +576,7 @@ def test_block_preconditioner_is_one_fixed_linear_operator(params, tau):
     # w-block is the fixed Chebyshev polynomial, not a solve to a
     # tolerance, scaled by the 1/tau + eps that the backend reads from
     # the Newton matrix it is given
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     linear = FrozenLUSolver()
     linear.solve(*ops.newton_system(params, *_random_states(ops.mesh, 3),
                                     tau))
@@ -598,7 +605,7 @@ def test_initial_state_evaluates_the_default_data_once(params, monkeypatch):
     from monofem import ionic
     from monofem.assembly import l2_project
 
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     both = [lambda x, y: ionic.initial_data(x, y)[0],
             lambda x, y: ionic.initial_data(x, y)[1]]
     expected = l2_project(ops, both)
@@ -640,7 +647,7 @@ def test_every_accepted_state_meets_the_residual_contract(params):
     mesh = unit_square_mesh(16)
     tau = 0.05
     traj = time_march(mesh, params, tau, 1.0)
-    ops = DiscreteOperators.for_params(mesh, params)
+    ops = DiscreteOperators(mesh)
     for n in range(1, traj.num_steps + 1):
         A, rhs = ops.newton_system(params, traj.U[n - 1], traj.W[n - 1],
                                    traj.U[n], traj.W[n], tau)
@@ -652,7 +659,7 @@ def test_every_accepted_state_meets_the_residual_contract(params):
 def test_gmres_starts_from_the_current_newton_iterate(params):
     # an x0 that already solves the system to 1e-13: GMRES returns x0
     # without a Krylov iteration
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     linear = FrozenLUSolver()
     A, rhs = ops.newton_system(params, *_random_states(ops.mesh, 4), 0.05)
     x0 = DirectSolver().solve(A, rhs)
@@ -727,7 +734,7 @@ def test_newton_stops_where_a_small_increment_stops_falling(params, rate):
     # tolerance and the rounding floor, with a contraction of 0.9 or more:
     # only the stagnation test can stop the iteration, at iterate 2 when
     # the increment rises, and never while it falls
-    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    ops = DiscreteOperators(unit_square_mesh(4))
     state = initial_state(ops)
     cfg = NewtonConfig(tol=1e-14, max_iterations=6)
 
@@ -758,7 +765,7 @@ def test_march_starts_newton_from_the_extrapolated_state(params):
     # step 1 starts from the previous state, bit for bit as newton_solve
     # alone does; step 2 from 2 x^1 - x^0, its iterate 0; step 6 from the
     # extrapolation of the six states before it
-    ops = DiscreteOperators.for_params(unit_square_mesh(8), params)
+    ops = DiscreteOperators(unit_square_mesh(8))
     state = initial_state(ops)
     cfg = NewtonConfig()
     steps = list(solver._march_steps(state, 0.1, 6, params, cfg, ops))
@@ -874,7 +881,7 @@ def test_step_records_sum_to_the_krylov_vectors_of_the_march(params,
 
 
 def test_newton_solve_copies_its_start(params):
-    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    ops = DiscreteOperators(unit_square_mesh(4))
     prev = initial_state(ops)
     start = (prev.u * 1.01, prev.w + 0.01)
     kept = (start[0].copy(), start[1].copy())
@@ -1021,7 +1028,7 @@ def test_quadratic_stop_needs_a_contraction_below_one_half(theta, accepted):
 def test_newton_system_refuses_iterates_of_another_mesh(params):
     # the blocks index the iterate by the triangles: a longer vector would
     # be read in part without a check
-    ops = DiscreteOperators.for_params(unit_square_mesh(4), params)
+    ops = DiscreteOperators(unit_square_mesh(4))
     good = _random_states(ops.mesh, 6)
     for at in (2, 3):
         states = list(good)

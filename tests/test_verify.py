@@ -260,7 +260,7 @@ def test_rising_then_falling_defect_hand_computed(setup):
 
     params, _, ref, _ = setup
     ops = DiscreteOperators(ref.mesh)
-    M, K = ops.mass.toarray(), ops.stiffness_identity.toarray()
+    M, K = ops.mass.toarray(), ops.stiffness.toarray()
     x, y = ref.mesh.vertices.T
     phi, psi = x * x + y, np.cos(2.0 * x) * (1.0 - y)
     c = np.array([0.1, 0.3, 0.5, 0.2, 0.1])
@@ -296,3 +296,39 @@ def test_rising_then_falling_defect_hand_computed(setup):
     # at the end the maximum of c is 0.5, its last value 0.1
     assert got[-1].linf_l2_u == pytest.approx(0.5 * np.sqrt(phi_m),
                                               rel=1e-12)
+
+
+def test_a_request_at_t0_gets_the_initial_defect(setup):
+    # the row at t = 0 holds the L-infinity parts of the initial error
+    # and nothing integrated over time; the rows after it are those of a
+    # request that leaves t = 0 out
+    from monofem.assembly import DiscreteOperators
+
+    params, _, ref, _ = setup
+    M = DiscreteOperators(ref.mesh).mass
+    x, y = ref.mesh.vertices.T
+    phi, psi = 0.2 * (x + y * y), 0.3 * np.sin(3.0 * x) * y
+    coarse = TrajectorySolution(ref.mesh, ref.times, ref.U + phi,
+                                ref.W + psi, params, tau=ref.tau)
+    first, *rest = error_curve(coarse, ref, [0.0, 0.125, 0.25])
+    u0, w0 = np.sqrt(phi @ (M @ phi)), np.sqrt(psi @ (M @ psi))
+    assert first.time == 0.0
+    assert first.linf_l2_u == pytest.approx(u0, rel=1e-12)
+    assert first.linf_l2_w == pytest.approx(w0, rel=1e-12)
+    assert first.combined_xy == pytest.approx(np.hypot(u0, w0), rel=1e-12)
+    assert (first.l2h1, first.dual_dt_u, first.l2_dt_w,
+            first.l2_dt_u) == (0.0, 0.0, 0.0, 0.0)
+    assert rest == error_curve(coarse, ref, [0.125, 0.25])
+
+
+def test_a_request_within_the_time_tolerance_is_scored_at_its_grid_point(
+        setup):
+    # requested times up to 1e-9 past a grid point are that point's rows,
+    # the last one included, under the time they were requested at
+    import dataclasses
+
+    _, _, coarse, ref = setup
+    exact = error_curve(coarse, ref, [0.125, 0.5])
+    late = [0.125 + 4e-10, 0.5 + 4e-10]
+    assert error_curve(coarse, ref, late) == [
+        dataclasses.replace(row, time=t) for row, t in zip(exact, late)]
